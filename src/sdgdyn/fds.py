@@ -11,10 +11,11 @@ reshape to ``shape = (|X_1|, ..., |X_n|)`` without reindexing.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,15 +35,21 @@ DEFAULT_TABLE_CAP = 10**7
 State = tuple[int, ...]
 
 
-def state_cap() -> int:
-    """Largest allowed state-space size; the SDG_CAP env var overrides it."""
+def env_cap() -> int | None:
+    """The integer in the SDG_CAP env var, or None when it is unset."""
     raw = os.environ.get("SDG_CAP")
     if raw is None:
-        return DEFAULT_STATE_CAP
+        return None
     try:
         return int(raw)
     except ValueError:
         raise SdgParseError(f"SDG_CAP must be an integer, got {raw!r}") from None
+
+
+def state_cap() -> int:
+    """Largest allowed state-space size; the SDG_CAP env var overrides it."""
+    cap = env_cap()
+    return DEFAULT_STATE_CAP if cap is None else cap
 
 
 @dataclass(frozen=True)
@@ -366,40 +373,32 @@ def random_fds(rng, sizes: Sequence[int], lows: Sequence[int] | None = None) -> 
 class ConvergenceWitness:
     """Outcome of checking that ``f`` converges toward ``h`` in ``k`` steps.
 
-    Valid iff ``f^k(X) <= h(Y) <= Y <= X`` and ``f`` agrees with ``h`` on
-    every state of ``Y``.  The first inclusion is componentwise: every
-    coordinate of every ``f^k`` value must be a value ``h`` takes at that
-    coordinate, i.e. ``f^k(X)`` lies in the box ``h_1(Y) x ... x h_n(Y)``.
-    (Requiring membership in the exact image set ``{h(y)}`` is strictly
-    stronger and provably unachievable: when two components of ``h`` are
-    correlated, any system realizing extra arcs between them has image
-    states outside ``{h(y)}``.)
+    Valid iff ``Y <= X``, ``f^k(X) <= h(Y)`` and ``f`` agrees with ``h`` on
+    every state of ``Y``; ``h(Y) <= Y`` holds for every system on ``Y``.
+    The inclusion of images is componentwise: every coordinate of every
+    ``f^k`` value must be a value ``h`` takes at that coordinate, i.e.
+    ``f^k(X)`` lies in the box ``h_1(Y) x ... x h_n(Y)``.  (Requiring
+    membership in the exact image set ``{h(y)}`` is strictly stronger and
+    provably unachievable: when two components of ``h`` are correlated, any
+    system realizing extra arcs between them has image states outside
+    ``{h(y)}``.)  ``counterexample`` is the first state of ``Y``, in offset
+    order, on which ``f`` and ``h`` disagree.
     """
 
     steps: int
-    image_of_fk: tuple[State, ...]
-    image_of_h: tuple[State, ...]
     domains_nested: bool
-    h_image_in_h_domain: bool
     fk_image_in_h_image: bool
     agreement: bool
     counterexample: State | None = None
 
     @property
     def valid(self) -> bool:
-        return (
-            self.domains_nested
-            and self.h_image_in_h_domain
-            and self.fk_image_in_h_image
-            and self.agreement
-        )
+        return self.domains_nested and self.fk_image_in_h_image and self.agreement
 
     def failures(self) -> list[str]:
         out = []
         if not self.domains_nested:
             out.append("subsystem domain is not contained in the system domain")
-        if not self.h_image_in_h_domain:
-            out.append("subsystem image leaves its own domain")
         if not self.fk_image_in_h_image:
             out.append(f"f^{self.steps}(X) is not contained in h(Y)")
         if not self.agreement:
@@ -413,14 +412,8 @@ def converges_toward(f: Fds, h: Fds, k: int) -> ConvergenceWitness:
         raise PreconditionError("systems have different numbers of components")
     if k < 0:
         raise PreconditionError("step count must be nonnegative")
-    nested = h.domain.subset_of(f.domain)
-    if not nested:
-        return ConvergenceWitness(k, (), (), False, False, False, False)
-
-    y_in_x = h.domain.offsets_in(f.domain)
-
-    h_img_y = h.image_offsets()
-    h_img_states = [h.domain.state(int(o)) for o in h_img_y]
+    if not h.domain.subset_of(f.domain):
+        return ConvergenceWitness(k, False, False, False)
 
     # f^k(X) as offsets within X.
     fk = np.arange(f.domain.size, dtype=np.int64)
@@ -438,29 +431,13 @@ def converges_toward(f: Fds, h: Fds, k: int) -> ConvergenceWitness:
             fk_in_h = False
             break
 
-    agree = True
-    counter: State | None = None
-    f_on_y = succ[y_in_x]
-    h_succ_x = np.empty(h.domain.size, dtype=np.int64)
-    h_succ = h.successor_offsets
-    for off in range(h.domain.size):
-        h_succ_x[off] = f.domain.offset(h.domain.state(int(h_succ[off])))
-    mism = np.nonzero(f_on_y != h_succ_x)[0]
-    if mism.size:
-        agree = False
-        counter = h.domain.state(int(mism[0]))
-
-    fk_states = tuple(f.domain.state(int(o)) for o in fk)
-    return ConvergenceWitness(
-        steps=k,
-        image_of_fk=fk_states,
-        image_of_h=tuple(h_img_states),
-        domains_nested=True,
-        h_image_in_h_domain=True,
-        fk_image_in_h_image=fk_in_h,
-        agreement=agree,
-        counterexample=counter,
-    )
+    # Agreement on Y: offsets in X of f(y) and of h(y).
+    h_succ_x = np.zeros(h.domain.size, dtype=np.int64)
+    for i in range(f.n):
+        h_succ_x += (h.tables[i] - f.domain.lows[i]) * f.domain.weights[i]
+    mism = np.nonzero(succ[h.domain.offsets_in(f.domain)] != h_succ_x)[0]
+    counter = h.domain.state(int(mism[0])) if mism.size else None
+    return ConvergenceWitness(k, True, fk_in_h, not mism.size, counter)
 
 
 # ---------------------------------------------------------------------------
@@ -478,16 +455,84 @@ def _admissible_sizes(g: SignedDigraph, v: str) -> list[int]:
     return list(range(2, dout + 2))
 
 
-def _local_sign_ok(
-    local: np.ndarray, local_shape: tuple[int, ...], axis: int, want: set[str]
-) -> bool:
-    diff = np.diff(local.reshape(local_shape), axis=axis)
-    got = set()
-    if (diff > 0).any():
-        got.add(POSITIVE)
-    if (diff < 0).any():
-        got.add(NEGATIVE)
-    return got == want
+def _local_table_systems(
+    g: SignedDigraph,
+    domains: Iterable[IntervalProduct],
+    cap: int,
+    pinned_by: Fds | None = None,
+) -> Iterator[Fds]:
+    """Yield, domain by domain, every system whose interaction graph is ``g``.
+
+    Each component function is enumerated as a local table over the
+    intervals of the component's in-neighbors, with its free cells in
+    lexicographic order, and kept when every in-neighbor axis realizes
+    exactly the signs of ``g``.  A cell whose in-neighbor values all lie in
+    the domain of ``pinned_by`` is not free: it holds that system's value.
+    Raises :class:`ResourceCapError` before scanning the candidates of a
+    component would take the total scanned past ``cap``.
+    """
+    verts = g.vertices
+    in_nbrs = [sorted(g.index(j) for j in g.in_neighbors(v)) for v in verts]
+    want = [
+        [
+            ((verts[j], v, POSITIVE) in g.arcs, (verts[j], v, NEGATIVE) in g.arcs)
+            for j in in_nbrs[i]
+        ]
+        for i, v in enumerate(verts)
+    ]
+    Y = pinned_by.domain if pinned_by is not None else None
+    scanned = 0
+    for dom in domains:
+        per_component: list[list[np.ndarray]] = []
+        for i, nbrs in enumerate(in_nbrs):
+            local_shape = tuple(dom.shape[j] for j in nbrs)
+            template = np.zeros(math.prod(local_shape), dtype=np.int64)
+            free = []
+            nbr_values = product(
+                *(range(dom.intervals[j][0], dom.intervals[j][1] + 1) for j in nbrs)
+            )
+            for cell, coords in enumerate(nbr_values):
+                at = list(zip(nbrs, coords))
+                if pinned_by is None or not all(
+                    Y.intervals[j][0] <= x <= Y.intervals[j][1] for j, x in at
+                ):
+                    free.append(cell)
+                    continue
+                # Y's other coordinates sit at their minimum, adding 0.
+                y = sum((x - Y.lows[j]) * Y.weights[j] for j, x in at)
+                template[cell] = pinned_by.tables[i][y]
+            lo, hi = dom.intervals[i]
+            scanned += (hi - lo + 1) ** len(free)
+            if scanned > cap:
+                raise ResourceCapError(
+                    f"local-table search exceeds cap of {cap} candidate tables"
+                )
+            # Candidates are checked in blocks of rows, one diff per axis and
+            # block, which keeps memory bounded whatever the cap.
+            valid: list[np.ndarray] = []
+            combos = product(range(lo, hi + 1), repeat=len(free))
+            while block := list(islice(combos, 4096)):
+                local = np.tile(template, (len(block), 1))
+                local[:, free] = block
+                cube = local.reshape((len(block),) + local_shape)
+                ok = np.ones(len(block), dtype=bool)
+                for a, (pos, neg) in enumerate(want[i]):
+                    diff = np.diff(cube, axis=a + 1).reshape(len(block), -1)
+                    ok &= (diff > 0).any(axis=1) == pos
+                    ok &= (diff < 0).any(axis=1) == neg
+                valid.extend(local[ok])
+            if not valid:
+                break
+            # Expansion index: local offset of each full state.
+            expand = np.zeros(dom.size, dtype=np.int64)
+            weight = 1
+            for j in reversed(nbrs):
+                expand += (dom.coordinate_grids[j] - dom.lows[j]) * weight
+                weight *= dom.shape[j]
+            per_component.append([loc[expand] for loc in valid])
+        else:
+            for tables in product(*per_component):
+                yield Fds(dom, tables)
 
 
 def enumerate_degree_bounded_systems(
@@ -502,65 +547,12 @@ def enumerate_degree_bounded_systems(
     deterministic.  Raises :class:`ResourceCapError` once more than
     ``table_cap`` candidate local tables have been scanned.
     """
-    n = g.n
-    verts = g.vertices
-    size_menu = [_admissible_sizes(g, v) for v in verts]
-    in_nbrs = [sorted(g.in_neighbors(v), key=g.index) for v in verts]
-    want_signs = [
-        {
-            j: {s for s in (POSITIVE, NEGATIVE) if (j, v, s) in g.arcs}
-            for j in in_nbrs[i]
-        }
-        for i, v in enumerate(verts)
-    ]
-
-    scanned = 0
-    for sizes in product(*size_menu):
-        domain = IntervalProduct(tuple((0, s - 1) for s in sizes))
-        grids = domain.coordinate_grids
-
-        per_component: list[list[np.ndarray]] = []
-        feasible = True
-        for i, v in enumerate(verts):
-            nbrs = in_nbrs[i]
-            local_shape = tuple(sizes[g.index(j)] for j in nbrs)
-            cells = 1
-            for s in local_shape:
-                cells *= s
-            valid: list[np.ndarray] = []
-            total = sizes[i] ** cells
-            scanned += total
-            if scanned > table_cap:
-                raise ResourceCapError(
-                    f"enumeration exceeds cap of {table_cap} candidate tables"
-                )
-            for combo in product(range(sizes[i]), repeat=cells):
-                local = np.array(combo, dtype=np.int64)
-                ok = True
-                for axis, j in enumerate(nbrs):
-                    if not _local_sign_ok(local, local_shape, axis, want_signs[i][j]):
-                        ok = False
-                        break
-                if ok:
-                    valid.append(local)
-            if not valid:
-                feasible = False
-                break
-            # Expansion index: local offset of each full state.
-            if nbrs:
-                loc_weights = [1] * len(nbrs)
-                for a in range(len(nbrs) - 2, -1, -1):
-                    loc_weights[a] = loc_weights[a + 1] * local_shape[a + 1]
-                expand = np.zeros(domain.size, dtype=np.int64)
-                for a, j in enumerate(nbrs):
-                    expand += grids[g.index(j)] * loc_weights[a]
-            else:
-                expand = np.zeros(domain.size, dtype=np.int64)
-            per_component.append([loc[expand] for loc in valid])
-        if not feasible:
-            continue
-        for combo_tables in product(*per_component):
-            yield Fds(domain, tuple(combo_tables))
+    size_menu = [_admissible_sizes(g, v) for v in g.vertices]
+    domains = (
+        IntervalProduct(tuple((0, s - 1) for s in sizes))
+        for sizes in product(*size_menu)
+    )
+    yield from _local_table_systems(g, domains, table_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +590,14 @@ def save_fds(f: Fds, path: str) -> None:
         fh.write("\n")
 
 
-def load_fds(path: str) -> Fds:
+def load_json(path: str):
+    """Parse a JSON file; malformed JSON raises :class:`SdgParseError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fds_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise SdgParseError(f"{path}: malformed JSON: {exc}") from None
+
+
+def load_fds(path: str) -> Fds:
+    return fds_from_dict(load_json(path))

@@ -659,11 +659,14 @@ def save_sdg(g: SignedDigraph, path: str) -> None:
 
 def to_dot(g: SignedDigraph, name: str = "G") -> str:
     """Graphviz DOT export: positive arcs green, negative red, parallels doubled."""
+    def quote(v: str) -> str:
+        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     lines = [f"digraph {name} {{"]
     for v in g.vertices:
-        lines.append(f'  "{v}";')
+        lines.append(f"  {quote(v)};")
     for src, dst, sign in g.sorted_arcs():
         color = "green" if sign == POSITIVE else "red"
-        lines.append(f'  "{src}" -> "{dst}" [color={color}];')
+        lines.append(f"  {quote(src)} -> {quote(dst)} [color={color}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

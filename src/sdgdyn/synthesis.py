@@ -23,6 +23,7 @@ degree bounds, and the claimed dynamic property) before returning it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -35,7 +36,6 @@ from .sdg import (
     Arc,
     InternalInvariantError,
     PreconditionError,
-    ResourceCapError,
     SdgParseError,
     SignedDigraph,
     SignedCycle,
@@ -51,8 +51,12 @@ from .fds import (
     ConvergenceWitness,
     Fds,
     IntervalProduct,
+    _admissible_sizes,
+    _local_table_systems,
     converges_toward,
     from_component_functions,
+    load_json,
+    state_cap,
 )
 
 # ---------------------------------------------------------------------------
@@ -108,7 +112,7 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
         target = tuple(int(x) for x in data["xi"])
         lam = int(data["lambda"])
         beta = int(data["beta"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise SdgParseError(f"malformed certificate: {exc}") from None
     rep_set = {rep for _, rep in reps}
     stripped = graph.without_arcs([a for a in graph.arcs if a[1] in rep_set])
@@ -906,35 +910,48 @@ def _component_qualifies(g: SignedDigraph, iso: set[str], comp: Sequence[str]) -
 
 @dataclass(frozen=True)
 class ConvergencePlan:
-    """Dispatch data for :func:`construct_converging`.
+    """How :func:`construct_converging` builds its system, decided up front.
 
     ``isolated`` lists the vertices isolated in the subgraph but not in the
-    graph.  When ``property_p`` holds (every component of the induced
-    isolated subgraph is not strongly connected, has an arc leaving the
-    isolated set, or receives none from outside) and no closed cycle hides
-    in the block graph, the direct path runs: a nilpotent system on
-    ``block_graph`` is glued into the product subsystem and extended twice.
-    Otherwise ``closed`` names the vertices (no arc leaves them) whose
-    entering arcs are peeled off for a recursive pass and reattached through
-    a clamped nilpotent block.
+    graph, and ``block_graph`` is the graph induced on them by the arcs
+    leaving isolated vertices from which no arc leaves the isolated set.
+    ``property_p`` holds when every component of the induced isolated
+    subgraph is not strongly connected, has an arc leaving the isolated
+    set, or receives none from outside.
+
+    ``closed`` names the vertices (no arc leaves them) whose entering arcs
+    are peeled off for a recursive pass and reattached through a clamped
+    nilpotent block: the components failing property P, or else the block
+    components that are signed cycles, or else the closed block components
+    whose sources need both orientations.  When ``closed`` is empty the
+    direct path runs: a nilpotent system on ``block_graph``, mirrored on the
+    block components in ``mirrored``, is glued into the product subsystem
+    and extended twice.  ``unorientable`` names the vertices of open block
+    components whose sources need both orientations; no construction
+    realizes those, so the exhaustive search runs instead.
     """
 
     isolated: tuple[str, ...]
     property_p: bool
     closed: tuple[str, ...]
     block_graph: SignedDigraph
+    mirrored: tuple[str, ...]
+    unorientable: tuple[str, ...]
 
 
 def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
     iso = _isolated_only_vertices(g, sub)
     iso_set = set(iso)
-    comps = g.induced(iso).weak_components()
     closed: set[str] = set()
-    for c in comps:
+    for c in g.induced(iso).weak_components():
         if not _component_qualifies(g, iso_set, c):
             closed.update(c)
     property_p = not closed
-    _, block_graph = _nilpotent_block_graph(g, sub, iso)
+    no_leaving = {
+        u for u in iso if all(a[1] in iso_set for a in g.arcs if a[0] == u)
+    }
+    block_arcs = (a for a in g.arcs if a[0] in no_leaving and a[1] in iso_set)
+    block_graph = SignedDigraph(g.vertices, frozenset(block_arcs)).induced(iso)
     if property_p:
         # Components that keep only their internal no-leaving arcs may still
         # collapse to signed cycles (e.g. a loop fed from a leaving-arc
@@ -943,48 +960,52 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
         for comp in block_graph.weak_components():
             if is_signed_cycle(block_graph.induced(comp)):
                 closed.update(comp)
+    mirrored: list[str] = []
+    unorientable: list[str] = []
+    if not closed:
+        # Mirror whole block components whose constant-update vertices must
+        # keep their constant at the top of the interval (first arc into
+        # them negative).  Two sources of one component may need opposite
+        # orientations; when no arc leaves the component it is peeled off
+        # and reattached by clamping instead, which is orientation-free.
+        added = [a for a in g.arcs if a[1] in iso_set and a not in block_graph.arcs]
+        for comp in block_graph.weak_components():
+            signs = [
+                {a[2] for a in added if a[1] == u}
+                for u in comp
+                if block_graph.in_degree(u) == 0
+            ]
+            if {NEGATIVE} not in signs:
+                continue
+            if {POSITIVE} not in signs:
+                mirrored.extend(comp)
+            elif all(a[1] in comp for a in g.arcs if a[0] in comp):
+                closed.update(comp)
+            else:
+                unorientable.extend(comp)
     return ConvergencePlan(
         isolated=tuple(iso),
         property_p=property_p,
         closed=tuple(sorted(closed, key=g.index)),
         block_graph=block_graph,
+        mirrored=tuple(sorted(mirrored, key=g.index)),
+        unorientable=tuple(sorted(unorientable, key=g.index)),
     )
-
-
-class _PeelComponent(Exception):
-    """Internal signal: reroute a closed block component through the split."""
-
-    def __init__(self, component: tuple[str, ...]):
-        super().__init__(component)
-        self.component = component
 
 
 def _converging_pipeline(
     g: SignedDigraph, sub: SignedDigraph, h: Fds, iso: list[str]
-) -> Fds:
+) -> Fds | None:
+    """The constructed system, or None when the plan leaves the triple to
+    the exhaustive search."""
     if not iso:
         return extend_all(g, sub, h)
     plan = convergence_plan(g, sub)
-    if not plan.closed:
-        try:
-            return _pipeline_direct(g, sub, h, iso)
-        except _PeelComponent as peel:
-            return _pipeline_split(g, sub, h, iso, list(peel.component))
-    return _pipeline_split(g, sub, h, iso, list(plan.closed))
-
-
-def _nilpotent_block_graph(
-    g: SignedDigraph, sub: SignedDigraph, iso: list[str]
-) -> tuple[SignedDigraph, SignedDigraph]:
-    """The padded subgraph (base plus internal no-leaving arcs) and the
-    nilpotent block graph induced on the isolated set."""
-    iso_set = set(iso)
-    no_leaving = {
-        u for u in iso if all(a[1] in iso_set for a in g.arcs if a[0] == u)
-    }
-    q_arcs = frozenset(a for a in g.arcs if a[0] in no_leaving and a[1] in iso_set)
-    padded = SignedDigraph(g.vertices, sub.arcs | q_arcs)
-    return padded, padded.induced(iso)
+    if plan.closed:
+        return _pipeline_split(g, sub, h, plan.closed)
+    if plan.unorientable:
+        return None
+    return _pipeline_direct(g, sub, h, plan)
 
 
 def _inward_arc_order(
@@ -1048,48 +1069,16 @@ def _inward_arc_order(
 
 
 def _pipeline_direct(
-    g: SignedDigraph, sub: SignedDigraph, h: Fds, iso: list[str]
+    g: SignedDigraph, sub: SignedDigraph, h: Fds, plan: ConvergencePlan
 ) -> Fds:
-    """All isolated-set components qualify: build a nilpotent block and extend."""
+    """Nothing to peel: build the oriented nilpotent block and extend."""
+    iso = plan.isolated
     iso_set = set(iso)
-    padded, q_graph = _nilpotent_block_graph(g, sub, iso)
-    q_arcs = padded.arcs - sub.arcs
-
-    for comp in q_graph.weak_components():
-        if is_signed_cycle(q_graph.induced(comp)):
-            raise InternalInvariantError(
-                "nilpotent block contains a signed-cycle component"
-            )
+    q_graph = plan.block_graph
+    padded = SignedDigraph(g.vertices, sub.arcs | q_graph.arcs)
     block, cert = construct_nilpotent(q_graph)
 
-    # Mirror whole block components whose constant-update vertices must keep
-    # their constant at the top of the interval (first future arc negative).
-    added = g.arcs - (sub.arcs | q_arcs | frozenset(a for a in g.arcs if a[1] not in iso_set))
-    mirror_coords: list[int] = []
-    for comp in q_graph.weak_components():
-        want_plain = True
-        want_mirror = True
-        for u in comp:
-            if q_graph.in_degree(u) > 0:
-                continue
-            signs = {a[2] for a in added if a[1] == u}
-            if signs == {POSITIVE}:
-                want_mirror = False
-            elif signs == {NEGATIVE}:
-                want_plain = False
-        if want_plain:
-            continue
-        if not want_mirror:
-            # Two sources of one block component need opposite orientations;
-            # when no arc leaves the component it can be peeled off and
-            # reattached by clamping instead, which is orientation-free.
-            if all(a[1] in set(comp) for a in g.arcs if a[0] in set(comp)):
-                raise _PeelComponent(tuple(comp))
-            raise InternalInvariantError(
-                f"block component {comp} needs both orientations at once"
-            )
-        mirror_coords.extend(q_graph.index(u) for u in comp)
-    mirrored = {q_graph.vertices[k] for k in mirror_coords}
+    mirror_coords = [q_graph.index(u) for u in plan.mirrored]
     target = list(cert.target)
     if mirror_coords:
         block = block.mirror(mirror_coords)
@@ -1148,7 +1137,7 @@ def _pipeline_direct(
         for k, v in enumerate(g.vertices)
     )
 
-    remaining = _inward_arc_order(g, g.arcs - outward.arcs, mirrored, iso)
+    remaining = _inward_arc_order(g, g.arcs - outward.arcs, set(plan.mirrored), iso)
     middle = extend_all(
         outward, padded, tilde_h, anchor=anchor1, future_arcs=remaining
     )
@@ -1156,11 +1145,7 @@ def _pipeline_direct(
 
 
 def _pipeline_split(
-    g: SignedDigraph,
-    sub: SignedDigraph,
-    h: Fds,
-    iso: list[str],
-    closed: Sequence[str],
+    g: SignedDigraph, sub: SignedDigraph, h: Fds, closed: Sequence[str]
 ) -> Fds:
     """Part of the isolated set is closed (no arc leaves it): peel its
     entering arcs off, recurse, then glue a nilpotent block over it."""
@@ -1228,122 +1213,34 @@ def _pipeline_split(
 
 def _search_converging(
     g: SignedDigraph, h: Fds, steps: int, candidate_cap: int = 500_000
-) -> Fds:
-    """Exhaustive fallback: smallest degree-bounded system on ``g`` agreeing
-    with ``h`` on its domain that passes the convergence check.
+) -> tuple[Fds, ConvergenceWitness]:
+    """Exhaustive fallback: the first degree-bounded system on ``g`` agreeing
+    with ``h`` on its domain that passes the convergence check, with its
+    witness.
 
     Component tables are enumerated over in-neighbor grids with the values
     on the subsystem's domain pinned by the agreement requirement, over all
     interval placements containing the subsystem's intervals.
     """
-    n = g.n
-    verts = g.vertices
-    in_nbrs = [sorted(g.in_neighbors(v), key=g.index) for v in verts]
-    want = [
-        {j: {s for s in (POSITIVE, NEGATIVE) if (j, v, s) in g.arcs} for j in in_nbrs[k]}
-        for k, v in enumerate(verts)
-    ]
 
     def placements(k: int, v: str) -> list[tuple[int, int]]:
         ylo, yhi = h.domain.intervals[k]
-        dout, din = g.out_degree(v), g.in_degree(v)
-        if dout == 0 and din > 0:
-            sizes = [2]
-        elif dout == 0:
-            sizes = [1]
-        else:
-            sizes = list(range(2, dout + 2))
-        out = []
-        for s in sizes:
-            for lo in range(yhi - s + 1, ylo + 1):
-                out.append((lo, lo + s - 1))
-        return out
+        return [
+            (lo, lo + s - 1)
+            for s in _admissible_sizes(g, v)
+            for lo in range(yhi - s + 1, ylo + 1)
+        ]
 
-    scanned = 0
-    for intervals in product(*(placements(k, v) for k, v in enumerate(verts))):
-        try:
-            dom = IntervalProduct(tuple(intervals))
-        except ResourceCapError:
-            continue
-        grids = dom.coordinate_grids
-        per_component: list[list[np.ndarray]] = []
-        feasible = True
-        for k, v in enumerate(verts):
-            nbrs = in_nbrs[k]
-            local_shape = tuple(
-                intervals[g.index(j)][1] - intervals[g.index(j)][0] + 1 for j in nbrs
-            )
-            cells = int(np.prod(local_shape)) if nbrs else 1
-            pinned: dict[int, int] = {}
-            for cell in range(cells):
-                rem, combo = cell, []
-                for width in reversed(local_shape):
-                    combo.append(rem % width)
-                    rem //= width
-                combo.reverse()
-                coords = {
-                    j: intervals[g.index(j)][0] + c for j, c in zip(nbrs, combo)
-                }
-                if all(
-                    h.domain.intervals[g.index(j)][0]
-                    <= coords[j]
-                    <= h.domain.intervals[g.index(j)][1]
-                    for j in nbrs
-                ):
-                    y_state = [lo for lo, _ in h.domain.intervals]
-                    for j in nbrs:
-                        y_state[g.index(j)] = coords[j]
-                    pinned[cell] = h.evaluate(y_state)[k]
-            free = [c for c in range(cells) if c not in pinned]
-            lo_k, hi_k = intervals[k]
-            width_k = hi_k - lo_k + 1
-            total = width_k ** len(free)
-            scanned += total
-            if scanned > candidate_cap:
-                raise ResourceCapError(
-                    f"fallback search exceeds {candidate_cap} candidates"
-                )
-            valid: list[np.ndarray] = []
-            for combo in product(range(lo_k, hi_k + 1), repeat=len(free)):
-                local = np.empty(cells, dtype=np.int64)
-                for cell, val in pinned.items():
-                    local[cell] = val
-                for cell, val in zip(free, combo):
-                    local[cell] = val
-                ok = True
-                for axis, j in enumerate(nbrs):
-                    diff = np.diff(local.reshape(local_shape), axis=axis)
-                    got = set()
-                    if (diff > 0).any():
-                        got.add(POSITIVE)
-                    if (diff < 0).any():
-                        got.add(NEGATIVE)
-                    if got != want[k][j]:
-                        ok = False
-                        break
-                if ok:
-                    valid.append(local)
-            if not valid:
-                feasible = False
-                break
-            if nbrs:
-                loc_weights = [1] * len(nbrs)
-                for a in range(len(nbrs) - 2, -1, -1):
-                    loc_weights[a] = loc_weights[a + 1] * local_shape[a + 1]
-                expand = np.zeros(dom.size, dtype=np.int64)
-                for a, j in enumerate(nbrs):
-                    expand += (
-                        grids[g.index(j)] - intervals[g.index(j)][0]
-                    ) * loc_weights[a]
-            else:
-                expand = np.zeros(dom.size, dtype=np.int64)
-            per_component.append([loc[expand] for loc in valid])
-        if not feasible:
-            continue
-        for combo_tables in product(*per_component):
-            f = Fds(dom, tuple(combo_tables))
-            if converges_toward(f, h, steps).valid:
-                return f
+    cap = state_cap()
+    domains = (
+        IntervalProduct(intervals)
+        for intervals in product(*(placements(k, v) for k, v in enumerate(g.vertices)))
+        if math.prod(hi - lo + 1 for lo, hi in intervals) <= cap
+    )
+    for f in _local_table_systems(g, domains, candidate_cap, pinned_by=h):
+        witness = converges_toward(f, h, steps)
+        if witness.valid:
+            return f, witness
     raise InternalInvariantError(
         "no converging degree-bounded system found by exhaustive search"
     )
@@ -1384,23 +1281,17 @@ def construct_converging(
             )
 
     steps = len(iso) + 1
-    f: Fds | None = None
     try:
-        candidate = _converging_pipeline(g, subgraph, h, iso)
-        ig = candidate.interaction_graph(g.vertices)
-        ok, _ = candidate.is_degree_bounded(ig)
-        if ig.arcs == g.arcs and ok and converges_toward(candidate, h, steps).valid:
-            f = candidate
+        f = _converging_pipeline(g, subgraph, h, iso)
     except (InternalInvariantError, PreconditionError):
-        f = None
-    if f is None:
-        f = _search_converging(g, h, steps)
-    witness = converges_toward(f, h, steps)
-    if not witness.valid:
-        raise InternalInvariantError(
-            "convergence verification failed: " + "; ".join(witness.failures())
-        )
-    return f, witness
+        f = None  # the exhaustive search below is the safety net
+    if f is not None:
+        ig = f.interaction_graph(g.vertices)
+        if ig.arcs == g.arcs and f.is_degree_bounded(ig)[0]:
+            witness = converges_toward(f, h, steps)
+            if witness.valid:
+                return f, witness
+    return _search_converging(g, h, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -1500,5 +1391,4 @@ def save_certificate(cert: NilpotencyCertificate, path: str) -> None:
 
 
 def load_certificate(path: str, graph: SignedDigraph) -> NilpotencyCertificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        return certificate_from_dict(json.load(fh), graph)
+    return certificate_from_dict(load_json(path), graph)

@@ -152,11 +152,28 @@ def test_precondition_violation_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_parse_error_exit_code(tmp_path, capsys):
+def test_parse_error_exit_code(double_loop_file, tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.sdg"
     bad.write_text("not a graph\n")
     assert main(["analyze", "--graph", str(bad)]) == 2
     assert main(["analyze", "--graph", str(tmp_path / "missing.sdg")]) == 2
+
+    not_json = tmp_path / "bad.json"
+    not_json.write_text("{not json")
+    assert main(["verify", "--graph", double_loop_file, "--fds", str(not_json)]) == 2
+    assert main(["synth-converge", "--graph", double_loop_file,
+                 "--sub", str(not_json)]) == 2
+    out = tmp_path / "f.json"
+    assert main(["synth-nilpotent", "--graph", double_loop_file, "--out", str(out)]) == 0
+    cert = tmp_path / "f.cert.json"
+    cert.write_text("{not json")
+    assert main(["verify", "--graph", double_loop_file, "--fds", str(out)]) == 2
+    cert.write_text('{"representatives": [], "layers": [], "xi": [], "lambda": 1}')
+    assert main(["verify", "--graph", double_loop_file, "--fds", str(out)]) == 2
+
+    monkeypatch.setenv("SDG_CAP", "abc")
+    assert main(["analyze", "--graph", double_loop_file]) == 2
+    assert main(["enumerate", "--graph", double_loop_file]) == 2
 
 
 def test_cap_exit_code(eight_vertex_file, tmp_path, monkeypatch, capsys):

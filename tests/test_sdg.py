@@ -78,6 +78,9 @@ def test_dot_export_colors_and_parallel_edges():
     assert '"a" -> "b" [color=green];' in dot
     assert '"a" -> "b" [color=red];' in dot
     assert dot.count("->") == 2
+    quoted = to_dot(SignedDigraph.from_arcs([('a"', "b\\", "-")]))
+    assert '  "a\\"";' in quoted
+    assert '"a\\"" -> "b\\\\" [color=red];' in quoted
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from sdgdyn import (
     NEGATIVE,
     POSITIVE,
     PreconditionError,
+    ResourceCapError,
     SignedDigraph,
     check_extension_postconditions,
     check_nilpotency_certificate,
@@ -464,6 +465,10 @@ def test_converging_peels_conflicted_closed_component():
         vertices=["1", "2", "3", "4", "5", "6"],
     )
     sub = g.spanning([("3", "3", "+"), ("5", "6", "-")])
+    from sdgdyn import convergence_plan
+
+    plan = convergence_plan(g, sub)
+    assert plan.property_p and plan.closed == ("1", "2", "4")
     h = _system_on_or_skip(23, sub)
     f, w = construct_converging(g, sub, h)
     assert w.valid
@@ -497,12 +502,14 @@ def test_search_converging_fallback_directly():
     )
     sub = g.spanning([("3", "2", "+"), ("2", "4", "+")])
     h = _system_on_or_skip(14, sub)
-    f = _search_converging(g, h, steps=2)
-    w = converges_toward(f, h, 2)
-    assert w.valid
+    f, w = _search_converging(g, h, steps=2)
+    assert w.valid and w == converges_toward(f, h, 2)
     assert f.interaction_graph(g.vertices).arcs == g.arcs
     ok, _ = f.is_degree_bounded()
     assert ok
+    # The candidate cap is checked before a component's tables are scanned.
+    with pytest.raises(ResourceCapError):
+        _search_converging(g, h, steps=2, candidate_cap=1)
 
 
 # ---------------------------------------------------------------------------
