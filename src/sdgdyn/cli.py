@@ -18,7 +18,7 @@ from typing import Sequence
 from . import fds as fds_mod
 from . import sdg as sdg_mod
 from . import synthesis as syn_mod
-from .fds import converges_toward, enumerate_degree_bounded_systems, load_fds, save_fds
+from .fds import converges_toward, enumerate_system_summaries, load_fds, save_fds
 from .sdg import (
     InternalInvariantError,
     PreconditionError,
@@ -54,15 +54,22 @@ def _emit(report: dict, lines: list[str], as_json: bool, out_path: str | None) -
         print(text)
 
 
-def _cap_from(args) -> int | None:
-    return args.cap if args.cap is not None else fds_mod.env_cap()
+def _cap_from(args, default: int) -> int:
+    """The --cap value, else SDG_CAP, else ``default``; a cap below 1 is a
+    parse error."""
+    if args.cap is None:
+        cap = fds_mod.env_cap()
+        return default if cap is None else cap
+    if args.cap < 1:
+        raise SdgParseError(f"--cap must be at least 1, got {args.cap}")
+    return args.cap
 
 
 def cmd_analyze(args) -> int:
     g = load_sdg(args.graph)
     cs = component_structure(g)
     sources, sinks, isolated = classify_vertices(g)
-    cap = _cap_from(args) or sdg_mod.DEFAULT_CYCLE_CAP
+    cap = _cap_from(args, sdg_mod.DEFAULT_CYCLE_CAP)
     cycles = enumerate_cycles(g, cap=cap)
     pos = sum(1 for c in cycles if c.sign == sdg_mod.POSITIVE)
     report = {
@@ -217,18 +224,12 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     g = load_sdg(args.graph)
-    cap = _cap_from(args) or fds_mod.DEFAULT_TABLE_CAP
-    count = 0
-    summaries = []
-    for f in enumerate_degree_bounded_systems(g, table_cap=cap):
-        count += 1
-        summaries.append(
-            {
-                "sizes": list(f.domain.shape),
-                "nilpotency_index": f.nilpotency_index(),
-                "fixed_points": len(f.fixed_points()),
-            }
-        )
+    cap = _cap_from(args, fds_mod.DEFAULT_TABLE_CAP)
+    summaries = [
+        {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
+        for sizes, index, fixed in enumerate_system_summaries(g, table_cap=cap)
+    ]
+    count = len(summaries)
     report = {"count": count, "systems": summaries, "seed": args.seed}
     lines = [f"degree-bounded systems: {count}"]
     for s in summaries:

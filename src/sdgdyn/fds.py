@@ -36,14 +36,20 @@ State = tuple[int, ...]
 
 
 def env_cap() -> int | None:
-    """The integer in the SDG_CAP env var, or None when it is unset."""
+    """The integer in the SDG_CAP env var, or None when it is unset.
+
+    A value that is not an integer of at least 1 raises :class:`SdgParseError`.
+    """
     raw = os.environ.get("SDG_CAP")
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise SdgParseError(f"SDG_CAP must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise SdgParseError(f"SDG_CAP must be at least 1, got {cap}")
+    return cap
 
 
 def state_cap() -> int:
@@ -256,23 +262,9 @@ class Fds:
         return (not bad, tuple(bad))
 
     def nilpotency_index(self) -> int | None:
-        """Least k with ``f^k`` constant, or None if no iterate is constant.
-
-        Iterates the image chain ``S_1 = f(X)``, ``S_{m+1} = f(S_m)`` until it
-        stabilizes; the chain is strictly decreasing until it reaches the
-        eventual image.
-        """
-        succ = self.successor_offsets
-        current = np.unique(succ)
-        k = 1
-        while True:
-            if current.size == 1:
-                return k
-            nxt = np.unique(succ[current])
-            if nxt.size == current.size:
-                return None
-            current = nxt
-            k += 1
+        """Least k with ``f^k`` constant, or None if no iterate is constant."""
+        index, _ = image_chains(self.successor_offsets[None, :])
+        return int(index[0]) if index[0] > 0 else None
 
     def fixed_points(self) -> list[State]:
         """All states with ``f(x) = x``, sorted by offset."""
@@ -317,6 +309,39 @@ class Fds:
                 flat = lo + hi - flat
             tables.append(flat)
         return Fds(self.domain, tuple(tables))
+
+
+def image_chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nilpotency indices and fixed-point counts of the rows of ``succ``.
+
+    Row ``b`` of the int64 ``(B, S)`` array is the successor offset of every
+    state of one system on an ``S``-state domain.  The image chains
+    ``S_1 = f(X)``, ``S_{m+1} = f(S_m)`` of all rows run together on one
+    boolean ``B x S`` mask (flattened): scatter the successors of the live
+    rows' states, then count the marked states per row.  A chain decreases
+    strictly until it reaches the eventual image, so a row is done when its
+    image shrinks to one state (index ``m``) or stops shrinking (no constant
+    iterate, index -1).  Returns the index and fixed-point count arrays.
+    """
+    rows, size = succ.shape
+    fixed = np.count_nonzero(succ == np.arange(size), axis=1)
+    index = np.full(rows, -1, dtype=np.int64)
+    flat = (succ + np.arange(0, rows * size, size)[:, None]).ravel()
+    count = np.full(rows, size)
+    states = flat  # f(X), with repeats
+    step = 0
+    while states.size:
+        mask = np.zeros(rows * size, dtype=bool)
+        mask[states] = True
+        states = mask.nonzero()[0]
+        owner = states // size
+        new = np.bincount(owner, minlength=rows)
+        step += 1
+        index[new == 1] = step
+        live = (new > 1) & (new < count)
+        count = new
+        states = flat[states[live[owner]]]
+    return index, fixed
 
 
 # ---------------------------------------------------------------------------
@@ -455,35 +480,87 @@ def _admissible_sizes(g: SignedDigraph, v: str) -> list[int]:
     return list(range(2, dout + 2))
 
 
+def _sign_pattern(g: SignedDigraph, v: str) -> list[tuple[bool, bool]]:
+    """``(positive, negative)`` arc presence from each in-neighbor of ``v``,
+    in-neighbors in vertex order."""
+    return [
+        ((u, v, POSITIVE) in g.arcs, (u, v, NEGATIVE) in g.arcs)
+        for u in sorted(g.in_neighbors(v), key=g.index)
+    ]
+
+
+def _realizes_signs(cubes: np.ndarray, pattern: Sequence[tuple[bool, bool]]) -> np.ndarray:
+    """Which local tables ``cubes[b]`` (one axis per in-neighbor) raise and
+    lower their value along each axis exactly as ``pattern`` says."""
+    rows = len(cubes)
+    ok = np.ones(rows, dtype=bool)
+    for a, (pos, neg) in enumerate(pattern):
+        diff = np.diff(cubes, axis=a + 1).reshape(rows, -1)
+        ok &= (diff > 0).any(axis=1) == pos
+        ok &= (diff < 0).any(axis=1) == neg
+    return ok
+
+
+# Cells (systems x components x states) in one block of tables, so that the
+# memory an enumeration holds does not grow with the number of systems.
+BLOCK_CELLS = 1 << 16
+
+
+def _table_blocks(per_component: list[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The product of the per-component ``(m_i, size)`` candidate tables as
+    ``(B, n, size)`` blocks of at most ``BLOCK_CELLS`` cells (or one row),
+    rows in lexicographic order with the last component fastest."""
+    n = len(per_component)
+    counts = [len(c) for c in per_component]
+    rows = max(1, BLOCK_CELLS // max(1, n * size))
+    # Components k.. vary inside a block.  When k > 0, component k - 1 runs
+    # through chunks of `step` tables, and the ones before it are fixed.
+    k, inner = n, 1
+    while k > 0 and inner * counts[k - 1] <= rows:
+        k -= 1
+        inner *= counts[k]
+    step = rows // inner
+    chunks = [range(0, counts[k - 1], step)] if k else []
+    for lead in product(*(range(m) for m in counts[: max(k - 1, 0)]), *chunks):
+        shape = ([min(step, counts[k - 1] - lead[-1])] if k else []) + counts[k:]
+        block = np.empty((math.prod(shape), n, size), dtype=np.int64)
+        first = n - len(shape)
+        for i in range(first):
+            block[:, i] = per_component[i][lead[i]]
+        digits = np.arange(len(block))
+        for a in range(len(shape) - 1, -1, -1):
+            digits, choice = np.divmod(digits, shape[a])
+            if a == 0 and k:
+                choice += lead[-1]
+            block[:, first + a] = per_component[first + a][choice]
+        yield block
+
+
 def _local_table_systems(
     g: SignedDigraph,
     domains: Iterable[IntervalProduct],
     cap: int,
     pinned_by: Fds | None = None,
-) -> Iterator[Fds]:
+) -> Iterator[tuple[IntervalProduct, np.ndarray]]:
     """Yield, domain by domain, every system whose interaction graph is ``g``.
 
-    Each component function is enumerated as a local table over the
-    intervals of the component's in-neighbors, with its free cells in
-    lexicographic order, and kept when every in-neighbor axis realizes
-    exactly the signs of ``g``.  A cell whose in-neighbor values all lie in
-    the domain of ``pinned_by`` is not free: it holds that system's value.
-    Raises :class:`ResourceCapError` before scanning the candidates of a
-    component would take the total scanned past ``cap``.
+    Systems come as ``(domain, tables)`` blocks, ``tables`` of shape
+    ``(B, n, S)`` with one full table per component in each row (see
+    :func:`_table_blocks`).  Each component function is enumerated as a
+    local table over the intervals of the component's in-neighbors, with
+    its free cells in lexicographic order, and kept when every in-neighbor
+    axis realizes exactly the signs of ``g``.  A cell whose in-neighbor
+    values all lie in the domain of ``pinned_by`` is not free: it holds
+    that system's value.  Raises :class:`ResourceCapError` before scanning
+    the candidates of a component would take the total scanned past ``cap``.
     """
     verts = g.vertices
     in_nbrs = [sorted(g.index(j) for j in g.in_neighbors(v)) for v in verts]
-    want = [
-        [
-            ((verts[j], v, POSITIVE) in g.arcs, (verts[j], v, NEGATIVE) in g.arcs)
-            for j in in_nbrs[i]
-        ]
-        for i, v in enumerate(verts)
-    ]
+    want = [_sign_pattern(g, v) for v in verts]
     Y = pinned_by.domain if pinned_by is not None else None
     scanned = 0
     for dom in domains:
-        per_component: list[list[np.ndarray]] = []
+        per_component: list[np.ndarray] = []
         for i, nbrs in enumerate(in_nbrs):
             local_shape = tuple(dom.shape[j] for j in nbrs)
             template = np.zeros(math.prod(local_shape), dtype=np.int64)
@@ -515,13 +592,9 @@ def _local_table_systems(
                 local = np.tile(template, (len(block), 1))
                 local[:, free] = block
                 cube = local.reshape((len(block),) + local_shape)
-                ok = np.ones(len(block), dtype=bool)
-                for a, (pos, neg) in enumerate(want[i]):
-                    diff = np.diff(cube, axis=a + 1).reshape(len(block), -1)
-                    ok &= (diff > 0).any(axis=1) == pos
-                    ok &= (diff < 0).any(axis=1) == neg
-                valid.extend(local[ok])
-            if not valid:
+                valid.append(local[_realizes_signs(cube, want[i])])
+            valid_tables = np.concatenate(valid)
+            if not len(valid_tables):
                 break
             # Expansion index: local offset of each full state.
             expand = np.zeros(dom.size, dtype=np.int64)
@@ -529,10 +602,18 @@ def _local_table_systems(
             for j in reversed(nbrs):
                 expand += (dom.coordinate_grids[j] - dom.lows[j]) * weight
                 weight *= dom.shape[j]
-            per_component.append([loc[expand] for loc in valid])
+            per_component.append(valid_tables[:, expand])
         else:
-            for tables in product(*per_component):
-                yield Fds(dom, tables)
+            for tables in _table_blocks(per_component, dom.size):
+                yield dom, tables
+
+
+def _degree_bounded_domains(g: SignedDigraph) -> Iterator[IntervalProduct]:
+    """Every admissible size assignment, intervals starting at 0, in
+    ascending lexicographic order."""
+    size_menu = [_admissible_sizes(g, v) for v in g.vertices]
+    for sizes in product(*size_menu):
+        yield IntervalProduct(tuple((0, s - 1) for s in sizes))
 
 
 def enumerate_degree_bounded_systems(
@@ -547,12 +628,24 @@ def enumerate_degree_bounded_systems(
     deterministic.  Raises :class:`ResourceCapError` once more than
     ``table_cap`` candidate local tables have been scanned.
     """
-    size_menu = [_admissible_sizes(g, v) for v in g.vertices]
-    domains = (
-        IntervalProduct(tuple((0, s - 1) for s in sizes))
-        for sizes in product(*size_menu)
-    )
-    yield from _local_table_systems(g, domains, table_cap)
+    for dom, tables in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
+        for row in tables:
+            yield Fds(dom, tuple(row))
+
+
+def enumerate_system_summaries(
+    g: SignedDigraph, table_cap: int = DEFAULT_TABLE_CAP
+) -> Iterator[tuple[tuple[int, ...], int | None, int]]:
+    """Yield ``(interval sizes, nilpotency index, fixed-point count)`` for each
+    system of :func:`enumerate_degree_bounded_systems`, in the same order and
+    under the same cap, without building an :class:`Fds`: one
+    :func:`image_chains` call covers each block of systems."""
+    for dom, tables in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
+        lows = np.array(dom.lows, dtype=np.int64)[:, None]
+        weights = np.array(dom.weights, dtype=np.int64)[:, None]
+        index, fixed = image_chains(((tables - lows) * weights).sum(axis=1))
+        for k, count in zip(index.tolist(), fixed.tolist()):
+            yield dom.shape, (k if k > 0 else None), count
 
 
 # ---------------------------------------------------------------------------

@@ -90,21 +90,25 @@ class NilpotencyCertificate:
             "beta": self.beta,
             "layers": [list(layer) for layer in self.layers],
             "xi": list(self.target),
-            "representatives": {
-                ",".join(comp): rep for comp, rep in self.representatives
-            },
+            "representatives": [
+                [list(comp), rep] for comp, rep in self.representatives
+            ],
         }
 
 
 def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertificate:
-    """Rebuild a certificate from its JSON form (stripped graph is derived)."""
+    """Rebuild a certificate from its JSON form (stripped graph is derived).
+
+    Representatives are read as a list of ``[component, representative]``
+    pairs, or in the older form of a map from comma-joined components.
+    """
     try:
+        pairs = data["representatives"]
+        if isinstance(pairs, dict):
+            pairs = [(key.split(","), rep) for key, rep in pairs.items()]
         reps = tuple(
             sorted(
-                (
-                    (tuple(key.split(",")), rep)
-                    for key, rep in data["representatives"].items()
-                ),
+                ((tuple(comp), rep) for comp, rep in pairs),
                 key=lambda item: graph.index(item[0][0]),
             )
         )
@@ -112,9 +116,9 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
         target = tuple(int(x) for x in data["xi"])
         lam = int(data["lambda"])
         beta = int(data["beta"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        rep_set = {rep for _, rep in reps}
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise SdgParseError(f"malformed certificate: {exc}") from None
-    rep_set = {rep for _, rep in reps}
     stripped = graph.without_arcs([a for a in graph.arcs if a[1] in rep_set])
     # Interval sizes are owned by the system file; zeros make the checker
     # compare against the actual domain instead of trusting the certificate.
@@ -1086,13 +1090,9 @@ def _pipeline_direct(
             lo, hi = block.domain.intervals[k]
             target[k] = lo + hi - target[k]
 
+    # h is degree-bounded on the subgraph, so its isolated vertices have
+    # one-value intervals.
     xi_iso = {v: h.domain.intervals[g.index(v)][0] for v in iso}
-    for v in iso:
-        lo, hi = h.domain.intervals[g.index(v)]
-        if lo != hi:
-            raise InternalInvariantError(
-                f"subsystem interval at isolated vertex {v} is not a single value"
-            )
     deltas = [
         xi_iso[v] - target[q_graph.index(v)] for v in q_graph.vertices
     ]
@@ -1150,8 +1150,6 @@ def _pipeline_split(
     """Part of the isolated set is closed (no arc leaves it): peel its
     entering arcs off, recurse, then glue a nilpotent block over it."""
     closed_set = set(closed)
-    if not closed:
-        raise InternalInvariantError("split pipeline invoked with nothing to split")
     for a in g.arcs:
         if a[0] in closed_set and a[1] not in closed_set:
             raise InternalInvariantError(
@@ -1237,10 +1235,12 @@ def _search_converging(
         for intervals in product(*(placements(k, v) for k, v in enumerate(g.vertices)))
         if math.prod(hi - lo + 1 for lo, hi in intervals) <= cap
     )
-    for f in _local_table_systems(g, domains, candidate_cap, pinned_by=h):
-        witness = converges_toward(f, h, steps)
-        if witness.valid:
-            return f, witness
+    for dom, tables in _local_table_systems(g, domains, candidate_cap, pinned_by=h):
+        for row in tables:
+            f = Fds(dom, tuple(row))
+            witness = converges_toward(f, h, steps)
+            if witness.valid:
+                return f, witness
     raise InternalInvariantError(
         "no converging degree-bounded system found by exhaustive search"
     )

@@ -17,6 +17,7 @@ from sdgdyn import (
     construct_nilpotent,
     is_signed_cycle,
 )
+from sdgdyn.fds import _realizes_signs, _sign_pattern
 
 SIGNS = (POSITIVE, NEGATIVE)
 
@@ -151,9 +152,7 @@ def random_system_on(
     tables = []
     for k, v in enumerate(graph.vertices):
         nbrs = sorted(graph.in_neighbors(v), key=graph.index)
-        want = {
-            j: {s for s in SIGNS if (j, v, s) in graph.arcs} for j in nbrs
-        }
+        pattern = _sign_pattern(graph, v)
         local_shape = tuple(sizes[graph.index(j)] for j in nbrs)
         cells = 1
         for s in local_shape:
@@ -163,18 +162,7 @@ def random_system_on(
             local = np.array(
                 [rng.randrange(sizes[k]) for _ in range(cells)], dtype=np.int64
             )
-            good = True
-            for axis, j in enumerate(nbrs):
-                diff = np.diff(local.reshape(local_shape), axis=axis)
-                got = set()
-                if (diff > 0).any():
-                    got.add(POSITIVE)
-                if (diff < 0).any():
-                    got.add(NEGATIVE)
-                if got != want[j]:
-                    good = False
-                    break
-            if good:
+            if _realizes_signs(local.reshape((1,) + local_shape), pattern)[0]:
                 found = local
                 break
         if found is None:
@@ -328,3 +316,19 @@ def brute_force_image_chain(f: Fds, steps: int) -> set:
             x = f.evaluate(x)
         out.add(x)
     return out
+
+
+def unique_chain_index(f: Fds) -> int | None:
+    """Nilpotency index from image chains of sorted unique offsets, without
+    the library's mask kernel."""
+    import numpy as np
+
+    succ = f.successor_offsets
+    current = np.unique(succ)
+    k = 1
+    while current.size > 1:
+        nxt = np.unique(succ[current])
+        if nxt.size == current.size:
+            return None
+        current, k = nxt, k + 1
+    return k

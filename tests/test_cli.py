@@ -170,10 +170,20 @@ def test_parse_error_exit_code(double_loop_file, tmp_path, monkeypatch, capsys):
     assert main(["verify", "--graph", double_loop_file, "--fds", str(out)]) == 2
     cert.write_text('{"representatives": [], "layers": [], "xi": [], "lambda": 1}')
     assert main(["verify", "--graph", double_loop_file, "--fds", str(out)]) == 2
+    for reps in ('[["1"]]', '[[[], "1"]]'):
+        cert.write_text(
+            f'{{"representatives": {reps}, "layers": [], "xi": [], "lambda": 1, "beta": 0}}'
+        )
+        assert main(["verify", "--graph", double_loop_file, "--fds", str(out)]) == 2
 
-    monkeypatch.setenv("SDG_CAP", "abc")
-    assert main(["analyze", "--graph", double_loop_file]) == 2
-    assert main(["enumerate", "--graph", double_loop_file]) == 2
+    for cap in ("0", "-5"):
+        assert main(["analyze", "--graph", double_loop_file, "--cap", cap]) == 2
+        assert main(["enumerate", "--graph", double_loop_file, "--cap", cap]) == 2
+
+    for cap in ("abc", "0", "-5"):
+        monkeypatch.setenv("SDG_CAP", cap)
+        assert main(["analyze", "--graph", double_loop_file]) == 2
+        assert main(["enumerate", "--graph", double_loop_file]) == 2
 
 
 def test_cap_exit_code(eight_vertex_file, tmp_path, monkeypatch, capsys):
@@ -196,6 +206,28 @@ def test_enumerate_cli(tmp_path, capsys):
     assert report["systems"][0]["nilpotency_index"] is None
 
 
+def test_enumerate_cap_matches_library(tmp_path, capsys):
+    from sdgdyn import ResourceCapError, SignedDigraph, enumerate_degree_bounded_systems
+
+    # Two domains; caps from 22 to 96 trip on the second, after the first
+    # domain's systems were yielded.
+    g = SignedDigraph.from_arcs([("1", "2", "+"), ("1", "3", "-"), ("2", "3", "+")])
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text(format_sdg(g))
+    raised = []
+    for cap in range(1, 120):
+        try:
+            list(enumerate_degree_bounded_systems(g, table_cap=cap))
+        except ResourceCapError:
+            raised.append(True)
+        else:
+            raised.append(False)
+        code = main(["enumerate", "--graph", str(gpath), "--cap", str(cap)])
+        assert code == (4 if raised[-1] else 0), cap
+    assert raised[0] and not raised[-1]
+    assert main(["enumerate", "--graph", str(gpath)]) == 0
+
+
 def test_export_dot_cli(eight_vertex_file, tmp_path, capsys):
     out = tmp_path / "g.dot"
     assert main(["export-dot", "--graph", eight_vertex_file, "--out", str(out)]) == 0
@@ -211,3 +243,33 @@ def test_output_roundtrip_identical_verdicts(double_loop_file, tmp_path, capsys)
     f = load_fds(str(out))
     save_fds(f, str(out))  # rewrite, then verify again
     assert main(["verify", "--graph", double_loop_file, "--fds", str(out)]) == 0
+
+
+def test_certificate_roundtrip_with_comma_in_vertex_name(tmp_path, capsys):
+    from sdgdyn import SignedDigraph
+
+    g = SignedDigraph.from_arcs(
+        [("a,b", "c", "+"), ("c", "a,b", "-"), ("c", "c", "+")], vertices=["a,b", "c"]
+    )
+    gpath = tmp_path / "comma.sdg"
+    gpath.write_text(format_sdg(g))
+    out = tmp_path / "f.json"
+    assert main(["synth-nilpotent", "--graph", str(gpath), "--out", str(out)]) == 0
+    cert = json.loads((tmp_path / "f.cert.json").read_text())
+    assert cert["representatives"] == [[["a,b", "c"], "a,b"]]
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(gpath), "--fds", str(out)]) == 0
+    assert "PASS: certificate verifies" in capsys.readouterr().out
+
+
+def test_certificate_in_the_map_form_still_verifies(eight_vertex_file, tmp_path, capsys):
+    out = tmp_path / "f.json"
+    assert main(["synth-nilpotent", "--graph", eight_vertex_file, "--out", str(out)]) == 0
+    cert_path = tmp_path / "f.cert.json"
+    cert = json.loads(cert_path.read_text())
+    cert["representatives"] = {",".join(comp): rep for comp, rep in cert["representatives"]}
+    cert_path.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert main(["verify", "--graph", eight_vertex_file, "--fds", str(out)]) == 0
+    assert "PASS: certificate verifies" in capsys.readouterr().out
+

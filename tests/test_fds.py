@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from sdgdyn import (
     constant_fds,
     converges_toward,
     enumerate_degree_bounded_systems,
+    enumerate_system_summaries,
     fds_from_dict,
     fds_to_dict,
     random_fds,
 )
+from sdgdyn import fds as fds_mod
 from sdgdyn.sdg import SdgParseError
 
 import helpers
@@ -357,6 +360,81 @@ def test_enumerate_systems_have_exact_interaction_graph():
             assert f.interaction_graph(g.vertices).arcs == g.arcs
             ok, _ = f.is_degree_bounded()
             assert ok
+
+
+def test_image_chains_match_unique_chains_on_random_systems():
+    rng = random.Random(4)
+    for sizes in ([1], [2], [3, 2], [2, 2, 2], [3, 1, 3]):
+        systems = [random_fds(rng, sizes) for _ in range(40)]
+        index, fixed = fds_mod.image_chains(
+            np.stack([f.successor_offsets for f in systems])
+        )
+        for f, k, count in zip(systems, index.tolist(), fixed.tolist()):
+            assert (k if k > 0 else None) == helpers.unique_chain_index(f)
+            assert count == len(f.fixed_points())
+
+
+def _signed_cycles(max_n):
+    for n in range(1, max_n + 1):
+        names = [str(i + 1) for i in range(n)]
+        for signs in product("+-", repeat=n):
+            arcs = [(names[i], names[(i + 1) % n], sg) for i, sg in enumerate(signs)]
+            yield SignedDigraph.from_arcs(arcs, vertices=names)
+
+
+# 516 systems; the 468 on one domain span two blocks of BLOCK_CELLS cells.
+MULTI_BLOCK_GRAPH = SignedDigraph.from_arcs(
+    [("2", "1", "+"), ("2", "1", "-"), ("3", "2", "+"), ("4", "1", "+"), ("4", "3", "-")],
+    vertices=["1", "2", "3", "4"],
+)
+
+
+def _random_graphs(seed, count, max_systems=5_000):
+    """Random connected graphs with n <= 3 and at most ``max_systems``
+    degree-bounded systems."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        g = helpers.random_connected_sdg(rng, 3)
+        systems = enumerate_system_summaries(g)
+        if sum(1 for _ in islice(systems, max_systems + 1)) <= max_systems:
+            graphs.append(g)
+    return graphs
+
+
+def test_batched_summaries_match_per_system_methods():
+    graphs = list(_signed_cycles(4)) + [MULTI_BLOCK_GRAPH] + _random_graphs(21, 30)
+    blocks = {}
+    for dom, _ in fds_mod._local_table_systems(
+        MULTI_BLOCK_GRAPH, fds_mod._degree_bounded_domains(MULTI_BLOCK_GRAPH), 10**6
+    ):
+        blocks[dom] = blocks.get(dom, 0) + 1
+    assert max(blocks.values()) > 1
+    for g in graphs:
+        expected = []
+        for f in enumerate_degree_bounded_systems(g):
+            index = f.nilpotency_index()
+            assert index == helpers.unique_chain_index(f)
+            expected.append((f.domain.shape, index, len(f.fixed_points())))
+        assert list(enumerate_system_summaries(g)) == expected
+
+
+@pytest.mark.parametrize("cells", [1, 1000, 10**9])
+def test_row_blocks_keep_the_yield_order(monkeypatch, cells):
+    # One row per block, chunks of a few rows, and one block per domain
+    # must all give the same systems in the same order.
+    graphs = [MULTI_BLOCK_GRAPH] + _random_graphs(8, 8)
+    expected = [
+        [(f.domain, [t.tolist() for t in f.tables]) for f in enumerate_degree_bounded_systems(g)]
+        for g in graphs
+    ]
+    monkeypatch.setattr(fds_mod, "BLOCK_CELLS", cells)
+    for g, want in zip(graphs, expected):
+        got = [
+            (f.domain, [t.tolist() for t in f.tables])
+            for f in enumerate_degree_bounded_systems(g)
+        ]
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
