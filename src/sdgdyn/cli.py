@@ -10,10 +10,12 @@ precondition violations, 4 on resource caps.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import fds as fds_mod
 from . import sdg as sdg_mod
@@ -45,13 +47,40 @@ def _cert_path(out: str) -> str:
     return out + ".cert.json"
 
 
-def _emit(report: dict, lines: list[str], as_json: bool, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2) if as_json else "\n".join(lines)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+_encode = json.JSONEncoder().encode
+
+
+def dumps_indent2(obj, pad: str = "") -> str:
+    """Exactly ``json.dumps(obj, indent=2)`` for a JSON value (dicts with str
+    keys, lists, tuples, scalars), written by the C encoder: a list of
+    scalars is one encoder call, and an entry repeated within a list is
+    encoded once."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return _encode(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        body = (",\n" + inner).join(
+            f"{_encode(key)}: {dumps_indent2(value, inner)}" for key, value in obj.items()
+        )
+        return "{\n" + inner + body + "\n" + pad + "}"
+    if not any(isinstance(x, (dict, list, tuple)) for x in obj):
+        body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(obj)[1:-1]
     else:
-        print(text)
+        memo: dict[int, str] = {}
+        for x in obj:
+            if id(x) not in memo:
+                memo[id(x)] = dumps_indent2(x, inner)
+        body = (",\n" + inner).join(memo[id(x)] for x in obj)
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
+def _emit(report: dict | None, lines: Iterable[str], as_json: bool) -> None:
+    """Print the JSON report under --json, else the text lines; callers
+    skip building the form that is not printed (``report`` may then be
+    None, ``lines`` a lazy iterable)."""
+    print(dumps_indent2(report) if as_json else "\n".join(lines))
 
 
 def _cap_from(args, default: int) -> int:
@@ -100,7 +129,7 @@ def cmd_analyze(args) -> int:
         f"isolated: {' '.join(report['isolated']) or '-'}",
         f"cycles: {len(cycles)} ({pos} positive, {len(cycles) - pos} negative)",
     ]
-    _emit(report, lines, args.json, None)
+    _emit(report, lines, args.json)
     return EXIT_OK
 
 
@@ -110,21 +139,19 @@ def _write_synth_output(args, f, cert=None, extra=None, verdict="") -> None:
         save_fds(f, out)
         if cert is not None:
             syn_mod.save_certificate(cert, _cert_path(out))
-    report = {
-        "system": fds_mod.fds_to_dict(f),
-        "verdict": verdict,
-        "seed": args.seed,
-    }
-    if cert is not None:
-        report["certificate"] = cert.to_dict()
-    if extra:
-        report.update(extra)
+    report = None
+    if args.json:
+        report = {"system": fds_mod.fds_to_dict(f), "verdict": verdict, "seed": args.seed}
+        if cert is not None:
+            report["certificate"] = cert.to_dict()
+        if extra:
+            report.update(extra)
     lines = [verdict]
     if out:
         lines.append(f"wrote {out}")
         if cert is not None:
             lines.append(f"wrote {_cert_path(out)}")
-    _emit(report, lines, args.json, None)
+    _emit(report, lines, args.json)
 
 
 def cmd_synth_nilpotent(args) -> int:
@@ -218,26 +245,33 @@ def cmd_verify(args) -> int:
         lines.append(f"nilpotency index: {report['nilpotency_index']}")
         lines.append(f"fixed points: {report['fixed_points']}")
     report["ok"] = all_ok
-    _emit(report, lines, args.json, None)
+    _emit(report, lines, args.json)
     return EXIT_OK if all_ok else EXIT_FAILED
 
 
 def cmd_enumerate(args) -> int:
     g = load_sdg(args.graph)
     cap = _cap_from(args, fds_mod.DEFAULT_TABLE_CAP)
-    summaries = [
-        {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
-        for sizes, index, fixed in enumerate_system_summaries(g, table_cap=cap)
-    ]
+    # One dict per distinct summary: a report repeats a few of them many
+    # times, and the JSON writer encodes a repeated entry once.
+    shared: dict[tuple, dict] = {}
+    summaries = []
+    for key in enumerate_system_summaries(g, table_cap=cap):
+        if key not in shared:
+            sizes, index, fixed = key
+            shared[key] = {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
+        summaries.append(shared[key])
     count = len(summaries)
     report = {"count": count, "systems": summaries, "seed": args.seed}
-    lines = [f"degree-bounded systems: {count}"]
-    for s in summaries:
-        lines.append(
+    lines = itertools.chain(
+        [f"degree-bounded systems: {count}"],
+        (
             f"sizes={s['sizes']} index={s['nilpotency_index']} "
             f"fixed_points={s['fixed_points']}"
-        )
-    _emit(report, lines, args.json, None)
+            for s in summaries
+        ),
+    )
+    _emit(report, lines, args.json)
     return EXIT_OK
 
 
@@ -253,7 +287,10 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` returns a
+    fresh namespace on every call, so ``main`` calls share no state."""
     parser = argparse.ArgumentParser(
         prog="sdgdyn",
         description="Analyze signed digraphs and synthesize degree-bounded systems.",
@@ -261,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, *, graph=True, fds=False, subsys=False, steps=False,
-            cycles=False, out=False):
+            cycles=False, out=False, cap=None):
         p = sub.add_parser(name)
         if graph:
             p.add_argument("--graph", required=True, help="sdg v1 graph file")
@@ -277,18 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
                            help="0: no fixed point; k>0: 2^k fixed points")
         if out:
             p.add_argument("--out", help="output path")
-        p.add_argument("--cap", type=int, help="resource cap override")
+        if cap:
+            p.add_argument("--cap", type=int, help=f"{cap} (default: SDG_CAP, else built in)")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(func=func)
         return p
 
-    add("analyze", cmd_analyze)
+    add("analyze", cmd_analyze, cap="cycle cap")
     add("synth-nilpotent", cmd_synth_nilpotent, out=True)
     add("synth-converge", cmd_synth_converge, subsys=True, out=True)
     add("synth-fixed-points", cmd_synth_fixed_points, cycles=True, out=True)
     add("verify", cmd_verify, fds=True, subsys=True, steps=True)
-    add("enumerate", cmd_enumerate)
+    add("enumerate", cmd_enumerate, cap="candidate local-table cap")
     add("export-dot", cmd_export_dot, out=True)
     return parser
 

@@ -679,8 +679,7 @@ def fds_from_dict(data: dict) -> Fds:
 
 def save_fds(f: Fds, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fds_to_dict(f), fh)
-        fh.write("\n")
+        fh.write(json.dumps(fds_to_dict(f)) + "\n")
 
 
 def load_json(path: str):

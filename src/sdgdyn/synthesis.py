@@ -1386,8 +1386,7 @@ def construct_2k_fixed_points(g: SignedDigraph, k: int) -> Fds:
 
 def save_certificate(cert: NilpotencyCertificate, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cert.to_dict(), fh)
-        fh.write("\n")
+        fh.write(json.dumps(cert.to_dict()) + "\n")
 
 
 def load_certificate(path: str, graph: SignedDigraph) -> NilpotencyCertificate:

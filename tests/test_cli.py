@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sdgdyn
 from sdgdyn import format_sdg, load_fds, save_fds
-from sdgdyn.cli import main
+from sdgdyn.cli import dumps_indent2, main
 
 import helpers
 
@@ -185,6 +191,12 @@ def test_parse_error_exit_code(double_loop_file, tmp_path, monkeypatch, capsys):
         assert main(["analyze", "--graph", double_loop_file]) == 2
         assert main(["enumerate", "--graph", double_loop_file]) == 2
 
+    # only analyze and enumerate take --cap; argparse rejects it elsewhere
+    for argv in (["synth-nilpotent"], ["verify", "--fds", str(out)], ["export-dot"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--graph", double_loop_file, "--cap", "1"])
+        assert exc.value.code == 2
+
 
 def test_cap_exit_code(eight_vertex_file, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SDG_CAP", "100")
@@ -273,3 +285,56 @@ def test_certificate_in_the_map_form_still_verifies(eight_vertex_file, tmp_path,
     assert main(["verify", "--graph", eight_vertex_file, "--fds", str(out)]) == 0
     assert "PASS: certificate verifies" in capsys.readouterr().out
 
+
+def test_repeated_main_calls_share_no_state(tmp_path, capsys):
+    from sdgdyn import SignedDigraph, enumerate_degree_bounded_systems
+
+    g = SignedDigraph.from_arcs([("1", "2", "+"), ("1", "3", "-"), ("2", "3", "+")])
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text(format_sdg(g))
+    assert main(["enumerate", "--graph", str(gpath), "--cap", "1"]) == 4
+    capsys.readouterr()
+    assert main(["enumerate", "--graph", str(gpath), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["count"] == len(list(enumerate_degree_bounded_systems(g))) > 1
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--graph", str(gpath), "--steps", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["enumerate", "--graph", str(gpath)]) == 0
+    assert capsys.readouterr().out.startswith(f"degree-bounded systems: {report['count']}\n")
+
+
+def test_enumerate_json_in_a_fresh_process(tmp_path):
+    from sdgdyn import SignedDigraph
+
+    g = SignedDigraph.from_arcs([("1", "2", "+"), ("2", "1", "-"), ("1", "1", "+")])
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text(format_sdg(g))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdgdyn.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdgdyn.cli", "enumerate", "--graph", str(gpath), "--json"],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert json.loads(proc.stdout)["count"] > 1
+    assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2) + "\n"
+
+
+_json_text = st.text(st.sampled_from('"\\,[]\n{}:') | st.characters(), max_size=8)
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _json_text
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values, _json_values)
+def test_dumps_indent2_matches_stdlib(value, other):
+    # ``value`` also appears several times in one list and at two depths
+    for doc in (value, [value, other, value, [value, {"k": value}], value]):
+        assert dumps_indent2(doc) == json.dumps(doc, indent=2)
