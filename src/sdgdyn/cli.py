@@ -48,6 +48,7 @@ def _cert_path(out: str) -> str:
 
 
 _encode = json.JSONEncoder().encode
+_CONTAINERS = (dict, list, tuple)
 
 
 def dumps_indent2(obj, pad: str = "") -> str:
@@ -55,7 +56,7 @@ def dumps_indent2(obj, pad: str = "") -> str:
     keys, lists, tuples, scalars), written by the C encoder: a list of
     scalars is one encoder call, and an entry repeated within a list is
     encoded once."""
-    if not isinstance(obj, (dict, list, tuple)):
+    if not isinstance(obj, _CONTAINERS):
         return _encode(obj)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
@@ -65,7 +66,11 @@ def dumps_indent2(obj, pad: str = "") -> str:
             f"{_encode(key)}: {dumps_indent2(value, inner)}" for key, value in obj.items()
         )
         return "{\n" + inner + body + "\n" + pad + "}"
-    if not any(isinstance(x, (dict, list, tuple)) for x in obj):
+    # The first entry decides most lists at once (tables of ints, lists of
+    # summary dicts); the others are scanned by distinct type.
+    if not isinstance(obj[0], _CONTAINERS) and not any(
+        issubclass(t, _CONTAINERS) for t in set(map(type, obj))
+    ):
         body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(obj)[1:-1]
     else:
         memo: dict[int, str] = {}

@@ -1,11 +1,13 @@
 """Finite dynamical systems over products of integer intervals.
 
 A system is a self-map of ``X = X_1 x ... x X_n`` where each ``X_i`` is a
-finite integer interval.  Transition tables are stored per component over
-the full state space, indexed by a mixed-radix offset with component 1 most
-significant: ``offset(x) = sum_i (x_i - min X_i) * W_i`` with ``W_n = 1`` and
-``W_i = W_{i+1} * |X_{i+1}|``.  This is exactly numpy's C order, so tables
-reshape to ``shape = (|X_1|, ..., |X_n|)`` without reindexing.
+finite integer interval.  A system is stored as one read-only ``(n, S)``
+array over the full state space of ``S`` states: row ``i`` is the table of
+``f_i``, indexed by a mixed-radix offset with component 1 most significant:
+``offset(x) = sum_i (x_i - min X_i) * W_i`` with ``W_n = 1`` and
+``W_i = W_{i+1} * |X_{i+1}|``.  This is exactly numpy's C order, so the
+array reshapes to the cube ``(n, |X_1|, ..., |X_n|)`` without reindexing,
+and the kernels run over all components at once.
 """
 
 from __future__ import annotations
@@ -127,10 +129,26 @@ class IntervalProduct:
         return product(*(range(lo, hi + 1) for lo, hi in self.intervals))
 
     @cached_property
-    def coordinate_grids(self) -> tuple[np.ndarray, ...]:
-        """Per-component value of every state, each a flat array of length size."""
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Lows, highs and weights as int64 ``(n, 1)`` columns."""
+        highs = [hi for _, hi in self.intervals]
+        cols = np.array((self.lows, highs, self.weights), dtype=np.int64)
+        return tuple(cols.reshape(3, self.n, 1))
+
+    @cached_property
+    def coordinate_grids(self) -> np.ndarray:
+        """Per-component value of every state: a read-only ``(n, size)`` array."""
         grids = np.indices(self.shape).reshape(self.n, -1)
-        return tuple(grids[i] + self.lows[i] for i in range(self.n))
+        grids += self.columns[0]
+        grids.flags.writeable = False
+        return grids
+
+    def offsets_of(self, coords: np.ndarray) -> np.ndarray:
+        """Offsets of the states whose coordinates run along axis -2 of
+        ``coords`` (``(n, m)``, or ``(B, n, m)`` for a block), as one product
+        with the weights."""
+        lows, _, weights = self.columns
+        return weights[:, 0] @ coords - int(weights[:, 0] @ lows[:, 0])
 
     def subset_of(self, other: "IntervalProduct") -> bool:
         return self.n == other.n and all(
@@ -142,42 +160,47 @@ class IntervalProduct:
         """Offsets of this domain's states inside a larger domain."""
         if not self.subset_of(other):
             raise PreconditionError("domain is not contained in the target domain")
-        acc = np.zeros(self.size, dtype=np.int64)
-        for i in range(self.n):
-            acc += (self.coordinate_grids[i] - other.lows[i]) * other.weights[i]
-        return acc
+        return other.offsets_of(self.coordinate_grids)
 
 
 @dataclass(frozen=True, eq=False)
 class Fds:
-    """A finite dynamical system: a domain plus one full table per component."""
+    """A finite dynamical system: a domain plus one full table per component.
+
+    ``tables`` may be given as any sequence of ``n`` tables; it is stored as
+    one read-only int64 array of shape ``(n, size)`` whose row ``i`` is the
+    table of ``f_i``.  A C-contiguous int64 array of that shape is kept
+    without a copy (and made read-only).
+    """
 
     domain: IntervalProduct
-    tables: tuple[np.ndarray, ...]
+    tables: np.ndarray
 
     def __post_init__(self) -> None:
-        tabs = []
-        for i, t in enumerate(self.tables):
-            arr = np.asarray(t, dtype=np.int64)
-            if arr.shape != (self.domain.size,):
-                raise PreconditionError(
-                    f"table {i} has {arr.shape}, expected ({self.domain.size},)"
-                )
-            lo, hi = self.domain.intervals[i]
-            if arr.size and (arr.min() < lo or arr.max() > hi):
-                raise PreconditionError(f"table {i} leaves interval [{lo},{hi}]")
-            arr.flags.writeable = False
-            tabs.append(arr)
-        if len(tabs) != self.domain.n:
+        n, size = self.domain.n, self.domain.size
+        if len(self.tables) != n:
             raise PreconditionError("one table per component required")
-        object.__setattr__(self, "tables", tuple(tabs))
+        try:
+            arr = np.ascontiguousarray(self.tables, dtype=np.int64)
+        except ValueError:  # tables of unequal lengths
+            arr = np.empty(0)
+        if n == arr.size == 0:
+            arr = arr.reshape(0, size)
+        if arr.shape != (n, size):
+            raise PreconditionError(f"need {n} tables of {size} entries each")
+        lows, highs, _ = self.domain.columns
+        bad = (arr.min(axis=1) < lows[:, 0]) | (arr.max(axis=1) > highs[:, 0])
+        if bad.any():
+            i = int(bad.argmax())
+            lo, hi = self.domain.intervals[i]
+            raise PreconditionError(f"table {i} leaves interval [{lo},{hi}]")
+        arr.flags.writeable = False
+        object.__setattr__(self, "tables", arr)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Fds):
             return NotImplemented
-        return self.domain == other.domain and all(
-            np.array_equal(a, b) for a, b in zip(self.tables, other.tables)
-        )
+        return self.domain == other.domain and np.array_equal(self.tables, other.tables)
 
     @property
     def n(self) -> int:
@@ -186,14 +209,10 @@ class Fds:
     @cached_property
     def successor_offsets(self) -> np.ndarray:
         """Offset of ``f(x)`` for every state offset ``x``."""
-        acc = np.zeros(self.domain.size, dtype=np.int64)
-        for i in range(self.n):
-            acc += (self.tables[i] - self.domain.lows[i]) * self.domain.weights[i]
-        return acc
+        return self.domain.offsets_of(self.tables)
 
     def evaluate(self, state: Sequence[int]) -> State:
-        off = self.domain.offset(state)
-        return tuple(int(t[off]) for t in self.tables)
+        return tuple(self.tables[:, self.domain.offset(state)].tolist())
 
     def iterate(self, state: Sequence[int], k: int) -> State:
         if k < 0:
@@ -223,19 +242,34 @@ class Fds:
             names = tuple(str(i + 1) for i in range(self.n))
         if len(names) != self.n:
             raise PreconditionError("need one vertex name per component")
-        shape = self.domain.shape
-        arcs = []
-        for i in range(self.n):
-            cube = self.tables[i].reshape(shape)
-            for j in range(self.n):
-                if shape[j] < 2:
-                    continue
-                diff = np.diff(cube, axis=j)
-                if (diff > 0).any():
-                    arcs.append((names[j], names[i], POSITIVE))
-                if (diff < 0).any():
-                    arcs.append((names[j], names[i], NEGATIVE))
-        return SignedDigraph.from_arcs(arcs, names)
+        return SignedDigraph.from_arcs(
+            ((names[j], names[i], sign) for j, i, sign in self._interaction_arcs), names
+        )
+
+    @cached_property
+    def _interaction_arcs(self) -> list[tuple[int, int, str]]:
+        """``(j, i, sign)`` for every arc of the interaction graph: one slice
+        difference of the ``(n, *shape)`` cube per axis ``j`` covers every
+        ``f_i`` (in chunks of components of at most ``BLOCK_CELLS`` cells
+        when the tables are large)."""
+        n, shape = self.n, self.domain.shape
+        cube = self.tables.reshape((n,) + shape)
+        axes = [j for j in range(n) if shape[j] > 1]
+        rows = max(1, BLOCK_CELLS // self.domain.size)
+        rise = np.empty((len(axes), n), dtype=np.int64)
+        fall = np.empty_like(rise)
+        for a, j in enumerate(axes):
+            before = (slice(None),) * (j + 1)
+            for r in range(0, n, rows):
+                part = cube[r : r + rows]
+                diff = part[before + (slice(1, None),)] - part[before + (slice(-1),)]
+                rise[a, r : r + rows] = diff.reshape(len(part), -1).max(axis=1)
+                fall[a, r : r + rows] = diff.reshape(len(part), -1).min(axis=1)
+        return [
+            (axes[a], i, sign)
+            for sign, hits in ((POSITIVE, rise > 0), (NEGATIVE, fall < 0))
+            for a, i in np.argwhere(hits).tolist()
+        ]
 
     def is_degree_bounded(
         self, graph: SignedDigraph | None = None
@@ -283,8 +317,7 @@ class Fds:
                 for (lo, hi), d in zip(self.domain.intervals, deltas)
             )
         )
-        tables = tuple(t + d for t, d in zip(self.tables, deltas))
-        return Fds(dom, tables)
+        return Fds(dom, self.tables + np.array(deltas, dtype=np.int64)[:, None])
 
     def mirror(self, components: Iterable[int]) -> "Fds":
         """Conjugate by ``x_i -> lo_i + hi_i - x_i`` on the given components.
@@ -299,16 +332,12 @@ class Fds:
                 raise PreconditionError(f"component {i} out of range")
         if not comps:
             return self
-        shape = self.domain.shape
-        tables = []
-        for i in range(self.n):
-            cube = np.flip(self.tables[i].reshape(shape), axis=comps)
-            flat = cube.reshape(-1).copy()
-            if i in comps:
-                lo, hi = self.domain.intervals[i]
-                flat = lo + hi - flat
-            tables.append(flat)
-        return Fds(self.domain, tuple(tables))
+        cube = self.tables.reshape((self.n,) + self.domain.shape)
+        flat = np.flip(cube, axis=[i + 1 for i in comps]).reshape(self.n, -1)
+        flipped = np.zeros((self.n, 1), dtype=bool)
+        flipped[comps] = True
+        lows, highs, _ = self.domain.columns
+        return Fds(self.domain, np.where(flipped, lows + highs - flat, flat))
 
 
 def image_chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -359,20 +388,17 @@ def from_component_functions(
     offset order) and returns the component's value for every state.
     """
     grids = domain.coordinate_grids
-    tables = []
-    for fn in functions:
-        vals = np.asarray(fn(grids), dtype=np.int64)
-        tables.append(np.broadcast_to(vals, (domain.size,)).copy())
-    return Fds(domain, tuple(tables))
+    tables = np.empty((len(functions), domain.size), dtype=np.int64)
+    for i, fn in enumerate(functions):
+        tables[i] = fn(grids)
+    return Fds(domain, tables)
 
 
 def constant_fds(domain: IntervalProduct, value: Sequence[int]) -> Fds:
     if not domain.contains(value):
         raise PreconditionError("constant value outside domain")
-    return Fds(
-        domain,
-        tuple(np.full(domain.size, v, dtype=np.int64) for v in value),
-    )
+    column = np.array(value, dtype=np.int64)[:, None]
+    return Fds(domain, np.repeat(column, domain.size, axis=1))
 
 
 def random_fds(rng, sizes: Sequence[int], lows: Sequence[int] | None = None) -> Fds:
@@ -457,9 +483,7 @@ def converges_toward(f: Fds, h: Fds, k: int) -> ConvergenceWitness:
             break
 
     # Agreement on Y: offsets in X of f(y) and of h(y).
-    h_succ_x = np.zeros(h.domain.size, dtype=np.int64)
-    for i in range(f.n):
-        h_succ_x += (h.tables[i] - f.domain.lows[i]) * f.domain.weights[i]
+    h_succ_x = f.domain.offsets_of(h.tables)
     mism = np.nonzero(succ[h.domain.offsets_in(f.domain)] != h_succ_x)[0]
     counter = h.domain.state(int(mism[0])) if mism.size else None
     return ConvergenceWitness(k, True, fk_in_h, not mism.size, counter)
@@ -630,7 +654,7 @@ def enumerate_degree_bounded_systems(
     """
     for dom, tables in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
         for row in tables:
-            yield Fds(dom, tuple(row))
+            yield Fds(dom, row)
 
 
 def enumerate_system_summaries(
@@ -641,9 +665,7 @@ def enumerate_system_summaries(
     under the same cap, without building an :class:`Fds`: one
     :func:`image_chains` call covers each block of systems."""
     for dom, tables in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
-        lows = np.array(dom.lows, dtype=np.int64)[:, None]
-        weights = np.array(dom.weights, dtype=np.int64)[:, None]
-        index, fixed = image_chains(((tables - lows) * weights).sum(axis=1))
+        index, fixed = image_chains(dom.offsets_of(tables))
         for k, count in zip(index.tolist(), fixed.tolist()):
             yield dom.shape, (k if k > 0 else None), count
 
@@ -659,7 +681,7 @@ def fds_to_dict(f: Fds) -> dict:
     return {
         "version": FDS_VERSION,
         "intervals": [[lo, hi] for lo, hi in f.domain.intervals],
-        "tables": [t.tolist() for t in f.tables],
+        "tables": f.tables.tolist(),
     }
 
 

@@ -166,18 +166,33 @@ class SignedDigraph:
     def in_neighbors(self, v: str) -> frozenset[str]:
         return self.in_plus(v) | self.in_minus(v)
 
+    @cached_property
+    def _out(self) -> dict[str, frozenset[str]]:
+        acc: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for src, dst, _ in self.arcs:
+            acc[src].add(dst)
+        return {v: frozenset(s) for v, s in acc.items()}
+
+    @cached_property
+    def _out_degree(self) -> dict[str, int]:
+        acc = dict.fromkeys(self.vertices, 0)
+        for src, _, _ in self.arcs:
+            acc[src] += 1
+        return acc
+
     def out_neighbors(self, v: str) -> frozenset[str]:
         self.index(v)
-        return frozenset(dst for (src, dst, _) in self.arcs if src == v)
+        return self._out[v]
 
     def in_degree(self, v: str) -> int:
         """Number of arcs entering ``v``; parallel arcs count twice."""
-        return len(self.in_plus(v)) + len(self.in_minus(v))
+        self.index(v)
+        return len(self._in_plus[v]) + len(self._in_minus[v])
 
     def out_degree(self, v: str) -> int:
         """Number of arcs leaving ``v``; parallel arcs count twice."""
         self.index(v)
-        return sum(1 for (src, _, _) in self.arcs if src == v)
+        return self._out_degree[v]
 
     def sorted_arcs(self) -> list[Arc]:
         """Arcs in (source index, target index, '+' before '-') order."""
@@ -196,12 +211,7 @@ class SignedDigraph:
 
     @cached_property
     def _under_succ(self) -> dict[str, tuple[str, ...]]:
-        acc: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for src, dst, _ in self.arcs:
-            acc[src].add(dst)
-        return {
-            v: tuple(sorted(s, key=self.index)) for v, s in acc.items()
-        }
+        return {v: tuple(sorted(s, key=self.index)) for v, s in self._out.items()}
 
     @cached_property
     def _under_pred(self) -> dict[str, tuple[str, ...]]:

@@ -495,6 +495,14 @@ def _ab_sets(
     return a, b
 
 
+def _value_masks(values: np.ndarray, width: int) -> np.ndarray:
+    """``(n, width)`` boolean array marking in row ``i`` the values that row
+    ``i`` of the int ``(n, m)`` array ``values`` takes (each in ``[0, width)``)."""
+    masks = np.zeros((len(values), width), dtype=bool)
+    masks[np.arange(len(values))[:, None], values] = True
+    return masks
+
+
 def check_extension_postconditions(
     state: ExtensionState, base_graph: SignedDigraph, base_system: Fds
 ) -> list[str]:
@@ -510,43 +518,40 @@ def check_extension_postconditions(
     """
     f, h = state.system, base_system
     X, Y = f.domain, h.domain
+    F, H = f.tables, h.tables
     a_set, b_set = _ab_sets(base_graph, state.graph)
+    verts = base_graph.vertices
     problems: list[str] = []
 
-    for k, v in enumerate(base_graph.vertices):
-        if v in a_set and Y.shape[k] == 1:
-            # A base-isolated vertex that gained inputs holds one transient
-            # value outside its single-point base interval; it is only
-            # admitted when nothing ever reads it (a sink of the target).
-            continue
-        lo, hi = Y.intervals[k]
-        if f.tables[k].min() < lo or f.tables[k].max() > hi:
+    y_lows, y_highs, _ = Y.columns
+    leaves = (F.min(axis=1) < y_lows[:, 0]) | (F.max(axis=1) > y_highs[:, 0])
+    for k in np.flatnonzero(leaves).tolist():
+        # A base-isolated vertex that gained inputs holds one transient
+        # value outside its single-point base interval; it is only
+        # admitted when nothing ever reads it (a sink of the target).
+        if verts[k] not in a_set or Y.shape[k] != 1:
             problems.append(f"image of component {k} leaves the base domain")
 
-    for k, v in enumerate(base_graph.vertices):
-        if v in a_set:
-            continue
-        allowed = set(np.unique(h.tables[k]).tolist())
-        got = set(np.unique(f.tables[k]).tolist())
-        if not got <= allowed:
+    # Value sets per row, both offset by the lower of the two domains' lows.
+    lows = np.minimum(X.columns[0], y_lows)
+    width = int((np.maximum(X.columns[1], y_highs) - lows).max()) + 1
+    outside = (_value_masks(F - lows, width) > _value_masks(H - lows, width)).any(axis=1)
+    for k in np.flatnonzero(outside).tolist():
+        if verts[k] not in a_set:
             problems.append(f"image of component {k} leaves the base image")
 
-    y_in_x = Y.offsets_in(X)
-    mask = np.ones(Y.size, dtype=bool)
-    for v in b_set:
-        k = base_graph.index(v)
-        mask &= Y.coordinate_grids[k] == state.anchor[k]
-    for k in range(f.n):
-        if (f.tables[k][y_in_x][mask] != h.tables[k][mask]).any():
-            problems.append(
-                f"component {k} deviates from the base on anchored states"
-            )
-            break
+    deviates = F[:, Y.offsets_in(X)] != H
+    pinned = [base_graph.index(v) for v in b_set]
+    at_anchor = Y.coordinate_grids[pinned] == np.array(state.anchor)[pinned, None]
+    anchored = at_anchor.all(axis=0)
+    first = np.flatnonzero(deviates[:, anchored].any(axis=1))
+    if first.size:
+        problems.append(
+            f"component {first[0]} deviates from the base on anchored states"
+        )
 
-    for k, v in enumerate(base_graph.vertices):
-        if state.graph.in_neighbors(v) & b_set:
-            continue
-        if (f.tables[k][y_in_x] != h.tables[k]).any():
+    for k in np.flatnonzero(deviates.any(axis=1)).tolist():
+        if not state.graph.in_neighbors(verts[k]) & b_set:
             problems.append(
                 f"component {k} depends on no new output yet deviates on the base domain"
             )
@@ -578,50 +583,35 @@ def _extended_tables(
     system: Fds,
     axis: int,
     direction: int,
-    head: int,
+    head: int | None,
     head_value: int,
     grow: bool,
-) -> tuple[IntervalProduct, tuple[np.ndarray, ...]]:
+) -> tuple[IntervalProduct, np.ndarray]:
+    """The tables of ``system`` with the plane at the ``direction`` end of
+    ``axis`` duplicated outward (when ``grow``), and the head component set
+    to ``head_value`` on that end plane."""
     dom = system.domain
-    shape = dom.shape
+    cube = system.tables.reshape((system.n,) + dom.shape)
+    before = (slice(None),) * (axis + 1)
     if grow:
         lo, hi = dom.intervals[axis]
-        new_interval = (lo, hi + 1) if direction > 0 else (lo - 1, hi)
         intervals = list(dom.intervals)
-        intervals[axis] = new_interval
-        new_dom = IntervalProduct(tuple(intervals))
-        tables = []
-        for k in range(system.n):
-            cube = np.moveaxis(system.tables[k].reshape(shape), axis, 0)
-            pad = cube[-1:] if direction > 0 else cube[:1]
-            new = (
-                np.concatenate([cube, pad]) if direction > 0
-                else np.concatenate([pad, cube])
-            )
-            if k == head:
-                if direction > 0:
-                    new[-1] = head_value
-                else:
-                    new[0] = head_value
-            tables.append(np.moveaxis(new, 0, axis).reshape(-1))
-        return new_dom, tuple(tables)
-    tables = []
-    for k in range(system.n):
-        cube = np.moveaxis(system.tables[k].reshape(shape), axis, 0).copy()
-        if k == head:
-            if direction > 0:
-                cube[-1] = head_value
-            else:
-                cube[0] = head_value
-        tables.append(np.moveaxis(cube, 0, axis).reshape(-1))
-    return dom, tuple(tables)
+        intervals[axis] = (lo, hi + 1) if direction > 0 else (lo - 1, hi)
+        dom = IntervalProduct(tuple(intervals))
+        pad = cube[before + (slice(-1, None) if direction > 0 else slice(1),)]
+        cube = np.concatenate([cube, pad] if direction > 0 else [pad, cube], axis=axis + 1)
+    else:
+        cube = cube.copy()
+    if head is not None:
+        cube[(head,) + before[1:] + (-1 if direction > 0 else 0,)] = head_value
+    return dom, cube.reshape(system.n, -1)
 
 
 def _finish_extension(
     state: ExtensionState,
     arc: Arc,
     new_dom: IntervalProduct,
-    new_tables: tuple[np.ndarray, ...],
+    new_tables: np.ndarray,
     base_graph: SignedDigraph,
     base_system: Fds,
 ) -> ExtensionState:
@@ -688,7 +678,7 @@ def _extend_into_isolated(
     # Grow the head interval first; every table (the head's included) is
     # simply duplicated along it, since nothing depends on the head yet.
     mid_dom, mid_tables = _extended_tables(
-        f, ii, 1 if rising else -1, head=-1, head_value=0, grow=True
+        f, ii, 1 if rising else -1, head=None, head_value=0, grow=True
     )
     # Then grow the tail coordinate; the head becomes a two-level step that
     # leaves its original value only on the new tail plane.
@@ -1098,36 +1088,20 @@ def _pipeline_direct(
     ]
     block = block.translate(deltas)
 
-    # Product system on the padded subgraph.
-    tilde_intervals = []
-    for k, v in enumerate(g.vertices):
-        if v in iso_set:
-            tilde_intervals.append(block.domain.intervals[q_graph.index(v)])
-        else:
-            tilde_intervals.append(h.domain.intervals[k])
-    tilde_dom = IntervalProduct(tuple(tilde_intervals))
+    # Product system on the padded subgraph: the block on the isolated
+    # coordinates, h elsewhere (h reads each isolated coordinate at its
+    # single value).
+    tilde_dom = IntervalProduct(tuple(
+        block.domain.intervals[q_graph.index(v)] if v in iso_set else h.domain.intervals[k]
+        for k, v in enumerate(g.vertices)
+    ))
     grids = tilde_dom.coordinate_grids
-
-    block_off = np.zeros(tilde_dom.size, dtype=np.int64)
-    for u in iso:
-        k = q_graph.index(u)
-        block_off += (
-            grids[g.index(u)] - block.domain.lows[k]
-        ) * block.domain.weights[k]
-    h_off = np.zeros(tilde_dom.size, dtype=np.int64)
-    for k, v in enumerate(g.vertices):
-        if v in iso_set:
-            h_off += (xi_iso[v] - h.domain.lows[k]) * h.domain.weights[k]
-        else:
-            h_off += (grids[k] - h.domain.lows[k]) * h.domain.weights[k]
-
-    tilde_tables = []
-    for k, v in enumerate(g.vertices):
-        if v in iso_set:
-            tilde_tables.append(block.tables[q_graph.index(v)][block_off])
-        else:
-            tilde_tables.append(h.tables[k][h_off])
-    tilde_h = Fds(tilde_dom, tuple(tilde_tables))
+    iso_rows = [g.index(v) for v in q_graph.vertices]
+    iso_col = np.isin(np.arange(g.n), iso_rows)[:, None]
+    h_coords = np.where(iso_col, h.domain.columns[0], grids)
+    tables = h.tables[:, h.domain.offsets_of(h_coords)]
+    tables[iso_rows] = block.tables[:, block.domain.offsets_of(grids[iso_rows])]
+    tilde_h = Fds(tilde_dom, tables)
 
     outward = SignedDigraph(
         g.vertices, padded.arcs | frozenset(a for a in g.arcs if a[1] not in iso_set)
@@ -1184,29 +1158,12 @@ def _pipeline_split(
             )
     dom = IntervalProduct(tuple(intervals))
     grids = dom.coordinate_grids
-
-    down_off = np.zeros(dom.size, dtype=np.int64)  # clamp onto the inner domain
-    for k, v in enumerate(g.vertices):
-        if v in closed_set:
-            coord = np.full(dom.size, xi[k], dtype=np.int64)
-        else:
-            coord = np.minimum(grids[k], xi[k])
-        down_off += (coord - inner.domain.lows[k]) * inner.domain.weights[k]
-    up_off = np.zeros(dom.size, dtype=np.int64)  # clamp onto the block domain
-    for k, v in enumerate(g.vertices):
-        if v in closed_set:
-            coord = grids[k]
-        else:
-            coord = np.maximum(grids[k], xi[k])
-        up_off += (coord - block.domain.lows[k]) * block.domain.weights[k]
-
-    tables = []
-    for k, v in enumerate(g.vertices):
-        if v in closed_set:
-            tables.append(block.tables[k][up_off])
-        else:
-            tables.append(inner.tables[k][down_off])
-    return Fds(dom, tuple(tables))
+    closed_col = np.array([v in closed_set for v in g.vertices])[:, None]
+    xi_col = np.array(xi)[:, None]
+    # Clamp each state onto the inner domain and onto the block domain.
+    down = inner.domain.offsets_of(np.where(closed_col, xi_col, np.minimum(grids, xi_col)))
+    up = block.domain.offsets_of(np.where(closed_col, grids, np.maximum(grids, xi_col)))
+    return Fds(dom, np.where(closed_col, block.tables[:, up], inner.tables[:, down]))
 
 
 def _search_converging(
@@ -1237,7 +1194,7 @@ def _search_converging(
     )
     for dom, tables in _local_table_systems(g, domains, candidate_cap, pinned_by=h):
         for row in tables:
-            f = Fds(dom, tuple(row))
+            f = Fds(dom, row)
             witness = converges_toward(f, h, steps)
             if witness.valid:
                 return f, witness

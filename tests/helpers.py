@@ -332,3 +332,20 @@ def unique_chain_index(f: Fds) -> int | None:
             return None
         current, k = nxt, k + 1
     return k
+
+
+def brute_force_interaction_arcs(f: Fds, names=None) -> set:
+    """Arcs ``j -> i`` of the interaction graph, comparing ``f_i(x)`` with
+    ``f_i(x + e_j)`` state by state in pure Python."""
+    names = names if names is not None else [str(k + 1) for k in range(f.n)]
+    value = dict(zip(f.domain.states(), zip(*f.tables.tolist())))
+    arcs = set()
+    for x, fx in value.items():
+        for j in range(f.n):
+            y = x[:j] + (x[j] + 1,) + x[j + 1 :]
+            if y not in value:
+                continue
+            for i, (a, b) in enumerate(zip(fx, value[y])):
+                if b != a:
+                    arcs.add((names[j], names[i], POSITIVE if b > a else NEGATIVE))
+    return arcs

@@ -170,6 +170,43 @@ def test_interaction_graph_example12_matches_graph():
     assert f.interaction_graph(g.vertices).arcs == g.arcs
 
 
+def test_interaction_graph_matches_brute_force_oracle():
+    rng = random.Random(6)
+    flat_axes = parallel = 0
+    for trial in range(300):
+        if trial % 2:
+            f = random_fds(rng, [rng.choice((1, 2, 2, 3)) for _ in range(rng.randint(1, 6))])
+        else:
+            f = helpers.random_system_on(rng, helpers.random_connected_sdg(rng, 6))
+        arcs = f.interaction_graph().arcs
+        assert arcs == helpers.brute_force_interaction_arcs(f)
+        flat_axes += 1 in f.domain.shape
+        parallel += any((j, i, "-") in arcs for j, i, sign in arcs if sign == "+")
+    assert flat_axes > 20 and parallel > 20
+
+
+def test_interaction_graph_cache_serves_any_names():
+    f = example12_system()
+    for names in ("abcdefgh", tuple(str(k) for k in range(8, 0, -1)), "abcdefgh"):
+        ig = f.interaction_graph(tuple(names))
+        assert ig.vertices == tuple(names)
+        assert ig.arcs == helpers.brute_force_interaction_arcs(f, names)
+
+
+def test_tables_are_one_read_only_array():
+    f = example12_system()
+    assert f.tables.shape == (8, f.domain.size)
+    assert Fds(f.domain, f.tables.copy()) == f
+    with pytest.raises(ValueError):
+        f.tables[0, 0] = 1
+    with pytest.raises(ValueError):
+        f.tables[1][0] = 1
+    with pytest.raises(PreconditionError):
+        table_system([(0, 1), (0, 1)], [[0, 1, 0, 1], [0, 1]])
+    with pytest.raises(PreconditionError):
+        table_system([(0, 1)], [[0, 1], [0, 1]])
+
+
 # ---------------------------------------------------------------------------
 # degree-boundedness
 # ---------------------------------------------------------------------------

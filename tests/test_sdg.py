@@ -49,7 +49,12 @@ def test_parallel_arcs_are_two_records():
     assert g.in_minus("b") == {"a"}
     assert g.in_degree("b") == 2
     assert g.out_degree("a") == 2
+    assert g.out_neighbors("a") == {"b"}
+    assert (g.out_degree("b"), g.out_neighbors("b")) == (0, frozenset())
     assert len(g.underlying().arcs) == 1
+    for query in (g.out_degree, g.out_neighbors, g.in_degree):
+        with pytest.raises(PreconditionError):
+            query("c")
 
 
 def test_parse_and_format_roundtrip():

@@ -189,6 +189,68 @@ def test_extend_all_postconditions_on_eight_vertex_example():
     assert not check_extension_postconditions(state, base, h)
 
 
+def _tampered_extension_state(edits) -> list[str]:
+    """Problems of a hand-made extension step whose system has ``edits``.
+
+    Base: loop 1 -> 1 and arc 1 -> 2 on Y = [0,1]^2, with h = (x1, 0).
+    Current graph: the base plus the loop 2 -> 2, so 2 gained an output
+    (anchored at 0) and no vertex gained inputs.  The current system on
+    X = [0,1] x [0,2] is f = (x1, 0), which agrees with h; ``edits`` maps
+    (component, state) to a new value of f before the check.
+    """
+    base = SignedDigraph.from_arcs([("1", "1", "+"), ("1", "2", "+")])
+    graph = SignedDigraph(base.vertices, base.arcs | {("2", "2", "+")})
+    h = Fds(IntervalProduct(((0, 1), (0, 1))), ([0, 0, 1, 1], [0, 0, 0, 0]))
+    X = IntervalProduct(((0, 1), (0, 2)))
+    tables = [[x1 for x1, _ in X.states()], [0] * X.size]
+    for (k, s), value in edits.items():
+        tables[k][X.offset(s)] = value
+    state = ExtensionState(graph, Fds(X, tuple(tables)), (0, 0), *_ab_sets(base, graph))
+    assert (state.new_inputs, state.new_outputs) == (frozenset(), {"2"})
+    return check_extension_postconditions(state, base, h)
+
+
+@pytest.mark.parametrize(
+    "edits, expected",
+    [
+        ({}, []),
+        # f_2 = 2 outside Y: outside [0,1] and outside h_2(Y) = {0}.
+        (
+            {(1, (1, 2)): 2},
+            [
+                "image of component 1 leaves the base domain",
+                "image of component 1 leaves the base image",
+            ],
+        ),
+        ({(1, (1, 2)): 1}, ["image of component 1 leaves the base image"]),
+        # f_1 changes at an anchored state of Y (x2 = 0); 1 reads no new output.
+        (
+            {(0, (0, 0)): 1},
+            [
+                "component 0 deviates from the base on anchored states",
+                "component 0 depends on no new output yet deviates on the base domain",
+            ],
+        ),
+        # Only the first deviating component is named for the anchored states.
+        (
+            {(0, (0, 0)): 1, (1, (1, 0)): 1},
+            [
+                "image of component 1 leaves the base image",
+                "component 0 deviates from the base on anchored states",
+                "component 0 depends on no new output yet deviates on the base domain",
+            ],
+        ),
+        # f_1 changes on Y off the anchor (x2 = 1).
+        (
+            {(0, (0, 1)): 1},
+            ["component 0 depends on no new output yet deviates on the base domain"],
+        ),
+    ],
+)
+def test_extension_postconditions_name_each_broken_guarantee(edits, expected):
+    assert _tampered_extension_state(edits) == expected
+
+
 def test_extend_by_arc_case3_two_level_step():
     # Base: 1 -> 2, 3 -> 4; adding (3, 1, +) hits a non-isolated source head
     # whose constant sits at its interval bottom: a two-level step appears.
