@@ -331,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("synth-converge", cmd_synth_converge, subsys=True, out=True)
     add("synth-fixed-points", cmd_synth_fixed_points, cycles=True, out=True)
     add("verify", cmd_verify, fds=True, subsys=True, steps=True)
-    add("enumerate", cmd_enumerate, cap="candidate local-table cap")
+    add("enumerate", cmd_enumerate, cap="cap on candidate local tables plus systems")
     add("export-dot", cmd_export_dot, out=True)
     return parser
 

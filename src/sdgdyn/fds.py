@@ -17,7 +17,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice, product
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -138,7 +138,7 @@ class IntervalProduct:
     @cached_property
     def coordinate_grids(self) -> np.ndarray:
         """Per-component value of every state: a read-only ``(n, size)`` array."""
-        grids = np.indices(self.shape).reshape(self.n, -1)
+        grids = np.indices(self.shape).reshape(self.n, self.size)
         grids += self.columns[0]
         grids.flags.writeable = False
         return grids
@@ -224,11 +224,12 @@ class Fds:
         return self.domain.state(off)
 
     def image_offsets(self, offsets: np.ndarray | None = None) -> np.ndarray:
-        """Sorted unique offsets of ``f(S)`` (``S`` = whole domain by default)."""
+        """Sorted unique offsets of ``f(S)`` (``S`` = whole domain by default):
+        the successors are marked on one boolean mask over the domain."""
         succ = self.successor_offsets
-        if offsets is None:
-            return np.unique(succ)
-        return np.unique(succ[offsets])
+        mask = np.zeros(self.domain.size, dtype=bool)
+        mask[succ if offsets is None else succ[offsets]] = True
+        return np.flatnonzero(mask)
 
     # -- structure ----------------------------------------------------------
 
@@ -238,12 +239,14 @@ class Fds:
         There is a positive (negative) arc ``j -> i`` when increasing ``x_j``
         by one raises (lowers) ``f_i`` somewhere in the domain.
         """
-        if names is None:
-            names = tuple(str(i + 1) for i in range(self.n))
+        names = tuple(str(i + 1) for i in range(self.n)) if names is None else tuple(names)
         if len(names) != self.n:
             raise PreconditionError("need one vertex name per component")
-        return SignedDigraph.from_arcs(
-            ((names[j], names[i], sign) for j, i, sign in self._interaction_arcs), names
+        if len(set(names)) != self.n:
+            raise PreconditionError("vertex names must be distinct")
+        return SignedDigraph(
+            names,
+            frozenset((names[j], names[i], sign) for j, i, sign in self._interaction_arcs),
         )
 
     @cached_property
@@ -283,17 +286,15 @@ class Fds:
         g = graph if graph is not None else self.interaction_graph()
         if g.n != self.n:
             raise PreconditionError("graph arity differs from system arity")
-        bad = []
-        for i, v in enumerate(g.vertices):
-            size = self.domain.shape[i]
-            dout, din = g.out_degree(v), g.in_degree(v)
-            if dout == 0 and din > 0:
-                ok = size == 2
-            else:
-                ok = size <= dout + 1
-            if not ok:
-                bad.append(i)
-        return (not bad, tuple(bad))
+        out_deg, in_deg = g._out_degree, g._in_degree
+        bad = tuple(
+            i
+            for i, (v, size) in enumerate(zip(g.vertices, self.domain.shape))
+            if not (
+                size == 2 if out_deg[v] == 0 and in_deg[v] > 0 else size <= out_deg[v] + 1
+            )
+        )
+        return (not bad, bad)
 
     def nilpotency_index(self) -> int | None:
         """Least k with ``f^k`` constant, or None if no iterate is constant."""
@@ -338,6 +339,14 @@ class Fds:
         flipped[comps] = True
         lows, highs, _ = self.domain.columns
         return Fds(self.domain, np.where(flipped, lows + highs - flat, flat))
+
+
+def value_masks(values: np.ndarray, width: int) -> np.ndarray:
+    """``(n, width)`` boolean array marking in row ``i`` the values that row
+    ``i`` of the int ``(n, m)`` array ``values`` takes (each in ``[0, width)``)."""
+    masks = np.zeros((len(values), width), dtype=bool)
+    masks[np.arange(len(values))[:, None], values] = True
+    return masks
 
 
 def image_chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -466,25 +475,27 @@ def converges_toward(f: Fds, h: Fds, k: int) -> ConvergenceWitness:
     if not h.domain.subset_of(f.domain):
         return ConvergenceWitness(k, False, False, False)
 
-    # f^k(X) as offsets within X.
-    fk = np.arange(f.domain.size, dtype=np.int64)
-    succ = f.successor_offsets
+    # f^k(X) as sorted offsets within X.
+    fk = np.arange(f.domain.size)
     for _ in range(k):
-        fk = np.unique(succ[fk])
+        fk = f.image_offsets(fk)
 
-    # Componentwise inclusion in h_1(Y) x ... x h_n(Y).
+    # Componentwise inclusion in h_1(Y) x ... x h_n(Y): row i of `allowed`
+    # marks the values of h_i, shifted by min X_i; the coordinates of f^k(X)
+    # are peeled off the offsets one component at a time.
+    X = f.domain
+    allowed = value_masks(h.tables - X.columns[0], max(X.shape, default=1))
     fk_in_h = True
-    rem = fk.copy()
+    rem = fk
     for i in range(f.n):
-        coord = f.domain.lows[i] + rem // f.domain.weights[i]
-        rem = rem % f.domain.weights[i]
-        if not np.isin(coord, np.unique(h.tables[i])).all():
+        coord, rem = np.divmod(rem, X.weights[i])
+        if not allowed[i, coord].all():
             fk_in_h = False
             break
 
     # Agreement on Y: offsets in X of f(y) and of h(y).
-    h_succ_x = f.domain.offsets_of(h.tables)
-    mism = np.nonzero(succ[h.domain.offsets_in(f.domain)] != h_succ_x)[0]
+    h_succ_x = X.offsets_of(h.tables)
+    mism = np.nonzero(f.successor_offsets[h.domain.offsets_in(X)] != h_succ_x)[0]
     counter = h.domain.state(int(mism[0])) if mism.size else None
     return ConvergenceWitness(k, True, fk_in_h, not mism.size, counter)
 
@@ -576,7 +587,8 @@ def _local_table_systems(
     axis realizes exactly the signs of ``g``.  A cell whose in-neighbor
     values all lie in the domain of ``pinned_by`` is not free: it holds
     that system's value.  Raises :class:`ResourceCapError` before scanning
-    the candidates of a component would take the total scanned past ``cap``.
+    the candidates of a component, or building the systems of a domain,
+    would take the total count of candidate tables and systems past ``cap``.
     """
     verts = g.vertices
     in_nbrs = [sorted(g.index(j) for j in g.in_neighbors(v)) for v in verts]
@@ -602,34 +614,44 @@ def _local_table_systems(
                 # Y's other coordinates sit at their minimum, adding 0.
                 y = sum((x - Y.lows[j]) * Y.weights[j] for j, x in at)
                 template[cell] = pinned_by.tables[i][y]
-            lo, hi = dom.intervals[i]
-            scanned += (hi - lo + 1) ** len(free)
+            lo, width = dom.intervals[i][0], dom.shape[i]
+            count = width ** len(free)
+            scanned += count
             if scanned > cap:
-                raise ResourceCapError(
-                    f"local-table search exceeds cap of {cap} candidate tables"
-                )
-            # Candidates are checked in blocks of rows, one diff per axis and
-            # block, which keeps memory bounded whatever the cap.
+                raise _cap_error(cap)
+            # Candidate r fills the free cells with the mixed-radix digits of
+            # r (first free cell most significant).  Candidates are checked in
+            # blocks of rows, one diff per axis and block, which keeps memory
+            # bounded whatever the cap.
             valid: list[np.ndarray] = []
-            combos = product(range(lo, hi + 1), repeat=len(free))
-            while block := list(islice(combos, 4096)):
-                local = np.tile(template, (len(block), 1))
-                local[:, free] = block
-                cube = local.reshape((len(block),) + local_shape)
+            for start in range(0, count, 4096):
+                rest = np.arange(start, min(start + 4096, count))
+                local = np.tile(template, (len(rest), 1))
+                for cell in reversed(free):
+                    rest, digit = np.divmod(rest, width)
+                    local[:, cell] = lo + digit
+                cube = local.reshape((len(local),) + local_shape)
                 valid.append(local[_realizes_signs(cube, want[i])])
             valid_tables = np.concatenate(valid)
             if not len(valid_tables):
                 break
-            # Expansion index: local offset of each full state.
-            expand = np.zeros(dom.size, dtype=np.int64)
-            weight = 1
-            for j in reversed(nbrs):
-                expand += (dom.coordinate_grids[j] - dom.lows[j]) * weight
-                weight *= dom.shape[j]
-            per_component.append(valid_tables[:, expand])
+            # Full tables: repeat each local table along the axes f_i ignores.
+            m = len(valid_tables)
+            read = tuple(dom.shape[j] if j in nbrs else 1 for j in range(dom.n))
+            full = np.broadcast_to(valid_tables.reshape((m,) + read), (m,) + dom.shape)
+            per_component.append(full.reshape(m, dom.size))
         else:
+            scanned += math.prod(len(c) for c in per_component)
+            if scanned > cap:
+                raise _cap_error(cap)
             for tables in _table_blocks(per_component, dom.size):
                 yield dom, tables
+
+
+def _cap_error(cap: int) -> ResourceCapError:
+    return ResourceCapError(
+        f"local-table search exceeds cap of {cap} candidate tables and systems"
+    )
 
 
 def _degree_bounded_domains(g: SignedDigraph) -> Iterator[IntervalProduct]:

@@ -184,10 +184,14 @@ class SignedDigraph:
         self.index(v)
         return self._out[v]
 
+    @cached_property
+    def _in_degree(self) -> dict[str, int]:
+        return {v: len(self._in_plus[v]) + len(self._in_minus[v]) for v in self.vertices}
+
     def in_degree(self, v: str) -> int:
         """Number of arcs entering ``v``; parallel arcs count twice."""
         self.index(v)
-        return len(self._in_plus[v]) + len(self._in_minus[v])
+        return self._in_degree[v]
 
     def out_degree(self, v: str) -> int:
         """Number of arcs leaving ``v``; parallel arcs count twice."""

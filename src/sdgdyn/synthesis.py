@@ -57,6 +57,7 @@ from .fds import (
     from_component_functions,
     load_json,
     state_cap,
+    value_masks,
 )
 
 # ---------------------------------------------------------------------------
@@ -187,10 +188,9 @@ def check_nilpotency_certificate(
     if not f.domain.contains(cert.target):
         problems.append("target state outside the domain")
         return problems
-    current = np.arange(f.domain.size, dtype=np.int64)
-    succ = f.successor_offsets
+    current = np.arange(f.domain.size)
     for _ in range(cert.lam + cert.beta):
-        current = np.unique(succ[current])
+        current = f.image_offsets(current)
     want = f.domain.offset(cert.target)
     if current.size != 1 or int(current[0]) != want:
         problems.append(
@@ -495,14 +495,6 @@ def _ab_sets(
     return a, b
 
 
-def _value_masks(values: np.ndarray, width: int) -> np.ndarray:
-    """``(n, width)`` boolean array marking in row ``i`` the values that row
-    ``i`` of the int ``(n, m)`` array ``values`` takes (each in ``[0, width)``)."""
-    masks = np.zeros((len(values), width), dtype=bool)
-    masks[np.arange(len(values))[:, None], values] = True
-    return masks
-
-
 def check_extension_postconditions(
     state: ExtensionState, base_graph: SignedDigraph, base_system: Fds
 ) -> list[str]:
@@ -515,11 +507,14 @@ def check_extension_postconditions(
        vertices that gained outputs, and
     4. components whose current in-neighbors gained no outputs agree with
        the base on the whole base domain.
+
+    The vertices that gained inputs (outputs) are read from the state's
+    ``new_inputs`` (``new_outputs``).
     """
     f, h = state.system, base_system
     X, Y = f.domain, h.domain
     F, H = f.tables, h.tables
-    a_set, b_set = _ab_sets(base_graph, state.graph)
+    a_set, b_set = state.new_inputs, state.new_outputs
     verts = base_graph.vertices
     problems: list[str] = []
 
@@ -535,7 +530,7 @@ def check_extension_postconditions(
     # Value sets per row, both offset by the lower of the two domains' lows.
     lows = np.minimum(X.columns[0], y_lows)
     width = int((np.maximum(X.columns[1], y_highs) - lows).max()) + 1
-    outside = (_value_masks(F - lows, width) > _value_masks(H - lows, width)).any(axis=1)
+    outside = (value_masks(F - lows, width) > value_masks(H - lows, width)).any(axis=1)
     for k in np.flatnonzero(outside).tolist():
         if verts[k] not in a_set:
             problems.append(f"image of component {k} leaves the base image")

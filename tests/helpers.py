@@ -349,3 +349,73 @@ def brute_force_interaction_arcs(f: Fds, names=None) -> set:
                 if b != a:
                     arcs.add((names[j], names[i], POSITIVE if b > a else NEGATIVE))
     return arcs
+
+
+def brute_force_convergence(f: Fds, h: Fds, k: int):
+    """``(f^k(X) inside the box of h's value sets, agreement on Y, first
+    disagreeing state)`` by iterating ``f`` over the states as tuple sets."""
+    def values(system):
+        rows = system.tables.tolist()
+        return {
+            s: tuple(row[o] for row in rows)
+            for o, s in enumerate(system.domain.states())
+        }
+
+    fv, hv = values(f), values(h)
+    image = set(fv)
+    for _ in range(k):
+        image = {fv[x] for x in image}
+    h_values = [{y[i] for y in hv.values()} for i in range(h.n)]
+    inside = all(x[i] in h_values[i] for x in image for i in range(f.n))
+    counter = next((y for y in h.domain.states() if fv[y] != hv[y]), None)
+    return inside, counter is None, counter
+
+
+def reference_local_table_systems(g: SignedDigraph, domains, cap: int, pinned_by=None):
+    """The local-table enumerator of ``fds._local_table_systems`` written with
+    ``itertools.product``: every candidate is a tuple of free-cell values,
+    and each state of the domain looks up its local cell by its in-neighbor
+    coordinates.  Same blocks, order and cap accounting."""
+    import numpy as np
+
+    from sdgdyn import ResourceCapError
+    from sdgdyn.fds import _table_blocks
+
+    scanned = 0
+    for dom in domains:
+        states = list(dom.states())
+        per_component = []
+        for i, v in enumerate(g.vertices):
+            nbrs = sorted(g.index(j) for j in g.in_neighbors(v))
+            local_shape = tuple(dom.shape[j] for j in nbrs)
+            cells = list(product(*(range(dom.intervals[j][0], dom.intervals[j][1] + 1) for j in nbrs)))
+            fixed = {}  # cell -> value of pinned_by on it
+            for c, coords in enumerate(cells if pinned_by is not None else ()):
+                y = list(pinned_by.domain.lows)
+                for j, x in zip(nbrs, coords):
+                    y[j] = x
+                if pinned_by.domain.contains(y):
+                    fixed[c] = pinned_by.evaluate(y)[i]
+            free = [c for c in range(len(cells)) if c not in fixed]
+            lo, hi = dom.intervals[i]
+            scanned += (hi - lo + 1) ** len(free)
+            if scanned > cap:
+                raise ResourceCapError("cap")
+            candidates = []
+            for combo in product(range(lo, hi + 1), repeat=len(free)):
+                local = dict(fixed)
+                local.update(zip(free, combo))
+                candidates.append([local[c] for c in range(len(cells))])
+            local = np.array(candidates, dtype=np.int64).reshape((len(candidates),) + local_shape)
+            valid = local.reshape(len(candidates), -1)[_realizes_signs(local, _sign_pattern(g, v))]
+            if not len(valid):
+                break
+            cell_of = {coords: c for c, coords in enumerate(cells)}
+            expand = [cell_of[tuple(s[j] for j in nbrs)] for s in states]
+            per_component.append(valid[:, expand])
+        else:
+            scanned += math.prod(len(c) for c in per_component)
+            if scanned > cap:
+                raise ResourceCapError("cap")
+            for tables in _table_blocks(per_component, dom.size):
+                yield dom, tables

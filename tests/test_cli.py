@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -221,13 +222,13 @@ def test_enumerate_cli(tmp_path, capsys):
 def test_enumerate_cap_matches_library(tmp_path, capsys):
     from sdgdyn import ResourceCapError, SignedDigraph, enumerate_degree_bounded_systems
 
-    # Two domains; caps from 22 to 96 trip on the second, after the first
-    # domain's systems were yielded.
+    # Two domains; caps from 26 to 130 (candidate tables plus systems) trip
+    # on the second, after the first domain's systems were yielded.
     g = SignedDigraph.from_arcs([("1", "2", "+"), ("1", "3", "-"), ("2", "3", "+")])
     gpath = tmp_path / "g.sdg"
     gpath.write_text(format_sdg(g))
     raised = []
-    for cap in range(1, 120):
+    for cap in range(1, 140):
         try:
             list(enumerate_degree_bounded_systems(g, table_cap=cap))
         except ResourceCapError:
@@ -238,6 +239,38 @@ def test_enumerate_cap_matches_library(tmp_path, capsys):
         assert code == (4 if raised[-1] else 0), cap
     assert raised[0] and not raised[-1]
     assert main(["enumerate", "--graph", str(gpath)]) == 0
+
+
+def test_enumerate_cap_counts_systems_before_building_them(tmp_path, capsys, monkeypatch):
+    from sdgdyn import IntervalProduct, ResourceCapError, SignedDigraph, fds
+
+    # Few candidate tables per component, but 31,360 systems on the domain
+    # (3, 3, 2, 2) and far more on later ones.
+    g = SignedDigraph.from_arcs(
+        [("1", "2", "+"), ("1", "2", "-"), ("1", "3", "+"), ("1", "4", "+"),
+         ("2", "1", "+"), ("2", "1", "-"), ("2", "3", "-"), ("3", "1", "+")],
+        vertices=["1", "2", "3", "4"],
+    )
+    built = []
+
+    def record(per_component, size):
+        built.append(math.prod(len(c) for c in per_component))
+        return iter(())
+
+    monkeypatch.setattr(fds, "_table_blocks", record)
+    domain = IntervalProduct(((0, 2), (0, 2), (0, 1), (0, 1)))
+    with pytest.raises(ResourceCapError):
+        list(fds._local_table_systems(g, [domain], 20_000))
+    assert built == []
+    list(fds._local_table_systems(g, [domain], 10**6))
+    assert built == [31_360]
+
+    built.clear()
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text(format_sdg(g))
+    assert main(["enumerate", "--graph", str(gpath), "--cap", "20000"]) == 4
+    assert sum(built) <= 20_000
+    assert "exceeds cap of 20000" in capsys.readouterr().err
 
 
 def test_export_dot_cli(eight_vertex_file, tmp_path, capsys):

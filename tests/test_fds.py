@@ -193,6 +193,25 @@ def test_interaction_graph_cache_serves_any_names():
         assert ig.arcs == helpers.brute_force_interaction_arcs(f, names)
 
 
+def test_interaction_graph_rejects_duplicate_names():
+    # One arc 1 -> 2; the names ("a", "a") would fold it into a loop a -> a.
+    f = table_system([(0, 1), (0, 1)], [[0, 0, 0, 0], [0, 0, 1, 1]])
+    assert f.interaction_graph(("a", "b")).arcs == {("a", "b", "+")}
+    with pytest.raises(PreconditionError):
+        f.interaction_graph(("a", "a"))
+
+
+def test_image_offsets_match_unique():
+    rng = random.Random(11)
+    for sizes in ([1], [3], [2, 3], [2, 2, 2], [3, 1, 2], []):
+        f = random_fds(rng, sizes)
+        succ = f.successor_offsets
+        assert f.image_offsets().tolist() == np.unique(succ).tolist()
+        for m in (0, 1, 5, 20):
+            offsets = np.array([rng.randrange(f.domain.size) for _ in range(m)], dtype=np.int64)
+            assert f.image_offsets(offsets).tolist() == np.unique(succ[offsets]).tolist()
+
+
 def test_tables_are_one_read_only_array():
     f = example12_system()
     assert f.tables.shape == (8, f.domain.size)
@@ -325,6 +344,54 @@ def test_converges_toward_componentwise_inclusion():
     assert w.valid
 
 
+def _random_convergence_case(rng):
+    """Random ``(f, h)`` with ``h`` on a sub-box ``Y`` of ``f``'s domain ``X``;
+    ``f`` copies ``h`` on ``Y`` half of the time, and keeps its values inside
+    ``h``'s value sets half of the time."""
+    n = rng.randint(0, 3)
+    X = [(lo, lo + rng.randint(0, 2)) for lo in (rng.randint(-2, 2) for _ in range(n))]
+    Y = []
+    for lo, hi in X:
+        a = rng.randint(lo, hi)
+        Y.append((a, rng.randint(a, hi)))
+    h = random_fds(rng, [hi - lo + 1 for lo, hi in Y], [lo for lo, _ in Y])
+    h_values = [sorted(set(row)) for row in h.tables.tolist()]
+    narrow = rng.random() < 0.5
+    tables = [
+        [
+            rng.choice(h_values[i]) if narrow else rng.randint(lo, hi)
+            for _ in range(IntervalProduct(tuple(X)).size)
+        ]
+        for i, (lo, hi) in enumerate(X)
+    ]
+    f = table_system(X, tables)
+    if rng.random() < 0.5:
+        copied = [row.copy() for row in f.tables]
+        for y in h.domain.states():
+            for i, value in enumerate(h.evaluate(y)):
+                copied[i][f.domain.offset(y)] = value
+        f = Fds(f.domain, tuple(copied))
+    return f, h
+
+
+def test_converges_toward_matches_brute_force_oracle():
+    rng = random.Random(23)
+    seen = {"k0": 0, "no_box": 0, "no_agree": 0, "valid": 0, "n0": 0}
+    for _ in range(400):
+        f, h = _random_convergence_case(rng)
+        k = rng.randint(0, 3)
+        inside, agree, counter = helpers.brute_force_convergence(f, h, k)
+        w = converges_toward(f, h, k)
+        assert (w.domains_nested, w.fk_image_in_h_image, w.agreement) == (True, inside, agree)
+        assert w.counterexample == counter and w.steps == k
+        seen["k0"] += k == 0
+        seen["no_box"] += not inside
+        seen["no_agree"] += not agree
+        seen["valid"] += w.valid
+        seen["n0"] += f.n == 0
+    assert min(seen.values()) >= 10, seen
+
+
 # ---------------------------------------------------------------------------
 # enumeration of degree-bounded systems
 # ---------------------------------------------------------------------------
@@ -454,6 +521,83 @@ def test_batched_summaries_match_per_system_methods():
             assert index == helpers.unique_chain_index(f)
             expected.append((f.domain.shape, index, len(f.fixed_points())))
         assert list(enumerate_system_summaries(g)) == expected
+
+
+def _blocks_until_cap(enumerator, g, domains, cap, pinned_by=None):
+    """The ``(domain, tables)`` blocks yielded before the cap trips, and
+    whether it tripped."""
+    out = []
+    try:
+        for dom, tables in enumerator(g, domains, cap, pinned_by=pinned_by):
+            out.append((dom, tables.tolist()))
+    except ResourceCapError:
+        return out, True
+    return out, False
+
+
+def _pinned_domains(g, h):
+    """Every degree-bounded domain of ``g`` containing ``h``'s domain."""
+    placements = [
+        [
+            (lo, lo + s - 1)
+            for s in fds_mod._admissible_sizes(g, v)
+            for lo in range(yhi - s + 1, ylo + 1)
+        ]
+        for v, (ylo, yhi) in zip(g.vertices, h.domain.intervals)
+    ]
+    return [IntervalProduct(intervals) for intervals in product(*placements)]
+
+
+# Component 1 reads two axes of up to 3 values: 3^9 candidate local tables
+# on the domain (3, 3, 3).
+WIDE_GRAPH = SignedDigraph.from_arcs(
+    [("2", "1", "+"), ("2", "1", "-"), ("3", "1", "+"), ("3", "1", "-"),
+     ("1", "2", "+"), ("1", "3", "-"), ("1", "2", "-")],
+    vertices=["1", "2", "3"],
+)
+
+
+def test_local_table_systems_match_product_reference():
+    rng = random.Random(5)
+    cases = [(WIDE_GRAPH, None), (MULTI_BLOCK_GRAPH, None)]
+    while len(cases) < 16:
+        g = helpers.random_connected_sdg(rng, 3)
+        if g.n > 1:
+            cases.append((g, None))
+    while len(cases) < 32:
+        triple = helpers.random_subsystem_triple(rng, n_max=4)
+        if triple is not None and triple[0].n > 1:
+            cases.append((triple[0], triple[2]))
+    tripped_midway = finished = 0
+    for g, h in cases:
+        domains = (
+            list(fds_mod._degree_bounded_domains(g)) if h is None else _pinned_domains(g, h)
+        )
+        for cap in (1, 30, 300, 3_000, 30_000):
+            got = _blocks_until_cap(fds_mod._local_table_systems, g, domains, cap, h)
+            want = _blocks_until_cap(helpers.reference_local_table_systems, g, domains, cap, h)
+            assert got == want, (g, h, cap)
+            tripped_midway += got[1] and bool(got[0])
+        finished += not got[1] and bool(got[0])
+    assert tripped_midway >= 8 and finished >= 20
+
+
+def test_local_table_candidates_span_several_row_blocks(monkeypatch):
+    # The 3^9 candidates of component 1 on (3, 3, 3) are checked in five
+    # blocks of 4,096 rows.  That domain has too many systems to build, so
+    # compare the survivors of every component handed to _table_blocks.
+    seen = []
+
+    def record(per_component, size):
+        seen.append([c.tolist() for c in per_component])
+        return iter(())
+
+    monkeypatch.setattr(fds_mod, "_table_blocks", record)
+    domains = [IntervalProduct(((0, 2),) * 3)]
+    for enumerator in (fds_mod._local_table_systems, helpers.reference_local_table_systems):
+        assert list(enumerator(WIDE_GRAPH, domains, 10**9)) == []
+    assert len(seen) == 2 and seen[0] == seen[1]
+    assert len(seen[0][0]) > 4096
 
 
 @pytest.mark.parametrize("cells", [1, 1000, 10**9])

@@ -214,6 +214,28 @@ def test_strong_components_partition_and_condensation_acyclic():
                 dfs(k)
 
 
+def test_components_and_cycle_counts_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(29)
+    for _ in range(200):
+        g = helpers.random_connected_sdg(rng, 6)
+        under = nx.DiGraph()
+        under.add_nodes_from(g.vertices)
+        under.add_edges_from(g.underlying().arcs)
+        cs = component_structure(g)
+        assert {frozenset(c) for c in cs.strong_components} == set(
+            map(frozenset, nx.strongly_connected_components(under))
+        )
+        # A pair carrying both signs makes every cycle through it two
+        # signed cycles.
+        signs = {(s, t): len(g.in_plus(t) & {s}) + len(g.in_minus(t) & {s}) for s, t in under.edges}
+        expected = sum(
+            math.prod(signs[c[k], c[(k + 1) % len(c)]] for k in range(len(c)))
+            for c in nx.simple_cycles(under)
+        )
+        assert len(enumerate_cycles(g)) == expected
+
+
 # ---------------------------------------------------------------------------
 # distance
 # ---------------------------------------------------------------------------
