@@ -135,12 +135,12 @@ class IntervalProduct:
         cols = np.array((self.lows, highs, self.weights), dtype=np.int64)
         return tuple(cols.reshape(3, self.n, 1))
 
-    @cached_property
+    @property
     def coordinate_grids(self) -> np.ndarray:
-        """Per-component value of every state: a read-only ``(n, size)`` array."""
+        """Per-component value of every state: a new ``(n, size)`` array on
+        each access, so that no grid outlives the code that reads it."""
         grids = np.indices(self.shape).reshape(self.n, self.size)
         grids += self.columns[0]
-        grids.flags.writeable = False
         return grids
 
     def offsets_of(self, coords: np.ndarray) -> np.ndarray:
@@ -572,10 +572,7 @@ def _table_blocks(per_component: list[np.ndarray], size: int) -> Iterator[np.nda
 
 
 def _local_table_systems(
-    g: SignedDigraph,
-    domains: Iterable[IntervalProduct],
-    cap: int,
-    pinned_by: Fds | None = None,
+    g: SignedDigraph, domains: Iterable[IntervalProduct], cap: int
 ) -> Iterator[tuple[IntervalProduct, np.ndarray]]:
     """Yield, domain by domain, every system whose interaction graph is ``g``.
 
@@ -583,51 +580,35 @@ def _local_table_systems(
     ``(B, n, S)`` with one full table per component in each row (see
     :func:`_table_blocks`).  Each component function is enumerated as a
     local table over the intervals of the component's in-neighbors, with
-    its free cells in lexicographic order, and kept when every in-neighbor
-    axis realizes exactly the signs of ``g``.  A cell whose in-neighbor
-    values all lie in the domain of ``pinned_by`` is not free: it holds
-    that system's value.  Raises :class:`ResourceCapError` before scanning
-    the candidates of a component, or building the systems of a domain,
-    would take the total count of candidate tables and systems past ``cap``.
+    its cells in lexicographic order, and kept when every in-neighbor axis
+    realizes exactly the signs of ``g``.  Raises :class:`ResourceCapError`
+    before scanning the candidates of a component, or building the systems
+    of a domain, would take the total count of candidate tables and systems
+    past ``cap``.
     """
     verts = g.vertices
     in_nbrs = [sorted(g.index(j) for j in g.in_neighbors(v)) for v in verts]
     want = [_sign_pattern(g, v) for v in verts]
-    Y = pinned_by.domain if pinned_by is not None else None
     scanned = 0
     for dom in domains:
         per_component: list[np.ndarray] = []
         for i, nbrs in enumerate(in_nbrs):
             local_shape = tuple(dom.shape[j] for j in nbrs)
-            template = np.zeros(math.prod(local_shape), dtype=np.int64)
-            free = []
-            nbr_values = product(
-                *(range(dom.intervals[j][0], dom.intervals[j][1] + 1) for j in nbrs)
-            )
-            for cell, coords in enumerate(nbr_values):
-                at = list(zip(nbrs, coords))
-                if pinned_by is None or not all(
-                    Y.intervals[j][0] <= x <= Y.intervals[j][1] for j, x in at
-                ):
-                    free.append(cell)
-                    continue
-                # Y's other coordinates sit at their minimum, adding 0.
-                y = sum((x - Y.lows[j]) * Y.weights[j] for j, x in at)
-                template[cell] = pinned_by.tables[i][y]
+            cells = math.prod(local_shape)
             lo, width = dom.intervals[i][0], dom.shape[i]
-            count = width ** len(free)
+            count = width ** cells
             scanned += count
             if scanned > cap:
                 raise _cap_error(cap)
-            # Candidate r fills the free cells with the mixed-radix digits of
-            # r (first free cell most significant).  Candidates are checked in
+            # Candidate r fills the cells with the mixed-radix digits of r
+            # (first cell most significant).  Candidates are checked in
             # blocks of rows, one diff per axis and block, which keeps memory
             # bounded whatever the cap.
             valid: list[np.ndarray] = []
             for start in range(0, count, 4096):
                 rest = np.arange(start, min(start + 4096, count))
-                local = np.tile(template, (len(rest), 1))
-                for cell in reversed(free):
+                local = np.empty((len(rest), cells), dtype=np.int64)
+                for cell in reversed(range(cells)):
                     rest, digit = np.divmod(rest, width)
                     local[:, cell] = lo + digit
                 cube = local.reshape((len(local),) + local_shape)
@@ -707,16 +688,28 @@ def fds_to_dict(f: Fds) -> dict:
     }
 
 
+def json_int(value) -> int:
+    """``value`` if it is a JSON integer; TypeError for a float, a string or
+    a boolean, which ``int()`` would silently convert."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def fds_from_dict(data: dict) -> Fds:
     if not isinstance(data, dict) or data.get("version") != FDS_VERSION:
         raise SdgParseError(f"expected a {FDS_VERSION!r} document")
     try:
-        intervals = tuple((int(lo), int(hi)) for lo, hi in data["intervals"])
-        tables = [np.array(t, dtype=np.int64) for t in data["tables"]]
+        intervals = tuple((json_int(lo), json_int(hi)) for lo, hi in data["intervals"])
+        # One array for all tables: its dtype is integral only when every
+        # entry is an integer (or, mixed in with integers, a boolean).
+        tables = np.array(data["tables"])
+        if tables.size and (tables.dtype.kind != "i" or tables.ndim != 2):
+            raise TypeError("tables must be lists of integers")
     except (KeyError, TypeError, ValueError) as exc:
         raise SdgParseError(f"malformed system document: {exc}") from None
     try:
-        return Fds(IntervalProduct(intervals), tuple(tables))
+        return Fds(IntervalProduct(intervals), tables)
     except PreconditionError as exc:
         raise SdgParseError(str(exc)) from None
 

@@ -23,9 +23,7 @@ degree bounds, and the claimed dynamic property) before returning it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -51,12 +49,10 @@ from .fds import (
     ConvergenceWitness,
     Fds,
     IntervalProduct,
-    _admissible_sizes,
-    _local_table_systems,
     converges_toward,
     from_component_functions,
+    json_int,
     load_json,
-    state_cap,
     value_masks,
 )
 
@@ -70,11 +66,10 @@ class NilpotencyCertificate:
     """Witness for a nilpotent construction.
 
     ``representatives`` maps each initial strong component (as an
-    index-ordered vertex tuple) to its chosen representative, ``stripped``
-    is the graph with all arcs into representatives removed, and ``layers``
+    index-ordered vertex tuple) to its chosen representative, and ``layers``
     partition the vertex set by distance from the representatives in the
-    stripped graph.  ``target`` is the constant state reached after at most
-    ``lam + beta`` steps.
+    graph with all arcs into representatives removed.  ``target`` is the
+    constant state reached after at most ``lam + beta`` steps.
     """
 
     lam: int
@@ -82,8 +77,6 @@ class NilpotencyCertificate:
     representatives: tuple[tuple[tuple[str, ...], str], ...]
     layers: tuple[tuple[str, ...], ...]
     target: tuple[int, ...]
-    interval_sizes: tuple[int, ...]
-    stripped: SignedDigraph
 
     def to_dict(self) -> dict:
         return {
@@ -98,7 +91,7 @@ class NilpotencyCertificate:
 
 
 def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertificate:
-    """Rebuild a certificate from its JSON form (stripped graph is derived).
+    """Rebuild a certificate from its JSON form.
 
     Representatives are read as a list of ``[component, representative]``
     pairs, or in the older form of a map from comma-joined components.
@@ -114,17 +107,12 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
             )
         )
         layers = tuple(tuple(layer) for layer in data["layers"])
-        target = tuple(int(x) for x in data["xi"])
-        lam = int(data["lambda"])
-        beta = int(data["beta"])
-        rep_set = {rep for _, rep in reps}
+        target = tuple(json_int(x) for x in data["xi"])
+        lam = json_int(data["lambda"])
+        beta = json_int(data["beta"])
     except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
         raise SdgParseError(f"malformed certificate: {exc}") from None
-    stripped = graph.without_arcs([a for a in graph.arcs if a[1] in rep_set])
-    # Interval sizes are owned by the system file; zeros make the checker
-    # compare against the actual domain instead of trusting the certificate.
-    sizes = (0,) * graph.n
-    return NilpotencyCertificate(lam, beta, reps, layers, target, sizes, stripped)
+    return NilpotencyCertificate(lam, beta, reps, layers, target)
 
 
 def check_nilpotency_certificate(
@@ -157,8 +145,6 @@ def check_nilpotency_certificate(
             problems.append(f"representative {rep} outside its component")
 
     stripped = g.without_arcs([a for a in g.arcs if a[1] in rep_set])
-    if cert.stripped.arcs != stripped.arcs:
-        problems.append("stripped graph is not the graph minus arcs into representatives")
     for p in range(1, len(cert.layers)):
         prev = set(cert.layers[p - 1])
         for v in cert.layers[p]:
@@ -170,8 +156,6 @@ def check_nilpotency_certificate(
     if f.n != g.n:
         problems.append("system arity differs from graph order")
         return problems
-    if tuple(f.domain.shape) != cert.interval_sizes and any(cert.interval_sizes):
-        problems.append("interval sizes differ from the system domain")
     sources, _, _ = classify_vertices(g)
     for v in sources:
         i = g.index(v)
@@ -445,10 +429,6 @@ def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
         representatives=reps,
         layers=layers,
         target=tuple(xi),
-        interval_sizes=tuple(domain.shape),
-        stripped=g.without_arcs(
-            [a for a in g.arcs if a[1] in {r for _, r in reps}]
-        ),
     )
     problems = check_nilpotency_certificate(g, f, cert)
     if problems:
@@ -535,9 +515,12 @@ def check_extension_postconditions(
         if verts[k] not in a_set:
             problems.append(f"image of component {k} leaves the base image")
 
-    deviates = F[:, Y.offsets_in(X)] != H
+    if not Y.subset_of(X):
+        raise PreconditionError("the system's domain does not contain the base domain")
+    y_grids = Y.coordinate_grids  # built on each read, so read once
+    deviates = F[:, X.offsets_of(y_grids)] != H
     pinned = [base_graph.index(v) for v in b_set]
-    at_anchor = Y.coordinate_grids[pinned] == np.array(state.anchor)[pinned, None]
+    at_anchor = y_grids[pinned] == np.array(state.anchor)[pinned, None]
     anchored = at_anchor.all(axis=0)
     first = np.flatnonzero(deviates[:, anchored].any(axis=1))
     if first.size:
@@ -559,13 +542,15 @@ def _growth_direction(
     upcoming: Sequence[Arc],
     preference: int | None,
 ) -> int:
-    """+1 to extend the tail interval upward, -1 downward.
+    """The preferred growth of the tail interval: +1 upward, -1 downward.
 
     While ``j`` is still a source its update stays constant, and the first
-    future arc into ``j`` dictates which end of the interval must keep the
-    constant: a negative arc needs it at the top, a positive one at the
-    bottom.  Without such a constraint the caller's preference (or upward)
-    wins.
+    future arc into ``j`` would rather find that constant at one end of the
+    interval: the top for a negative arc, the bottom for a positive one.
+    Without a future arc into ``j`` the caller's preference (or upward)
+    wins.  The result is a preference: :func:`extend_by_arc` takes its own
+    direction instead when the head of the arc is a source whose constant
+    cannot step the preferred way.
     """
     if state.graph.in_degree(j) == 0:
         for src, dst, sign in upcoming:
@@ -698,8 +683,10 @@ def extend_by_arc(
     postconditions of :func:`check_extension_postconditions` are
     re-established (and asserted in debug mode).  ``upcoming`` lists the
     arcs that will be added later, which steers the direction in which tail
-    intervals grow.  Raises :class:`InternalInvariantError` when no sound
-    treatment of the arc exists.
+    intervals grow; where the head is a source whose constant cannot step
+    the way ``upcoming`` asks for, the tail grows the way it can.  Raises
+    :class:`InternalInvariantError` when no sound treatment of the arc
+    exists.
     """
     j, i, sign = arc
     cur, f = state.graph, state.system
@@ -778,12 +765,11 @@ def extend_by_arc(
             direction = preference
         else:
             direction = _growth_direction(state, j, upcoming, preference)
+        if not (up_ok if direction > 0 else down_ok):
+            # The head's constant cannot step that way; the later arcs into
+            # the tail are realized from the other end of its interval.
+            direction = preference
         plane_top = direction > 0
-        if plane_top and not up_ok or (not plane_top and not down_ok):
-            raise InternalInvariantError(
-                f"cannot realize arc {arc}: growth direction forced by later "
-                f"arcs conflicts with the constant of {i}"
-            )
         if plane_top:
             value = yhi if sign == POSITIVE else ylo
         else:
@@ -915,9 +901,9 @@ class ConvergencePlan:
     whose sources need both orientations.  When ``closed`` is empty the
     direct path runs: a nilpotent system on ``block_graph``, mirrored on the
     block components in ``mirrored``, is glued into the product subsystem
-    and extended twice.  ``unorientable`` names the vertices of open block
-    components whose sources need both orientations; no construction
-    realizes those, so the exhaustive search runs instead.
+    and extended twice.  An open block component whose sources need both
+    orientations is neither mirrored nor closed; the extension realizes its
+    arcs from whichever end each source's constant can step.
     """
 
     isolated: tuple[str, ...]
@@ -925,7 +911,6 @@ class ConvergencePlan:
     closed: tuple[str, ...]
     block_graph: SignedDigraph
     mirrored: tuple[str, ...]
-    unorientable: tuple[str, ...]
 
 
 def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
@@ -950,13 +935,13 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
             if is_signed_cycle(block_graph.induced(comp)):
                 closed.update(comp)
     mirrored: list[str] = []
-    unorientable: list[str] = []
     if not closed:
         # Mirror whole block components whose constant-update vertices must
         # keep their constant at the top of the interval (first arc into
         # them negative).  Two sources of one component may need opposite
         # orientations; when no arc leaves the component it is peeled off
-        # and reattached by clamping instead, which is orientation-free.
+        # and reattached by clamping instead, which is orientation-free, and
+        # otherwise it stays as it is.
         added = [a for a in g.arcs if a[1] in iso_set and a not in block_graph.arcs]
         for comp in block_graph.weak_components():
             signs = [
@@ -970,31 +955,13 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
                 mirrored.extend(comp)
             elif all(a[1] in comp for a in g.arcs if a[0] in comp):
                 closed.update(comp)
-            else:
-                unorientable.extend(comp)
     return ConvergencePlan(
         isolated=tuple(iso),
         property_p=property_p,
         closed=tuple(sorted(closed, key=g.index)),
         block_graph=block_graph,
         mirrored=tuple(sorted(mirrored, key=g.index)),
-        unorientable=tuple(sorted(unorientable, key=g.index)),
     )
-
-
-def _converging_pipeline(
-    g: SignedDigraph, sub: SignedDigraph, h: Fds, iso: list[str]
-) -> Fds | None:
-    """The constructed system, or None when the plan leaves the triple to
-    the exhaustive search."""
-    if not iso:
-        return extend_all(g, sub, h)
-    plan = convergence_plan(g, sub)
-    if plan.closed:
-        return _pipeline_split(g, sub, h, plan.closed)
-    if plan.unorientable:
-        return None
-    return _pipeline_direct(g, sub, h, plan)
 
 
 def _inward_arc_order(
@@ -1161,43 +1128,6 @@ def _pipeline_split(
     return Fds(dom, np.where(closed_col, block.tables[:, up], inner.tables[:, down]))
 
 
-def _search_converging(
-    g: SignedDigraph, h: Fds, steps: int, candidate_cap: int = 500_000
-) -> tuple[Fds, ConvergenceWitness]:
-    """Exhaustive fallback: the first degree-bounded system on ``g`` agreeing
-    with ``h`` on its domain that passes the convergence check, with its
-    witness.
-
-    Component tables are enumerated over in-neighbor grids with the values
-    on the subsystem's domain pinned by the agreement requirement, over all
-    interval placements containing the subsystem's intervals.
-    """
-
-    def placements(k: int, v: str) -> list[tuple[int, int]]:
-        ylo, yhi = h.domain.intervals[k]
-        return [
-            (lo, lo + s - 1)
-            for s in _admissible_sizes(g, v)
-            for lo in range(yhi - s + 1, ylo + 1)
-        ]
-
-    cap = state_cap()
-    domains = (
-        IntervalProduct(intervals)
-        for intervals in product(*(placements(k, v) for k, v in enumerate(g.vertices)))
-        if math.prod(hi - lo + 1 for lo, hi in intervals) <= cap
-    )
-    for dom, tables in _local_table_systems(g, domains, candidate_cap, pinned_by=h):
-        for row in tables:
-            f = Fds(dom, row)
-            witness = converges_toward(f, h, steps)
-            if witness.valid:
-                return f, witness
-    raise InternalInvariantError(
-        "no converging degree-bounded system found by exhaustive search"
-    )
-
-
 def construct_converging(
     g: SignedDigraph, subgraph: SignedDigraph, h: Fds
 ) -> tuple[Fds, ConvergenceWitness]:
@@ -1210,7 +1140,9 @@ def construct_converging(
     a source (sink) of ``g``, and no connected component of ``g`` is a
     signed cycle contained in I.  The result converges toward ``h`` in at
     most ``len(I) + 1`` steps, and the returned witness records the
-    verification.
+    verification.  A result that fails that verification, or whose
+    interaction graph or degree bounds are wrong, raises
+    :class:`InternalInvariantError` naming every failed check.
     """
     _validate_subsystem(g, subgraph, h)
     iso = _isolated_only_vertices(g, subgraph)
@@ -1232,18 +1164,29 @@ def construct_converging(
                 f"component {comp} is a signed cycle inside the isolated set"
             )
 
-    steps = len(iso) + 1
-    try:
-        f = _converging_pipeline(g, subgraph, h, iso)
-    except (InternalInvariantError, PreconditionError):
-        f = None  # the exhaustive search below is the safety net
-    if f is not None:
-        ig = f.interaction_graph(g.vertices)
-        if ig.arcs == g.arcs and f.is_degree_bounded(ig)[0]:
-            witness = converges_toward(f, h, steps)
-            if witness.valid:
-                return f, witness
-    return _search_converging(g, h, steps)
+    if not iso:
+        f = extend_all(g, subgraph, h)
+    else:
+        plan = convergence_plan(g, subgraph)
+        if plan.closed:
+            f = _pipeline_split(g, subgraph, h, plan.closed)
+        else:
+            f = _pipeline_direct(g, subgraph, h, plan)
+
+    problems = []
+    ig = f.interaction_graph(g.vertices)
+    if ig.arcs != g.arcs:
+        problems.append("interaction graph differs from the graph")
+    ok, bad = f.is_degree_bounded(ig)
+    if not ok:
+        problems.append(f"degree bound violated at components {bad}")
+    witness = converges_toward(f, h, len(iso) + 1)
+    problems += witness.failures()
+    if problems:
+        raise InternalInvariantError(
+            "converging construction failed self-check: " + "; ".join(problems)
+        )
+    return f, witness
 
 
 # ---------------------------------------------------------------------------

@@ -371,10 +371,10 @@ def brute_force_convergence(f: Fds, h: Fds, k: int):
     return inside, counter is None, counter
 
 
-def reference_local_table_systems(g: SignedDigraph, domains, cap: int, pinned_by=None):
+def reference_local_table_systems(g: SignedDigraph, domains, cap: int):
     """The local-table enumerator of ``fds._local_table_systems`` written with
-    ``itertools.product``: every candidate is a tuple of free-cell values,
-    and each state of the domain looks up its local cell by its in-neighbor
+    ``itertools.product``: every candidate is a tuple of cell values, and
+    each state of the domain looks up its local cell by its in-neighbor
     coordinates.  Same blocks, order and cap accounting."""
     import numpy as np
 
@@ -389,23 +389,11 @@ def reference_local_table_systems(g: SignedDigraph, domains, cap: int, pinned_by
             nbrs = sorted(g.index(j) for j in g.in_neighbors(v))
             local_shape = tuple(dom.shape[j] for j in nbrs)
             cells = list(product(*(range(dom.intervals[j][0], dom.intervals[j][1] + 1) for j in nbrs)))
-            fixed = {}  # cell -> value of pinned_by on it
-            for c, coords in enumerate(cells if pinned_by is not None else ()):
-                y = list(pinned_by.domain.lows)
-                for j, x in zip(nbrs, coords):
-                    y[j] = x
-                if pinned_by.domain.contains(y):
-                    fixed[c] = pinned_by.evaluate(y)[i]
-            free = [c for c in range(len(cells)) if c not in fixed]
             lo, hi = dom.intervals[i]
-            scanned += (hi - lo + 1) ** len(free)
+            scanned += (hi - lo + 1) ** len(cells)
             if scanned > cap:
                 raise ResourceCapError("cap")
-            candidates = []
-            for combo in product(range(lo, hi + 1), repeat=len(free)):
-                local = dict(fixed)
-                local.update(zip(free, combo))
-                candidates.append([local[c] for c in range(len(cells))])
+            candidates = [list(combo) for combo in product(range(lo, hi + 1), repeat=len(cells))]
             local = np.array(candidates, dtype=np.int64).reshape((len(candidates),) + local_shape)
             valid = local.reshape(len(candidates), -1)[_realizes_signs(local, _sign_pattern(g, v))]
             if not len(valid):

@@ -170,9 +170,32 @@ def test_parse_error_exit_code(double_loop_file, tmp_path, monkeypatch, capsys):
     assert main(["verify", "--graph", double_loop_file, "--fds", str(not_json)]) == 2
     assert main(["synth-converge", "--graph", double_loop_file,
                  "--sub", str(not_json)]) == 2
+    # Floats, strings and booleans are not integers, although int() takes
+    # them, and an entry beyond int64 has no table: of these documents only
+    # the first, the double loop's own system, loads.
+    system = tmp_path / "g.json"
+    for want, intervals, table in (
+        (0, [[0, 2]], [0, 2, 0]),
+        (2, [[0, 2.9]], [0.0, 2, "0"]),
+        (2, [[0, 2]], [0.0, 2.0, 0.0]),
+        (2, [[0, 2]], ["0", "2", "0"]),
+        (2, [[0, 2]], [False, True, False]),
+        (2, [[0, "2"]], [0, 2, 0]),
+        (2, [[False, 2]], [0, 2, 0]),
+        (2, [[0, 2]], [0, 2**63, 0]),
+    ):
+        system.write_text(json.dumps({"version": "fds.v1", "intervals": intervals, "tables": [table]}))
+        assert main(["verify", "--graph", double_loop_file, "--fds", str(system)]) == want
+
     out = tmp_path / "f.json"
     assert main(["synth-nilpotent", "--graph", double_loop_file, "--out", str(out)]) == 0
     cert = tmp_path / "f.cert.json"
+    valid = json.loads(cert.read_text())
+    for key, value in (("xi", [0.0]), ("xi", ["0"]), ("lambda", 1.0), ("lambda", "1"), ("beta", True)):
+        cert.write_text(json.dumps({**valid, key: value}))
+        assert main(["verify", "--graph", double_loop_file, "--fds", str(out)]) == 2
+    cert.write_text(json.dumps(valid))
+    assert main(["verify", "--graph", double_loop_file, "--fds", str(out)]) == 0
     cert.write_text("{not json")
     assert main(["verify", "--graph", double_loop_file, "--fds", str(out)]) == 2
     cert.write_text('{"representatives": [], "layers": [], "xi": [], "lambda": 1}')

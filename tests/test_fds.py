@@ -523,29 +523,16 @@ def test_batched_summaries_match_per_system_methods():
         assert list(enumerate_system_summaries(g)) == expected
 
 
-def _blocks_until_cap(enumerator, g, domains, cap, pinned_by=None):
+def _blocks_until_cap(enumerator, g, domains, cap):
     """The ``(domain, tables)`` blocks yielded before the cap trips, and
     whether it tripped."""
     out = []
     try:
-        for dom, tables in enumerator(g, domains, cap, pinned_by=pinned_by):
+        for dom, tables in enumerator(g, domains, cap):
             out.append((dom, tables.tolist()))
     except ResourceCapError:
         return out, True
     return out, False
-
-
-def _pinned_domains(g, h):
-    """Every degree-bounded domain of ``g`` containing ``h``'s domain."""
-    placements = [
-        [
-            (lo, lo + s - 1)
-            for s in fds_mod._admissible_sizes(g, v)
-            for lo in range(yhi - s + 1, ylo + 1)
-        ]
-        for v, (ylo, yhi) in zip(g.vertices, h.domain.intervals)
-    ]
-    return [IntervalProduct(intervals) for intervals in product(*placements)]
 
 
 # Component 1 reads two axes of up to 3 values: 3^9 candidate local tables
@@ -559,24 +546,18 @@ WIDE_GRAPH = SignedDigraph.from_arcs(
 
 def test_local_table_systems_match_product_reference():
     rng = random.Random(5)
-    cases = [(WIDE_GRAPH, None), (MULTI_BLOCK_GRAPH, None)]
-    while len(cases) < 16:
-        g = helpers.random_connected_sdg(rng, 3)
-        if g.n > 1:
-            cases.append((g, None))
+    cases = [WIDE_GRAPH, MULTI_BLOCK_GRAPH]
     while len(cases) < 32:
-        triple = helpers.random_subsystem_triple(rng, n_max=4)
-        if triple is not None and triple[0].n > 1:
-            cases.append((triple[0], triple[2]))
+        g = helpers.random_connected_sdg(rng, 3 if len(cases) < 16 else 4)
+        if g.n > 1:
+            cases.append(g)
     tripped_midway = finished = 0
-    for g, h in cases:
-        domains = (
-            list(fds_mod._degree_bounded_domains(g)) if h is None else _pinned_domains(g, h)
-        )
+    for g in cases:
+        domains = list(fds_mod._degree_bounded_domains(g))
         for cap in (1, 30, 300, 3_000, 30_000):
-            got = _blocks_until_cap(fds_mod._local_table_systems, g, domains, cap, h)
-            want = _blocks_until_cap(helpers.reference_local_table_systems, g, domains, cap, h)
-            assert got == want, (g, h, cap)
+            got = _blocks_until_cap(fds_mod._local_table_systems, g, domains, cap)
+            want = _blocks_until_cap(helpers.reference_local_table_systems, g, domains, cap)
+            assert got == want, (g, cap)
             tripped_midway += got[1] and bool(got[0])
         finished += not got[1] and bool(got[0])
     assert tripped_midway >= 8 and finished >= 20

@@ -9,7 +9,6 @@ from sdgdyn import (
     NEGATIVE,
     POSITIVE,
     PreconditionError,
-    ResourceCapError,
     SignedDigraph,
     check_extension_postconditions,
     check_nilpotency_certificate,
@@ -539,8 +538,9 @@ def test_converging_peels_conflicted_closed_component():
 
 def test_converging_survives_unorientable_open_component():
     # Sources 3 and 4 of one block component want opposite orientations and
-    # the component is not closed (vertex 1 leaves it), so the pipeline
-    # cannot realize it and the exhaustive fallback must take over.
+    # the component is not closed (vertex 1 leaves it), so it is neither
+    # mirrored nor peeled off: the direct path realizes each arc into a
+    # source from whichever end that source's constant can step.
     g = SignedDigraph.from_arcs(
         [("1", "2", "+"), ("1", "3", "+"), ("2", "2", "-"),
          ("2", "4", "-"), ("3", "1", "+"), ("4", "1", "+")],
@@ -553,25 +553,56 @@ def test_converging_survives_unorientable_open_component():
     assert sorted(f.fixed_points()) == sorted(h.fixed_points())
 
 
-def test_search_converging_fallback_directly():
-    # The safety-net search must solve instances that need interval
-    # placements below the subsystem's base points.
-    from sdgdyn.synthesis import _search_converging
-
+def test_converging_places_intervals_below_base_points():
+    # Vertex 1 is isolated in the subgraph at value 0 and its first arc in
+    # is negative, so its interval must grow below that base point.
     g = SignedDigraph.from_arcs(
         [("3", "2", "+"), ("2", "4", "+"), ("1", "2", "+"), ("3", "1", "-")],
         vertices=["1", "2", "3", "4"],
     )
     sub = g.spanning([("3", "2", "+"), ("2", "4", "+")])
     h = _system_on_or_skip(14, sub)
-    f, w = _search_converging(g, h, steps=2)
+    f, w = construct_converging(g, sub, h)
     assert w.valid and w == converges_toward(f, h, 2)
+    assert f.domain.intervals[0][0] < h.domain.intervals[0][0]
     assert f.interaction_graph(g.vertices).arcs == g.arcs
     ok, _ = f.is_degree_bounded()
     assert ok
-    # The candidate cap is checked before a component's tables are scanned.
-    with pytest.raises(ResourceCapError):
-        _search_converging(g, h, steps=2, candidate_cap=1)
+
+
+@pytest.mark.parametrize(
+    "arcs, cycles",
+    [
+        pytest.param(
+            [("1", "1", "+"), ("1", "2", "-"), ("1", "6", "+"), ("2", "1", "+"),
+             ("3", "2", "-"), ("3", "5", "+"), ("3", "6", "-"), ("4", "1", "+"),
+             ("4", "3", "+"), ("4", "7", "-"), ("5", "1", "-"), ("5", "2", "-"),
+             ("5", "3", "+"), ("5", "3", "-"), ("6", "3", "+"), ("7", "4", "-"),
+             ("7", "5", "-")],
+            2,
+            id="two-positive-cycles",
+        ),
+        pytest.param(
+            [("1", "2", "-"), ("1", "3", "+"), ("2", "1", "-"), ("2", "3", "+"),
+             ("3", "3", "-")],
+            0,
+            id="negative-cycle",
+        ),
+    ],
+)
+def test_source_head_steps_where_its_constant_can(arcs, cycles):
+    # In both graphs a later arc into the tail asks the tail to grow the
+    # way the head's constant cannot step, so the step takes the head's own
+    # direction.  The first graph is bench item p323.
+    g = SignedDigraph.from_arcs(arcs, vertices=sorted({a[0] for a in arcs}, key=int))
+    if cycles:
+        f = construct_2k_fixed_points(g, cycles)
+    else:
+        f = construct_no_fixed_point(g)
+    assert f.interaction_graph(g.vertices).arcs == g.arcs
+    ok, _ = f.is_degree_bounded()
+    assert ok
+    assert len(f.fixed_points()) == (2**cycles if cycles else 0)
 
 
 # ---------------------------------------------------------------------------
