@@ -50,7 +50,6 @@ from .fds import (
     Fds,
     IntervalProduct,
     converges_toward,
-    from_component_functions,
     json_int,
     load_json,
     value_masks,
@@ -115,6 +114,19 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
     return NilpotencyCertificate(lam, beta, reps, layers, target)
 
 
+def _structure_problems(f: Fds, g: SignedDigraph) -> list[str]:
+    """Why ``f`` is not a degree-bounded system whose interaction graph is
+    exactly ``g`` (empty when it is); ``f`` has one component per vertex."""
+    problems = []
+    ig = f.interaction_graph(g.vertices)
+    if ig.arcs != g.arcs:
+        problems.append("interaction graph differs from the input graph")
+    ok, bad = f.is_degree_bounded(ig)
+    if not ok:
+        problems.append(f"degree bound violated at components {bad}")
+    return problems
+
+
 def check_nilpotency_certificate(
     g: SignedDigraph, f: Fds, cert: NilpotencyCertificate
 ) -> list[str]:
@@ -162,13 +174,7 @@ def check_nilpotency_certificate(
         if cert.target[i] != f.domain.intervals[i][0]:
             problems.append(f"target at source {v} is not the interval minimum")
 
-    ig = f.interaction_graph(g.vertices)
-    if ig.arcs != g.arcs:
-        problems.append("interaction graph differs from the input graph")
-    ok, bad = f.is_degree_bounded(ig)
-    if not ok:
-        problems.append(f"degree bound violated at components {bad}")
-
+    problems += _structure_problems(f, g)
     if not f.domain.contains(cert.target):
         problems.append("target state outside the domain")
         return problems
@@ -199,167 +205,94 @@ def _eligible_representatives(sub: SignedDigraph, comp: Sequence[str]) -> list[s
     return out
 
 
-class _ComponentPlan:
-    """Per-connected-component plan: intervals, update rules, target, layers."""
+class _Plan:
+    """The nilpotent construction on a whole graph, filled in place by one
+    planner call per connected component: the interval, rule, target value
+    ``xi`` and layer ``depth`` of every vertex, and the ``(component,
+    representative)`` pairs.
+
+    A rule ``(combine, theta, plus_only, both, minus_only, top)`` sets its
+    vertex to ``top`` on the states where ``combine`` (``np.any`` or
+    ``np.all``) holds over the tests ``x_j >= theta`` for ``j`` in
+    ``plus_only``, ``x_j == theta`` for ``j`` in ``both`` and ``x_j < theta``
+    for ``j`` in ``minus_only``, and to 0 elsewhere.
+    """
 
     def __init__(self) -> None:
         self.intervals: dict[str, tuple[int, int]] = {}
+        self.rules: dict[str, tuple] = {}
         self.xi: dict[str, int] = {}
-        self.layers: list[list[str]] = []
+        self.depth: dict[str, int] = {}
         self.representatives: list[tuple[tuple[str, ...], str]] = []
-        self.rules: dict[str, tuple] = {}  # v -> rule spec consumed by _rule_table
 
 
-def _plan_trivial(sub: SignedDigraph) -> _ComponentPlan:
-    v = sub.vertices[0]
-    plan = _ComponentPlan()
-    plan.intervals[v] = (0, 0)
-    plan.xi[v] = 0
-    plan.layers = [[v]]
-    plan.representatives = [((v,), v)]
-    plan.rules[v] = ("const", 0)
-    return plan
-
-
-def _plan_cycle_with_parallels(sub: SignedDigraph) -> _ComponentPlan:
-    order = underlying_cycle_order(sub)
-    assert order is not None
-    succ = {order[t]: order[(t + 1) % len(order)] for t in range(len(order))}
-    parallel = [
-        v for v in order if v in sub.in_plus(succ[v]) and v in sub.in_minus(succ[v])
-    ]
-    if not parallel:
-        raise InternalInvariantError("cycle component without parallel arcs")
-    last = min(parallel, key=sub.index)
-    pos = []
-    v = succ[last]
-    while True:
-        pos.append(v)
-        if v == last:
-            break
-        v = succ[v]
-
-    plan = _ComponentPlan()
-    pset = set(parallel)
-    for v in pos:
-        plan.intervals[v] = (0, 2) if v in pset else (0, 1)
+def _plan_cycle_with_parallels(
+    sub: SignedDigraph, order: tuple[str, ...], plan: _Plan
+) -> None:
+    """A cycle carrying both signs on some step: each vertex steps to its
+    top exactly when its predecessor holds the value the arc between them
+    triggers on, starting after the first vertex with parallel arcs."""
+    parallel = {
+        v
+        for v, w in zip(order, order[1:] + order[:1])
+        if v in sub.in_plus(w) and v in sub.in_minus(w)
+    }
+    k = order.index(min(parallel, key=sub.index)) + 1
+    pos = order[k:] + order[:k]
     for t, v in enumerate(pos):
         prev = pos[t - 1]
-        top = plan.intervals[v][1]
-        if prev in sub.in_plus(v):
-            plan.rules[v] = ("step_eq", prev, 1, top)
-        else:
-            plan.rules[v] = ("step_eq", prev, 0, top)
-    plan.xi[pos[0]] = 0
-    for t in range(1, len(pos)):
-        v = pos[t]
-        _, prev, trigger, top = plan.rules[v]
-        plan.xi[v] = top if plan.xi[prev] == trigger else 0
-    plan.layers = [[v] for v in pos]
-    comp = tuple(sorted(pos, key=sub.index))
-    plan.representatives = [(comp, pos[0])]
-    return plan
+        top = 2 if v in parallel else 1
+        trigger = 1 if prev in sub.in_plus(v) else 0
+        plan.intervals[v] = (0, top)
+        plan.rules[v] = (np.all, trigger, (), (prev,), (), top)
+        plan.xi[v] = top if t and plan.xi[prev] == trigger else 0
+        plan.depth[v] = t
+    plan.representatives.append((tuple(sorted(pos, key=sub.index)), pos[0]))
 
 
-def _plan_general(sub: SignedDigraph) -> _ComponentPlan:
-    cs = component_structure(sub)
-    plan = _ComponentPlan()
-    for comp in cs.initial_components:
+def _plan_general(sub: SignedDigraph, plan: _Plan) -> None:
+    """Any other component, a lone vertex included: representatives of the
+    initial strong components, layers by distance from them once the arcs
+    into them are removed, and threshold rules."""
+    reps = set()
+    for comp in component_structure(sub).initial_components:
         eligible = _eligible_representatives(sub, comp)
         if not eligible:
             raise InternalInvariantError(
                 f"no admissible representative in component {comp}"
             )
-        plan.representatives.append((comp, min(eligible, key=sub.index)))
-    reps = {rep for _, rep in plan.representatives}
+        rep = min(eligible, key=sub.index)
+        plan.representatives.append((comp, rep))
+        reps.add(rep)
 
     stripped = sub.without_arcs([a for a in sub.arcs if a[1] in reps])
-    scs = component_structure(stripped)
-    if {c for c in scs.initial_components} != {(r,) for r in reps}:
-        raise InternalInvariantError("stripping arcs into representatives failed")
-    _, sinks_sub, _ = classify_vertices(sub)
-    _, sinks_stripped, _ = classify_vertices(stripped)
-    if not sinks_stripped <= sinks_sub:
-        raise InternalInvariantError("stripping created a new sink")
-
     dist = _multi_source_distance(stripped, reps)
-    depth = max(int(dist[v]) for v in sub.vertices) + 1
-    if depth > cs.lam:
-        raise InternalInvariantError("layer depth exceeds lambda")
-    plan.layers = [
-        [v for v in sub.vertices if int(dist[v]) + 1 == p]
-        for p in range(1, depth + 1)
-    ]
-
     for v in sub.vertices:
-        if any(v in sub.in_plus(r) and v in sub.in_minus(r) for r in reps):
+        plan.depth[v] = int(dist[v])
+        outs = sub.out_neighbors(v)
+        parallel = {w for w in outs if v in sub.in_plus(w) and v in sub.in_minus(w)}
+        if parallel & reps:
             plan.intervals[v] = (0, 3)
-        elif any(v in sub.in_plus(r) and v not in sub.in_minus(r) for r in reps):
-            plan.intervals[v] = (0, 2)
-        elif any(v in sub.in_minus(r) and v not in sub.in_plus(r) for r in reps):
-            plan.intervals[v] = (0, 2)
-        elif any(
-            v in sub.in_plus(w) and v in sub.in_minus(w)
-            for w in sub.vertices
-            if w not in reps
-        ):
+        elif parallel or outs & reps:
             plan.intervals[v] = (0, 2)
         else:
-            plan.intervals[v] = (0, 1)
+            plan.intervals[v] = (0, 1 if sub.arcs else 0)
 
-    first = set(plan.layers[0])
-    for v in plan.layers[0]:
-        plan.xi[v] = 1 if sub.in_minus(v) - sub.in_plus(v) else 0
-    for p in range(1, len(plan.layers)):
-        prev = set(plan.layers[p - 1])
-        for v in plan.layers[p]:
-            pos_ok = all(
-                plan.xi[j] == 1 for j in (sub.in_plus(v) & prev)
-            )
-            neg_ok = all(
-                plan.xi[j] == 0
-                for j in ((sub.in_minus(v) - sub.in_plus(v)) & prev)
-            )
-            plan.xi[v] = 1 if pos_ok and neg_ok else 0
-
-    for v in sub.vertices:
+    for v in sorted(sub.vertices, key=plan.depth.get):
         plus_only = sub.in_plus(v) - sub.in_minus(v)
         both = sub.in_plus(v) & sub.in_minus(v)
         minus_only = sub.in_minus(v) - sub.in_plus(v)
-        if v in first:
-            plan.rules[v] = ("any", 2, tuple(plus_only), tuple(both), tuple(minus_only))
-        elif plan.xi[v] == 1:
-            plan.rules[v] = ("any", 1, tuple(plus_only), tuple(both), tuple(minus_only))
+        prev = {j for j in sub.in_neighbors(v) if plan.depth[j] == plan.depth[v] - 1}
+        if plan.depth[v] == 0:
+            plan.xi[v] = 1 if minus_only else 0
+            combine, theta = np.any, 2
         else:
-            plan.rules[v] = ("all", 1, tuple(plus_only), tuple(both), tuple(minus_only))
-    return plan
-
-
-def _rule_table(rule: tuple, grids, index: dict[str, int], size: int) -> np.ndarray:
-    kind = rule[0]
-    if kind == "const":
-        return np.full(size, rule[1], dtype=np.int64)
-    if kind == "step_eq":
-        _, prev, trigger, top = rule
-        return np.where(grids[index[prev]] == trigger, top, 0).astype(np.int64)
-    _, theta, plus_only, both, minus_only = rule
-    if kind == "any":
-        acc = np.zeros(size, dtype=bool)
-        for j in plus_only:
-            acc |= grids[index[j]] >= theta
-        for j in both:
-            acc |= grids[index[j]] == theta
-        for j in minus_only:
-            acc |= grids[index[j]] < theta
-    else:
-        acc = np.ones(size, dtype=bool)
-        for j in plus_only:
-            acc &= grids[index[j]] >= theta
-        for j in both:
-            acc &= grids[index[j]] == theta
-        for j in minus_only:
-            acc &= grids[index[j]] < theta
-    return acc.astype(np.int64)
+            plan.xi[v] = int(
+                all(plan.xi[j] == 1 for j in sub.in_plus(v) & prev)
+                and all(plan.xi[j] == 0 for j in minus_only & prev)
+            )
+            combine, theta = (np.any if plan.xi[v] else np.all), 1
+        plan.rules[v] = (combine, theta, tuple(plus_only), tuple(both), tuple(minus_only), 1)
 
 
 def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
@@ -373,7 +306,7 @@ def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
     """
     if g.n == 0:
         raise PreconditionError("cannot synthesize on the empty graph")
-    plans: list[_ComponentPlan] = []
+    plan = _Plan()
     for comp in g.weak_components():
         sub = g.induced(comp)
         if is_signed_cycle(sub):
@@ -381,54 +314,35 @@ def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
                 f"component {comp} is a signed cycle; no nilpotent degree-bounded "
                 "system exists on it"
             )
-        if sub.n == 1 and not sub.arcs:
-            plans.append(_plan_trivial(sub))
-        elif underlying_cycle_order(sub) is not None:
-            plans.append(_plan_cycle_with_parallels(sub))
+        order = underlying_cycle_order(sub)
+        if order is None:
+            _plan_general(sub, plan)
         else:
-            plans.append(_plan_general(sub))
+            _plan_cycle_with_parallels(sub, order, plan)
 
-    intervals = []
-    rules = []
-    xi = []
-    for v in g.vertices:
-        plan = next(p for p in plans if v in p.intervals)
-        intervals.append(plan.intervals[v])
-        rules.append(plan.rules[v])
-        xi.append(plan.xi[v])
-    domain = IntervalProduct(tuple(intervals))
-    index = {v: k for k, v in enumerate(g.vertices)}
-    f = from_component_functions(
-        domain,
-        [
-            (lambda grids, r=rule: _rule_table(r, grids, index, domain.size))
-            for rule in rules
-        ],
-    )
+    domain = IntervalProduct(tuple(plan.intervals[v] for v in g.vertices))
+    grids = domain.coordinate_grids
+    tables = np.empty((g.n, domain.size), dtype=np.int64)
+    for k, v in enumerate(g.vertices):
+        combine, theta, plus_only, both, minus_only, top = plan.rules[v]
+        tests = [grids[g.index(j)] >= theta for j in plus_only]
+        tests += [grids[g.index(j)] == theta for j in both]
+        tests += [grids[g.index(j)] < theta for j in minus_only]
+        tables[k] = top * combine(tests, axis=0)
+    f = Fds(domain, tables)
 
     cs = component_structure(g)
-    depth = max(len(p.layers) for p in plans)
-    layers = tuple(
-        tuple(
-            v
-            for v in g.vertices
-            for p in plans
-            if len(p.layers) > d and v in p.layers[d]
-        )
-        for d in range(depth)
-    )
-    reps = tuple(
-        sorted(
-            (rep for p in plans for rep in p.representatives),
-            key=lambda item: g.index(item[1]),
-        )
-    )
     cert = NilpotencyCertificate(
         lam=cs.lam,
         beta=cs.beta,
-        representatives=reps,
-        layers=layers,
-        target=tuple(xi),
+        representatives=tuple(
+            sorted(plan.representatives, key=lambda item: g.index(item[1]))
+        ),
+        layers=tuple(
+            tuple(v for v in g.vertices if plan.depth[v] == d)
+            for d in range(max(plan.depth.values()) + 1)
+        ),
+        target=tuple(plan.xi[v] for v in g.vertices),
     )
     problems = check_nilpotency_certificate(g, f, cert)
     if problems:
@@ -462,17 +376,11 @@ class ExtensionState:
 def _ab_sets(
     base: SignedDigraph, current: SignedDigraph
 ) -> tuple[frozenset[str], frozenset[str]]:
-    a = frozenset(
-        v
-        for v in base.vertices
-        if base.in_degree(v) == 0 and current.in_degree(v) > 0
-    )
-    b = frozenset(
-        v
-        for v in base.vertices
-        if base.out_degree(v) == 0 and current.out_degree(v) > 0
-    )
-    return a, b
+    """The sources and the sinks of ``base`` that ``current`` gave inputs
+    and outputs to."""
+    sources_b, sinks_b, _ = classify_vertices(base)
+    sources_c, sinks_c, _ = classify_vertices(current)
+    return sources_b - sources_c, sinks_b - sinks_c
 
 
 def check_extension_postconditions(
@@ -515,14 +423,18 @@ def check_extension_postconditions(
         if verts[k] not in a_set:
             problems.append(f"image of component {k} leaves the base image")
 
-    if not Y.subset_of(X):
-        raise PreconditionError("the system's domain does not contain the base domain")
-    y_grids = Y.coordinate_grids  # built on each read, so read once
-    deviates = F[:, X.offsets_of(y_grids)] != H
-    pinned = [base_graph.index(v) for v in b_set]
-    at_anchor = y_grids[pinned] == np.array(state.anchor)[pinned, None]
-    anchored = at_anchor.all(axis=0)
-    first = np.flatnonzero(deviates[:, anchored].any(axis=1))
+    # offsets_in raises PreconditionError unless Y lies inside X.
+    deviates = F[:, Y.offsets_in(X)] != H
+    if not Y.contains(state.anchor):
+        raise PreconditionError("anchor state outside the base domain")
+    # The anchored states: the sub-box of Y where the vertices that gained
+    # outputs sit at the anchor, one index per pinned axis of the Y cube.
+    at = tuple(
+        a - lo if v in b_set else slice(None)
+        for v, a, (lo, _) in zip(verts, state.anchor, Y.intervals)
+    )
+    anchored = deviates.reshape((len(verts),) + Y.shape)[(slice(None),) + at]
+    first = np.flatnonzero(anchored.reshape(len(verts), -1).any(axis=1))
     if first.size:
         problems.append(
             f"component {first[0]} deviates from the base on anchored states"
@@ -597,20 +509,9 @@ def _finish_extension(
 ) -> ExtensionState:
     new_graph = SignedDigraph(state.graph.vertices, state.graph.arcs | {arc})
     new_system = Fds(new_dom, new_tables)
-
-    ig = new_system.interaction_graph(new_graph.vertices)
-    if ig.arcs != new_graph.arcs:
-        missing = new_graph.arcs - ig.arcs
-        extra = ig.arcs - new_graph.arcs
-        raise InternalInvariantError(
-            f"extension by {arc} produced interaction graph with "
-            f"missing={sorted(missing)} extra={sorted(extra)}"
-        )
-    ok, bad = new_system.is_degree_bounded(ig)
-    if not ok:
-        raise InternalInvariantError(
-            f"extension by {arc} violates degree bounds at components {bad}"
-        )
+    problems = _structure_problems(new_system, new_graph)
+    if problems:
+        raise InternalInvariantError(f"extension by {arc}: " + "; ".join(problems))
 
     a_set, b_set = _ab_sets(base_graph, new_graph)
     new_state = ExtensionState(new_graph, new_system, state.anchor, a_set, b_set)
@@ -833,8 +734,7 @@ def extend_all(
         if set(seq) != missing or len(seq) != len(missing):
             raise PreconditionError("order must list each missing arc exactly once")
 
-    a_set, b_set = _ab_sets(base_graph, base_graph)
-    state = ExtensionState(base_graph, base_system, anchor, a_set, b_set)
+    state = ExtensionState(base_graph, base_system, anchor, frozenset(), frozenset())
     pending = list(seq) + list(future_arcs)
     for pos, arc in enumerate(seq):
         state = extend_by_arc(
@@ -846,31 +746,6 @@ def extend_all(
 # ---------------------------------------------------------------------------
 # convergence toward a subsystem
 # ---------------------------------------------------------------------------
-
-
-def _validate_subsystem(g: SignedDigraph, sub: SignedDigraph, h: Fds) -> None:
-    if not sub.is_spanning_subgraph_of(g):
-        raise PreconditionError("subgraph is not a spanning subgraph of the graph")
-    if h.n != g.n:
-        raise PreconditionError("subsystem arity differs from the graph order")
-    ig = h.interaction_graph(g.vertices)
-    if ig.arcs != sub.arcs:
-        raise PreconditionError(
-            "subsystem's interaction graph differs from the subgraph"
-        )
-    ok, bad = h.is_degree_bounded(ig)
-    if not ok:
-        raise PreconditionError(f"subsystem violates degree bounds at components {bad}")
-
-
-def _isolated_only_vertices(g: SignedDigraph, sub: SignedDigraph) -> list[str]:
-    out = []
-    for v in g.vertices:
-        iso_sub = sub.in_degree(v) == 0 and sub.out_degree(v) == 0
-        iso_g = g.in_degree(v) == 0 and g.out_degree(v) == 0
-        if iso_sub and not iso_g:
-            out.append(v)
-    return out
 
 
 def _component_qualifies(g: SignedDigraph, iso: set[str], comp: Sequence[str]) -> bool:
@@ -890,9 +765,9 @@ class ConvergencePlan:
     ``isolated`` lists the vertices isolated in the subgraph but not in the
     graph, and ``block_graph`` is the graph induced on them by the arcs
     leaving isolated vertices from which no arc leaves the isolated set.
-    ``property_p`` holds when every component of the induced isolated
-    subgraph is not strongly connected, has an arc leaving the isolated
-    set, or receives none from outside.
+    Property P holds when every component of the induced isolated subgraph
+    is not strongly connected, has an arc leaving the isolated set, or
+    receives none from outside.
 
     ``closed`` names the vertices (no arc leaves them) whose entering arcs
     are peeled off for a recursive pass and reattached through a clamped
@@ -907,15 +782,14 @@ class ConvergencePlan:
     """
 
     isolated: tuple[str, ...]
-    property_p: bool
     closed: tuple[str, ...]
     block_graph: SignedDigraph
     mirrored: tuple[str, ...]
 
 
 def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
-    iso = _isolated_only_vertices(g, sub)
-    iso_set = set(iso)
+    iso_set = classify_vertices(sub)[2] - classify_vertices(g)[2]
+    iso = [v for v in g.vertices if v in iso_set]
     closed: set[str] = set()
     for c in g.induced(iso).weak_components():
         if not _component_qualifies(g, iso_set, c):
@@ -957,7 +831,6 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
                 closed.update(comp)
     return ConvergencePlan(
         isolated=tuple(iso),
-        property_p=property_p,
         closed=tuple(sorted(closed, key=g.index)),
         block_graph=block_graph,
         mirrored=tuple(sorted(mirrored, key=g.index)),
@@ -1086,12 +959,6 @@ def _pipeline_split(
     """Part of the isolated set is closed (no arc leaves it): peel its
     entering arcs off, recurse, then glue a nilpotent block over it."""
     closed_set = set(closed)
-    for a in g.arcs:
-        if a[0] in closed_set and a[1] not in closed_set:
-            raise InternalInvariantError(
-                f"split set is not closed: arc {a} leaves it"
-            )
-
     trimmed = SignedDigraph(
         g.vertices, frozenset(a for a in g.arcs if a[1] not in closed_set)
     )
@@ -1103,12 +970,6 @@ def _pipeline_split(
     block, cert = construct_nilpotent(q_graph)
     deltas = [xi[k] - cert.target[k] for k in range(g.n)]
     block = block.translate(deltas)
-
-    for k, v in enumerate(g.vertices):
-        if v not in closed_set and block.domain.intervals[k][0] != xi[k]:
-            raise InternalInvariantError(
-                "nilpotent block does not start at the inner system's maximum"
-            )
 
     intervals = []
     for k in range(g.n):
@@ -1144,9 +1005,15 @@ def construct_converging(
     interaction graph or degree bounds are wrong, raises
     :class:`InternalInvariantError` naming every failed check.
     """
-    _validate_subsystem(g, subgraph, h)
-    iso = _isolated_only_vertices(g, subgraph)
-    iso_set = set(iso)
+    if not subgraph.is_spanning_subgraph_of(g):
+        raise PreconditionError("subgraph is not a spanning subgraph of the graph")
+    if h.n != g.n:
+        raise PreconditionError("subsystem arity differs from the graph order")
+    problems = _structure_problems(h, subgraph)
+    if problems:
+        raise PreconditionError("subsystem does not fit the subgraph: " + "; ".join(problems))
+    plan = convergence_plan(g, subgraph)
+    iso = plan.isolated
 
     rest = subgraph.without_vertices(iso)
     for v in rest.vertices:
@@ -1159,27 +1026,19 @@ def construct_converging(
                 f"vertex {v} is a sink of the subgraph but not of the graph"
             )
     for comp in g.weak_components():
-        if set(comp) <= iso_set and is_signed_cycle(g.induced(comp)):
+        if set(comp) <= set(iso) and is_signed_cycle(g.induced(comp)):
             raise PreconditionError(
                 f"component {comp} is a signed cycle inside the isolated set"
             )
 
-    if not iso:
-        f = extend_all(g, subgraph, h)
+    if plan.closed:
+        f = _pipeline_split(g, subgraph, h, plan.closed)
+    elif iso:
+        f = _pipeline_direct(g, subgraph, h, plan)
     else:
-        plan = convergence_plan(g, subgraph)
-        if plan.closed:
-            f = _pipeline_split(g, subgraph, h, plan.closed)
-        else:
-            f = _pipeline_direct(g, subgraph, h, plan)
+        f = extend_all(g, subgraph, h)
 
-    problems = []
-    ig = f.interaction_graph(g.vertices)
-    if ig.arcs != g.arcs:
-        problems.append("interaction graph differs from the graph")
-    ok, bad = f.is_degree_bounded(ig)
-    if not ok:
-        problems.append(f"degree bound violated at components {bad}")
+    problems = _structure_problems(f, g)
     witness = converges_toward(f, h, len(iso) + 1)
     problems += witness.failures()
     if problems:
@@ -1208,28 +1067,22 @@ def cycle_subsystem(
         arcs |= set(c.arcs())
     sub = g.spanning(arcs)
 
-    intervals = []
-    for v in g.vertices:
-        intervals.append((0, 1) if v in used else (0, 0))
-    dom = IntervalProduct(tuple(intervals))
-    pred: dict[str, tuple[str, str]] = {}
+    dom = IntervalProduct(tuple((0, 1) if v in used else (0, 0) for v in g.vertices))
+    grids = dom.coordinate_grids
+    tables = np.zeros((g.n, dom.size), dtype=np.int64)
     for c in cycles:
-        for (src, dst, sign) in c.arcs():
-            pred[dst] = (src, sign)
+        for src, dst, sign in c.arcs():
+            x = grids[g.index(src)]
+            tables[g.index(dst)] = x if sign == POSITIVE else 1 - x
+    return sub, Fds(dom, tables)
 
-    def make_fn(k: int, v: str):
-        if v not in pred:
-            return lambda grids: np.zeros(dom.size, dtype=np.int64)
-        src, sign = pred[v]
-        si = g.index(src)
-        if sign == POSITIVE:
-            return lambda grids: grids[si].astype(np.int64)
-        return lambda grids: (1 - grids[si]).astype(np.int64)
 
-    h = from_component_functions(
-        dom, [make_fn(k, v) for k, v in enumerate(g.vertices)]
-    )
-    return sub, h
+def _converge_on_cycles(g: SignedDigraph, cycles: Sequence[SignedCycle]) -> Fds:
+    """A system on ``g`` converging toward the cycle subsystem of ``cycles``."""
+    sub, h = cycle_subsystem(g, cycles)
+    if sub.arcs == g.arcs:
+        return h
+    return construct_converging(g, sub, h)[0]
 
 
 def construct_no_fixed_point(g: SignedDigraph) -> Fds:
@@ -1242,11 +1095,7 @@ def construct_no_fixed_point(g: SignedDigraph) -> Fds:
     )
     if negative is None:
         raise PreconditionError("graph has no negative cycle")
-    sub, h = cycle_subsystem(g, [negative])
-    if sub.arcs == g.arcs:
-        f = h
-    else:
-        f, _ = construct_converging(g, sub, h)
+    f = _converge_on_cycles(g, [negative])
     fixed = f.fixed_points()
     if fixed:
         raise InternalInvariantError(f"construction left fixed points: {fixed}")
@@ -1261,11 +1110,7 @@ def construct_2k_fixed_points(g: SignedDigraph, k: int) -> Fds:
     cycles = find_disjoint_positive_cycles(g, k)
     if cycles is None:
         raise PreconditionError(f"graph has no {k} vertex-disjoint positive cycles")
-    sub, h = cycle_subsystem(g, cycles)
-    if sub.arcs == g.arcs:
-        f = h
-    else:
-        f, _ = construct_converging(g, sub, h)
+    f = _converge_on_cycles(g, cycles)
     fixed = f.fixed_points()
     if len(fixed) != 2**k:
         raise InternalInvariantError(

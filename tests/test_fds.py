@@ -110,6 +110,25 @@ def test_offset_state_roundtrip(spec):
         assert dom.offset(dom.state(off)) == off
 
 
+def test_offsets_in_matches_the_coordinate_grid():
+    rng = random.Random(8)
+    for _ in range(200):
+        n = rng.randint(0, 4)
+        outer = [(rng.randint(-3, 3), rng.randint(0, 3)) for _ in range(n)]
+        big = IntervalProduct(tuple((lo, lo + w) for lo, w in outer))
+        small = []
+        for lo, hi in big.intervals:
+            a = rng.randint(lo, hi)
+            small.append((a, a if rng.random() < 0.3 else rng.randint(a, hi)))
+        box = IntervalProduct(tuple(small))
+        got = box.offsets_in(big)
+        assert got.dtype == np.int64
+        assert got.tolist() == big.offsets_of(box.coordinate_grids).tolist()
+        assert got.tolist() == [big.offset(s) for s in box.states()]
+    with pytest.raises(PreconditionError):
+        IntervalProduct(((0, 2),)).offsets_in(IntervalProduct(((1, 2),)))
+
+
 # ---------------------------------------------------------------------------
 # evaluation and iteration
 # ---------------------------------------------------------------------------

@@ -226,6 +226,11 @@ def test_components_and_cycle_counts_match_networkx():
         assert {frozenset(c) for c in cs.strong_components} == set(
             map(frozenset, nx.strongly_connected_components(under))
         )
+        # Initial components: the nodes of the condensation without inputs.
+        dag = nx.condensation(under)
+        assert {frozenset(c) for c in cs.initial_components} == {
+            frozenset(dag.nodes[k]["members"]) for k in dag if dag.in_degree(k) == 0
+        }
         # A pair carrying both signs makes every cycle through it two
         # signed cycles.
         signs = {(s, t): len(g.in_plus(t) & {s}) + len(g.in_minus(t) & {s}) for s, t in under.edges}
