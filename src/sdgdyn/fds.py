@@ -291,12 +291,13 @@ class Fds:
         g = graph if graph is not None else self.interaction_graph()
         if g.n != self.n:
             raise PreconditionError("graph arity differs from system arity")
-        out_deg, in_deg = g._out_degree, g._in_degree
         bad = tuple(
             i
             for i, (v, size) in enumerate(zip(g.vertices, self.domain.shape))
             if not (
-                size == 2 if out_deg[v] == 0 and in_deg[v] > 0 else size <= out_deg[v] + 1
+                size == 2
+                if g.out_degree(v) == 0 and g.in_degree(v) > 0
+                else size <= g.out_degree(v) + 1
             )
         )
         return (not bad, bad)
@@ -523,10 +524,8 @@ def _admissible_sizes(g: SignedDigraph, v: str) -> list[int]:
 def _sign_pattern(g: SignedDigraph, v: str) -> list[tuple[bool, bool]]:
     """``(positive, negative)`` arc presence from each in-neighbor of ``v``,
     in-neighbors in vertex order."""
-    return [
-        ((u, v, POSITIVE) in g.arcs, (u, v, NEGATIVE) in g.arcs)
-        for u in sorted(g.in_neighbors(v), key=g.index)
-    ]
+    plus, minus = g.in_plus(v), g.in_minus(v)
+    return [(u in plus, u in minus) for u in sorted(g.in_neighbors(v), key=g.index)]
 
 
 def _realizes_signs(cubes: np.ndarray, pattern: Sequence[tuple[bool, bool]]) -> np.ndarray:
@@ -551,28 +550,15 @@ def _table_blocks(per_component: list[np.ndarray], size: int) -> Iterator[np.nda
     ``(B, n, size)`` blocks of at most ``BLOCK_CELLS`` cells (or one row),
     rows in lexicographic order with the last component fastest."""
     n = len(per_component)
-    counts = [len(c) for c in per_component]
+    total = math.prod(len(c) for c in per_component)
     rows = max(1, BLOCK_CELLS // max(1, n * size))
-    # Components k.. vary inside a block.  When k > 0, component k - 1 runs
-    # through chunks of `step` tables, and the ones before it are fixed.
-    k, inner = n, 1
-    while k > 0 and inner * counts[k - 1] <= rows:
-        k -= 1
-        inner *= counts[k]
-    step = rows // inner
-    chunks = [range(0, counts[k - 1], step)] if k else []
-    for lead in product(*(range(m) for m in counts[: max(k - 1, 0)]), *chunks):
-        shape = ([min(step, counts[k - 1] - lead[-1])] if k else []) + counts[k:]
-        block = np.empty((math.prod(shape), n, size), dtype=np.int64)
-        first = n - len(shape)
-        for i in range(first):
-            block[:, i] = per_component[i][lead[i]]
-        digits = np.arange(len(block))
-        for a in range(len(shape) - 1, -1, -1):
-            digits, choice = np.divmod(digits, shape[a])
-            if a == 0 and k:
-                choice += lead[-1]
-            block[:, first + a] = per_component[first + a][choice]
+    for start in range(0, total, rows):
+        # Row r takes the mixed-radix digits of r, last component fastest.
+        rest = np.arange(start, min(start + rows, total))
+        block = np.empty((len(rest), n, size), dtype=np.int64)
+        for i in reversed(range(n)):
+            rest, choice = np.divmod(rest, len(per_component[i]))
+            block[:, i] = per_component[i][choice]
         yield block
 
 
@@ -657,8 +643,8 @@ def enumerate_degree_bounded_systems(
     are scanned in ascending lexicographic order.  Component functions are
     enumerated as local tables over the component's in-neighbors and
     filtered for exact sign realization, so the yield order is
-    deterministic.  Raises :class:`ResourceCapError` once more than
-    ``table_cap`` candidate local tables have been scanned.
+    deterministic.  Raises :class:`ResourceCapError` before the count of
+    candidate local tables and systems would pass ``table_cap``.
     """
     for dom, tables in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
         for row in tables:
@@ -706,10 +692,15 @@ def fds_from_dict(data: dict) -> Fds:
         raise SdgParseError(f"expected a {FDS_VERSION!r} document")
     try:
         intervals = tuple((json_int(lo), json_int(hi)) for lo, hi in data["intervals"])
-        # One array for all tables: its dtype is integral only when every
-        # entry is an integer (or, mixed in with integers, a boolean).
+        # One array for all tables: its dtype is integral when every entry
+        # is an integer, and also when booleans are mixed in with integers
+        # (as 0 and 1), so the rows are searched for booleans too.
         tables = np.array(data["tables"])
-        if tables.size and (tables.dtype.kind != "i" or tables.ndim != 2):
+        if tables.size and (
+            tables.dtype.kind != "i"
+            or tables.ndim != 2
+            or any(bool in set(map(type, row)) for row in data["tables"])
+        ):
             raise TypeError("tables must be lists of integers")
     except (KeyError, TypeError, ValueError) as exc:
         raise SdgParseError(f"malformed system document: {exc}") from None

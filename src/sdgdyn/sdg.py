@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 POSITIVE = "+"
 NEGATIVE = "-"
@@ -55,11 +55,6 @@ class InternalInvariantError(SdgError):
     """
 
 
-def _check_sign(sign: str) -> None:
-    if sign not in SIGNS:
-        raise SdgParseError(f"invalid arc sign {sign!r}, expected '+' or '-'")
-
-
 @dataclass(frozen=True)
 class UnsignedDigraph:
     """Plain digraph: the signed graph with signs (and parallel arcs) dropped."""
@@ -67,11 +62,17 @@ class UnsignedDigraph:
     vertices: tuple[str, ...]
     arcs: frozenset[tuple[str, str]]
 
-    def out_degree(self, v: str) -> int:
-        return sum(1 for (s, _) in self.arcs if s == v)
 
-    def in_degree(self, v: str) -> int:
-        return sum(1 for (_, t) in self.arcs if t == v)
+class _Adjacency(NamedTuple):
+    """Everything one vertex's arcs say about it; degrees count parallel
+    arcs twice."""
+
+    in_plus: frozenset[str]
+    in_minus: frozenset[str]
+    in_neighbors: frozenset[str]
+    out_neighbors: frozenset[str]
+    in_degree: int
+    out_degree: int
 
 
 @dataclass(frozen=True)
@@ -90,7 +91,8 @@ class SignedDigraph:
         if len(seen) != len(self.vertices):
             raise SdgParseError("duplicate vertex identifier")
         for src, dst, sign in self.arcs:
-            _check_sign(sign)
+            if sign not in SIGNS:
+                raise SdgParseError(f"invalid arc sign {sign!r}, expected '+' or '-'")
             if src not in seen or dst not in seen:
                 raise SdgParseError(f"arc ({src},{dst},{sign}) references unknown vertex")
 
@@ -99,26 +101,15 @@ class SignedDigraph:
         cls, arcs: Iterable[Arc] = (), vertices: Iterable[str] = ()
     ) -> "SignedDigraph":
         """Build a graph; vertex order is declaration order then first use in arcs."""
-        order: list[str] = []
-        seen: set[str] = set()
-
-        def add(v: str) -> None:
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-
-        for v in vertices:
-            add(v)
-        arc_list: list[Arc] = []
+        order = dict.fromkeys(vertices)  # a set that keeps first-seen order
         arc_set: set[Arc] = set()
         for src, dst, sign in arcs:
             arc = (str(src), str(dst), sign)
             if arc in arc_set:
                 raise SdgParseError(f"duplicate arc ({src},{dst},{sign})")
             arc_set.add(arc)
-            arc_list.append(arc)
-            add(arc[0])
-            add(arc[1])
+            order.setdefault(arc[0])
+            order.setdefault(arc[1])
         return cls(tuple(order), frozenset(arc_set))
 
     # -- basic accessors ---------------------------------------------------
@@ -138,65 +129,53 @@ class SignedDigraph:
             raise PreconditionError(f"unknown vertex {v!r}") from None
 
     @cached_property
-    def _in_plus(self) -> dict[str, frozenset[str]]:
-        acc: dict[str, set[str]] = {v: set() for v in self.vertices}
+    def _adjacency(self) -> dict[str, _Adjacency]:
+        """The adjacency of every vertex, from one pass over the arcs."""
+        plus: dict[str, set[str]] = {v: set() for v in self.vertices}
+        minus: dict[str, set[str]] = {v: set() for v in self.vertices}
+        out: dict[str, set[str]] = {v: set() for v in self.vertices}
+        out_degree = dict.fromkeys(self.vertices, 0)
         for src, dst, sign in self.arcs:
-            if sign == POSITIVE:
-                acc[dst].add(src)
-        return {v: frozenset(s) for v, s in acc.items()}
+            (plus if sign == POSITIVE else minus)[dst].add(src)
+            out[src].add(dst)
+            out_degree[src] += 1
+        return {
+            v: _Adjacency(
+                frozenset(plus[v]),
+                frozenset(minus[v]),
+                frozenset(plus[v] | minus[v]),
+                frozenset(out[v]),
+                len(plus[v]) + len(minus[v]),
+                out_degree[v],
+            )
+            for v in self.vertices
+        }
 
-    @cached_property
-    def _in_minus(self) -> dict[str, frozenset[str]]:
-        acc: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for src, dst, sign in self.arcs:
-            if sign == NEGATIVE:
-                acc[dst].add(src)
-        return {v: frozenset(s) for v, s in acc.items()}
+    def _adj(self, v: str) -> _Adjacency:
+        self.index(v)
+        return self._adjacency[v]
 
     def in_plus(self, v: str) -> frozenset[str]:
         """Vertices with a positive arc into ``v``."""
-        self.index(v)
-        return self._in_plus[v]
+        return self._adj(v).in_plus
 
     def in_minus(self, v: str) -> frozenset[str]:
         """Vertices with a negative arc into ``v``."""
-        self.index(v)
-        return self._in_minus[v]
+        return self._adj(v).in_minus
 
     def in_neighbors(self, v: str) -> frozenset[str]:
-        return self.in_plus(v) | self.in_minus(v)
-
-    @cached_property
-    def _out(self) -> dict[str, frozenset[str]]:
-        acc: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for src, dst, _ in self.arcs:
-            acc[src].add(dst)
-        return {v: frozenset(s) for v, s in acc.items()}
-
-    @cached_property
-    def _out_degree(self) -> dict[str, int]:
-        acc = dict.fromkeys(self.vertices, 0)
-        for src, _, _ in self.arcs:
-            acc[src] += 1
-        return acc
+        return self._adj(v).in_neighbors
 
     def out_neighbors(self, v: str) -> frozenset[str]:
-        self.index(v)
-        return self._out[v]
-
-    @cached_property
-    def _in_degree(self) -> dict[str, int]:
-        return {v: len(self._in_plus[v]) + len(self._in_minus[v]) for v in self.vertices}
+        return self._adj(v).out_neighbors
 
     def in_degree(self, v: str) -> int:
         """Number of arcs entering ``v``; parallel arcs count twice."""
-        self.index(v)
-        return self._in_degree[v]
+        return self._adj(v).in_degree
 
     def out_degree(self, v: str) -> int:
         """Number of arcs leaving ``v``; parallel arcs count twice."""
-        self.index(v)
-        return self._out_degree[v]
+        return self._adj(v).out_degree
 
     def sorted_arcs(self) -> list[Arc]:
         """Arcs in (source index, target index, '+' before '-') order."""
@@ -215,15 +194,10 @@ class SignedDigraph:
 
     @cached_property
     def _under_succ(self) -> dict[str, tuple[str, ...]]:
-        return {v: tuple(sorted(s, key=self.index)) for v, s in self._out.items()}
-
-    @cached_property
-    def _under_pred(self) -> dict[str, tuple[str, ...]]:
-        acc: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for src, dst, _ in self.arcs:
-            acc[dst].add(src)
+        """Out-neighbours of every vertex in vertex order."""
         return {
-            v: tuple(sorted(s, key=self.index)) for v, s in acc.items()
+            v: tuple(sorted(a.out_neighbors, key=self.index))
+            for v, a in self._adjacency.items()
         }
 
     def without_arcs(self, arcs: Iterable[Arc]) -> "SignedDigraph":
@@ -258,23 +232,14 @@ class SignedDigraph:
 
     def union(self, other: "SignedDigraph") -> "SignedDigraph":
         """Union of vertex sets and arc sets (shared names denote shared vertices)."""
-        verts = list(self.vertices)
-        seen = set(verts)
-        for v in other.vertices:
-            if v not in seen:
-                seen.add(v)
-                verts.append(v)
-        return SignedDigraph(tuple(verts), self.arcs | other.arcs)
+        verts = tuple(dict.fromkeys(self.vertices + other.vertices))
+        return SignedDigraph(verts, self.arcs | other.arcs)
 
     def is_spanning_subgraph_of(self, other: "SignedDigraph") -> bool:
         return self.vertices == other.vertices and self.arcs <= other.arcs
 
     def weak_components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the underlying undirected graph, ordered."""
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for src, dst, _ in self.arcs:
-            adj[src].add(dst)
-            adj[dst].add(src)
         seen: set[str] = set()
         comps: list[tuple[str, ...]] = []
         for root in self.vertices:
@@ -285,7 +250,8 @@ class SignedDigraph:
             while queue:
                 v = queue.popleft()
                 comp.append(v)
-                for w in adj[v]:
+                a = self._adjacency[v]
+                for w in a.out_neighbors | a.in_neighbors:
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)
@@ -315,8 +281,10 @@ class ComponentStructure:
     lam: int
 
 
-def _tarjan_sccs(g: SignedDigraph) -> list[list[str]]:
-    # Iterative Tarjan; succ lists are index-sorted so output is deterministic.
+def _strong_components(g: SignedDigraph) -> list[tuple[str, ...]]:
+    """Strong components, each in vertex order, ordered by first vertex
+    (``[]`` for the empty graph)."""
+    # Iterative Tarjan.
     index_of: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -360,52 +328,29 @@ def _tarjan_sccs(g: SignedDigraph) -> list[list[str]]:
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
-    return sccs
+    comps = [tuple(sorted(c, key=g.index)) for c in sccs]
+    return sorted(comps, key=lambda c: g.index(c[0]))
 
 
 def component_structure(g: SignedDigraph) -> ComponentStructure:
     """Strong components, which are initial, whether basic, beta and lambda."""
     if g.n == 0:
         raise PreconditionError("component structure of the empty graph is undefined")
-    sccs = [sorted(c, key=g.index) for c in _tarjan_sccs(g)]
-    sccs.sort(key=lambda c: g.index(c[0]))
-    member: dict[str, int] = {}
-    for k, comp in enumerate(sccs):
-        for v in comp:
-            member[v] = k
+    sccs = _strong_components(g)
+    initial = [c for c in sccs if all(g.in_neighbors(v) <= set(c) for v in c)]
+    basic = all(len(c) == 1 and c[0] not in g.out_neighbors(c[0]) for c in initial)
 
-    initial_flags = [True] * len(sccs)
-    for src, dst, _ in g.arcs:
-        if member[src] != member[dst]:
-            initial_flags[member[dst]] = False
-    initial = [tuple(c) for c, flag in zip(sccs, initial_flags) if flag]
-
-    def trivial(comp: Sequence[str]) -> bool:
-        v = comp[0]
-        return len(comp) == 1 and v not in g._under_succ[v]
-
-    basic = all(trivial(c) for c in initial)
-
-    lam = 0
-    best = [math.inf] * g.n
-    for comp in initial:
-        dist = _multi_source_distance(g, comp)
-        for v in g.vertices:
-            score = dist[v] + len(comp)
-            k = g.index(v)
-            if score < best[k]:
-                best[k] = score
-    lam_f = max(best)
-    if math.isinf(lam_f):
+    dists = [(_multi_source_distance(g, comp), len(comp)) for comp in initial]
+    lam = max(min(dist[v] + size for dist, size in dists) for v in g.vertices)
+    if math.isinf(lam):
         raise InternalInvariantError("vertex unreachable from every initial component")
-    lam = int(lam_f)
 
     return ComponentStructure(
-        strong_components=tuple(tuple(c) for c in sccs),
+        strong_components=tuple(sccs),
         initial_components=tuple(initial),
         is_basic=basic,
         beta=0 if basic else 1,
-        lam=lam,
+        lam=int(lam),
     )
 
 
@@ -484,9 +429,7 @@ class SignedCycle:
         return frozenset(self.vertices)
 
 
-def _simple_cycles_underlying(
-    g: SignedDigraph, max_length: int | None
-) -> Iterator[tuple[str, ...]]:
+def _simple_cycles_underlying(g: SignedDigraph) -> Iterator[tuple[str, ...]]:
     # Each simple cycle is produced once, rotated so its smallest-index vertex
     # comes first: roots are scanned in index order and the search never
     # descends below the current root.
@@ -501,12 +444,9 @@ def _simple_cycles_underlying(
             advanced = False
             for w in iters[-1]:
                 if w == root:
-                    if max_length is None or len(path) <= max_length:
-                        yield tuple(path)
+                    yield tuple(path)
                     continue
                 if idx(w) <= r or w in on_path:
-                    continue
-                if max_length is not None and len(path) >= max_length:
                     continue
                 path.append(w)
                 on_path.add(w)
@@ -518,28 +458,19 @@ def _simple_cycles_underlying(
                 on_path.discard(path.pop())
 
 
-def enumerate_cycles(
-    g: SignedDigraph,
-    max_length: int | None = None,
-    cap: int = DEFAULT_CYCLE_CAP,
-) -> list[SignedCycle]:
+def enumerate_cycles(g: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[SignedCycle]:
     """All simple directed cycles, one descriptor per sign pattern.
 
     Parallel arcs multiply the descriptors: a cycle whose steps offer both
     signs appears once per combination.  Deterministic order; raises
     :class:`ResourceCapError` past ``cap`` descriptors.
     """
-    sign_options: dict[tuple[str, str], list[str]] = {}
-    for src, dst, sign in g.arcs:
-        sign_options.setdefault((src, dst), [])
-    for pair in sign_options:
-        opts = [s for s in SIGNS if (pair[0], pair[1], s) in g.arcs]
-        sign_options[pair] = opts
-
     out: list[SignedCycle] = []
-    for cyc in _simple_cycles_underlying(g, max_length):
-        m = len(cyc)
-        step_opts = [sign_options[(cyc[k], cyc[(k + 1) % m])] for k in range(m)]
+    for cyc in _simple_cycles_underlying(g):
+        step_opts = [
+            [s for s, into in zip(SIGNS, (g.in_plus(w), g.in_minus(w))) if u in into]
+            for u, w in zip(cyc, cyc[1:] + cyc[:1])
+        ]
         for combo in product(*step_opts):
             out.append(SignedCycle(cyc, tuple(combo)))
             if len(out) > cap:
@@ -586,11 +517,11 @@ def underlying_cycle_order(g: SignedDigraph) -> tuple[str, ...] | None:
     if g.n == 0:
         return None
     for v in g.vertices:
-        if len(g._under_succ[v]) != 1 or len(g._under_pred[v]) != 1:
+        if len(g.out_neighbors(v)) != 1:
             return None
     order = [g.vertices[0]]
     while True:
-        nxt = g._under_succ[order[-1]][0]
+        (nxt,) = g.out_neighbors(order[-1])
         if nxt == order[0]:
             break
         if nxt in order:
@@ -602,10 +533,7 @@ def underlying_cycle_order(g: SignedDigraph) -> tuple[str, ...] | None:
 def is_signed_cycle(g: SignedDigraph) -> bool:
     """True when the underlying digraph is a single all-covering cycle and no
     ordered pair carries both signs."""
-    if underlying_cycle_order(g) is None:
-        return False
-    pairs = [(s, t) for (s, t, _) in g.arcs]
-    return len(pairs) == len(set(pairs)) == len(g.arcs)
+    return underlying_cycle_order(g) is not None and len(g.arcs) == g.n
 
 
 # ---------------------------------------------------------------------------
@@ -621,7 +549,7 @@ def parse_sdg(text: str) -> SignedDigraph:
     are ignored.  Duplicate arc or vertex declarations are rejected.
     """
     vertices: list[str] = []
-    arcs: list[Arc] = []
+    arcs: dict[Arc, None] = {}  # a set that keeps the file's order
     declared: set[str] = set()
     header_seen = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -645,7 +573,7 @@ def parse_sdg(text: str) -> SignedDigraph:
                 raise SdgParseError(f"line {lineno}: bad sign {sign!r}")
             if (src, dst, sign) in arcs:
                 raise SdgParseError(f"line {lineno}: duplicate arc")
-            arcs.append((src, dst, sign))
+            arcs[src, dst, sign] = None
         else:
             raise SdgParseError(f"line {lineno}: unrecognized directive {fields[0]!r}")
     if not header_seen:

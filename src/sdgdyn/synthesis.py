@@ -22,6 +22,7 @@ degree bounds, and the claimed dynamic property) before returning it.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +39,7 @@ from .sdg import (
     SignedDigraph,
     SignedCycle,
     _multi_source_distance,
+    _strong_components,
     classify_vertices,
     component_structure,
     enumerate_cycles,
@@ -200,7 +202,7 @@ def _eligible_representatives(sub: SignedDigraph, comp: Sequence[str]) -> list[s
         if sub.in_degree(v) == 0:
             out.append(v)
             continue
-        if all(len(sub._under_succ[j]) >= 2 for j in sub.in_neighbors(v)):
+        if all(len(sub.out_neighbors(j)) >= 2 for j in sub.in_neighbors(v)):
             out.append(v)
     return out
 
@@ -751,10 +753,9 @@ def extend_all(
 def _component_qualifies(g: SignedDigraph, iso: set[str], comp: Sequence[str]) -> bool:
     """One of: not strongly connected, has an arc leaving the isolated set,
     or receives no arc from outside the isolated set."""
-    sub = g.induced(comp)
-    strongly_connected = len(component_structure(sub).strong_components) == 1
-    leaving = any(a[0] in set(comp) and a[1] not in iso for a in g.arcs)
-    entering = any(a[0] not in iso and a[1] in set(comp) for a in g.arcs)
+    strongly_connected = len(_strong_components(g.induced(comp))) == 1
+    leaving = any(g.out_neighbors(v) - iso for v in comp)
+    entering = any(g.in_neighbors(v) - iso for v in comp)
     return (not strongly_connected) or leaving or (not entering)
 
 
@@ -795,9 +796,7 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
         if not _component_qualifies(g, iso_set, c):
             closed.update(c)
     property_p = not closed
-    no_leaving = {
-        u for u in iso if all(a[1] in iso_set for a in g.arcs if a[0] == u)
-    }
+    no_leaving = {u for u in iso if g.out_neighbors(u) <= iso_set}
     block_arcs = (a for a in g.arcs if a[0] in no_leaving and a[1] in iso_set)
     block_graph = SignedDigraph(g.vertices, frozenset(block_arcs)).induced(iso)
     if property_p:
@@ -827,7 +826,7 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
                 continue
             if {POSITIVE} not in signs:
                 mirrored.extend(comp)
-            elif all(a[1] in comp for a in g.arcs if a[0] in comp):
+            elif all(g.out_neighbors(u) <= set(comp) for u in comp):
                 closed.update(comp)
     return ConvergencePlan(
         isolated=tuple(iso),
@@ -857,9 +856,9 @@ def _inward_arc_order(
         vertices=heads + [v for v in iso if v not in heads],
     )
     order_in_dag: dict[str, int] = {}
-    sccs = component_structure(internal).strong_components if internal.n else ()
-    # Strong components are emitted children-last by the index-deterministic
-    # search; rank heads by a topological pass over the condensation.
+    sccs = _strong_components(internal)
+    # Rank heads by a topological pass over the condensation, least
+    # component first among those ready.
     member = {v: k for k, c in enumerate(sccs) for v in c}
     indeg = {k: 0 for k in range(len(sccs))}
     succ: dict[int, set[int]] = {k: set() for k in range(len(sccs))}
@@ -867,18 +866,17 @@ def _inward_arc_order(
         if member[s] != member[t] and member[t] not in succ[member[s]]:
             succ[member[s]].add(member[t])
             indeg[member[t]] += 1
-    frontier = sorted(k for k, d in indeg.items() if d == 0)
+    frontier = [k for k, d in indeg.items() if d == 0]
     rank = 0
     while frontier:
-        k = frontier.pop(0)
+        k = heapq.heappop(frontier)
         for v in sccs[k]:
             order_in_dag[v] = rank
         rank += 1
-        for w in sorted(succ[k]):
+        for w in succ[k]:
             indeg[w] -= 1
             if indeg[w] == 0:
-                frontier.append(w)
-        frontier.sort()
+                heapq.heappush(frontier, w)
 
     def key(a: Arc):
         head_rank = order_in_dag.get(a[1], len(sccs))

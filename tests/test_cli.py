@@ -172,19 +172,23 @@ def test_parse_error_exit_code(double_loop_file, tmp_path, monkeypatch, capsys):
                  "--sub", str(not_json)]) == 2
     # Floats, strings and booleans are not integers, although int() takes
     # them, and an entry beyond int64 has no table: of these documents only
-    # the first, the double loop's own system, loads.
+    # the first, the double loop's own system, loads, and the two-row one
+    # without booleans, which fails on the graph's arity (exit 3).
     system = tmp_path / "g.json"
-    for want, intervals, table in (
-        (0, [[0, 2]], [0, 2, 0]),
-        (2, [[0, 2.9]], [0.0, 2, "0"]),
-        (2, [[0, 2]], [0.0, 2.0, 0.0]),
-        (2, [[0, 2]], ["0", "2", "0"]),
-        (2, [[0, 2]], [False, True, False]),
-        (2, [[0, "2"]], [0, 2, 0]),
-        (2, [[False, 2]], [0, 2, 0]),
-        (2, [[0, 2]], [0, 2**63, 0]),
+    for want, intervals, tables in (
+        (0, [[0, 2]], [[0, 2, 0]]),
+        (2, [[0, 2.9]], [[0.0, 2, "0"]]),
+        (2, [[0, 2]], [[0.0, 2.0, 0.0]]),
+        (2, [[0, 2]], [["0", "2", "0"]]),
+        (2, [[0, 2]], [[False, True, False]]),
+        (2, [[0, 1]], [[1, True]]),
+        (2, [[0, 1], [0, 1]], [[0, 1, 0, 1], [1, 0, True, 0]]),
+        (3, [[0, 1], [0, 1]], [[0, 1, 0, 1], [1, 0, 1, 0]]),
+        (2, [[0, "2"]], [[0, 2, 0]]),
+        (2, [[False, 2]], [[0, 2, 0]]),
+        (2, [[0, 2]], [[0, 2**63, 0]]),
     ):
-        system.write_text(json.dumps({"version": "fds.v1", "intervals": intervals, "tables": [table]}))
+        system.write_text(json.dumps({"version": "fds.v1", "intervals": intervals, "tables": tables}))
         assert main(["verify", "--graph", double_loop_file, "--fds", str(system)]) == want
 
     out = tmp_path / "f.json"

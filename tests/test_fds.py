@@ -600,6 +600,22 @@ def test_local_table_candidates_span_several_row_blocks(monkeypatch):
     assert len(seen[0][0]) > 4096
 
 
+def test_table_blocks_follow_itertools_product(monkeypatch):
+    # Rows in lexicographic order of the component choices, last component
+    # fastest, in blocks of at most BLOCK_CELLS cells (or one row).
+    rng = np.random.default_rng(13)
+    for cells in (1, 7, 40, 10**9):
+        monkeypatch.setattr(fds_mod, "BLOCK_CELLS", cells)
+        for n in range(4):
+            size = int(rng.integers(1, 4))
+            per_component = [rng.integers(0, 9, (int(rng.integers(1, 4)), size)) for _ in range(n)]
+            blocks = list(fds_mod._table_blocks(per_component, size))
+            rows = max(1, cells // max(1, n * size))
+            assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
+            want = [[t.tolist() for t in combo] for combo in product(*per_component)]
+            assert np.concatenate(blocks).tolist() == want
+
+
 @pytest.mark.parametrize("cells", [1, 1000, 10**9])
 def test_row_blocks_keep_the_yield_order(monkeypatch, cells):
     # One row per block, chunks of a few rows, and one block per domain
@@ -637,6 +653,14 @@ def test_fds_json_rejects_malformed():
         fds_from_dict({"version": "fds.v1", "intervals": [[0, 1]], "tables": [[0, 7]]})
     with pytest.raises(SdgParseError):
         fds_from_dict({"version": "fds.v1", "intervals": [[0, 1]], "tables": [[0]]})
+    # numpy reads a boolean among integers as 0 or 1; the document is
+    # rejected all the same.
+    for tables in ([[1, True]], [[0, 1, 0, 1], [1, 0, True, 0]]):
+        doc = {"version": "fds.v1", "intervals": [[0, 1]] * len(tables), "tables": tables}
+        with pytest.raises(SdgParseError):
+            fds_from_dict(doc)
+        ints = [[int(x) for x in row] for row in tables]
+        assert fds_from_dict({**doc, "tables": ints}).tables.tolist() == ints
 
 
 def test_translate_and_mirror_preserve_structure():

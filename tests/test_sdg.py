@@ -23,6 +23,7 @@ from sdgdyn import (
     to_dot,
     underlying_cycle_order,
 )
+from sdgdyn.sdg import _strong_components
 
 import helpers
 
@@ -86,6 +87,89 @@ def test_dot_export_colors_and_parallel_edges():
     quoted = to_dot(SignedDigraph.from_arcs([('a"', "b\\", "-")]))
     assert '  "a\\"";' in quoted
     assert '"a\\"" -> "b\\\\" [color=red];' in quoted
+
+
+def _random_adjacency_case(rng):
+    """A graph with loops, parallel arcs, isolated vertices and several weak
+    components, or one cycle through every vertex, sometimes with a
+    parallel arc or a chord; the vertex order is not the name order."""
+    n = rng.randint(0, 8)
+    names = [f"v{k}" for k in range(n)]
+    order = rng.sample(names, n)
+    arcs = set()
+    if n and rng.random() < 0.4:
+        ring = rng.sample(names, n)
+        arcs = {(u, w, rng.choice("+-")) for u, w in zip(ring, ring[1:] + ring[:1])}
+        if rng.random() < 0.5:
+            u, w, sign = rng.choice(sorted(arcs))
+            arcs.add((u, w, "-" if sign == "+" else "+"))
+        if rng.random() < 0.3:
+            arcs.add((rng.choice(names), rng.choice(names), rng.choice("+-")))
+    elif n:
+        # Heads avoid the last two names, so those have no arc coming in.
+        for _ in range(rng.randint(0, 2 * n)):
+            u, w = rng.choice(names), rng.choice(names[: max(1, n - 2)])
+            arcs.update((u, w, sign) for sign in rng.choice(["+", "-", "+-"]))
+    return SignedDigraph.from_arcs(sorted(arcs), vertices=order)
+
+
+def test_adjacency_queries_match_a_scan_of_the_arcs():
+    rng = random.Random(41)
+    seen = dict.fromkeys(["loop", "parallel", "isolated", "split", "signed cycle", "ring"], 0)
+    for _ in range(200):
+        g = _random_adjacency_case(rng)
+        arcs = g.arcs
+        pairs = {(s, t) for s, t, _ in arcs}
+        for v in g.vertices:
+            assert g.in_plus(v) == {s for s, t, sg in arcs if t == v and sg == POSITIVE}
+            assert g.in_minus(v) == {s for s, t, sg in arcs if t == v and sg == NEGATIVE}
+            assert g.in_neighbors(v) == {s for s, t, _ in arcs if t == v}
+            assert g.out_neighbors(v) == {t for s, t, _ in arcs if s == v}
+            assert g.in_degree(v) == sum(1 for _, t, _ in arcs if t == v)
+            assert g.out_degree(v) == sum(1 for s, _, _ in arcs if s == v)
+        for query in (g.in_plus, g.in_minus, g.in_neighbors, g.out_neighbors):
+            with pytest.raises(PreconditionError):
+                query("absent")
+
+        # Weak components by label propagation: each vertex takes the least
+        # vertex index of its component.
+        label = {v: k for k, v in enumerate(g.vertices)}
+        changed = True
+        while changed:
+            changed = False
+            for s, t, _ in arcs:
+                if label[s] != label[t]:
+                    label[s] = label[t] = min(label[s], label[t])
+                    changed = True
+        groups: dict[int, list[str]] = {}
+        for v in g.vertices:
+            groups.setdefault(label[v], []).append(v)
+        assert g.weak_components() == tuple(tuple(groups[k]) for k in sorted(groups))
+
+        sources = {v for v in g.vertices if all(t != v for _, t, _ in arcs)}
+        sinks = {v for v in g.vertices if all(s != v for s, _, _ in arcs)}
+        assert classify_vertices(g) == (sources, sinks, sources & sinks)
+
+        # One cycle through every vertex: each vertex is the tail of exactly
+        # one pair and the head of exactly one, and the walk from the first
+        # vertex meets them all.
+        ring = None
+        if g.n and sorted(s for s, _ in pairs) == sorted(t for _, t in pairs) == sorted(g.vertices):
+            succ = dict(pairs)
+            walk = [g.vertices[0]]
+            while succ[walk[-1]] != walk[0]:
+                walk.append(succ[walk[-1]])
+            ring = tuple(walk) if len(walk) == g.n else None
+        assert underlying_cycle_order(g) == ring
+        assert is_signed_cycle(g) == (ring is not None and len(pairs) == len(arcs))
+
+        seen["loop"] += any(s == t for s, t in pairs)
+        seen["parallel"] += len(pairs) < len(arcs)
+        seen["isolated"] += bool(sources & sinks)
+        seen["split"] += len(groups) > 1
+        seen["signed cycle"] += is_signed_cycle(g)
+        seen["ring"] += ring is not None and len(pairs) < len(arcs)
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +310,11 @@ def test_components_and_cycle_counts_match_networkx():
         assert {frozenset(c) for c in cs.strong_components} == set(
             map(frozenset, nx.strongly_connected_components(under))
         )
+        # The shared routine: vertex order inside a component, components by
+        # first vertex, also when the vertex order is not the name order.
+        for h in (g, SignedDigraph(g.vertices[::-1], g.arcs)):
+            ordered = (sorted(c, key=h.index) for c in nx.strongly_connected_components(under))
+            assert _strong_components(h) == sorted(map(tuple, ordered), key=lambda c: h.index(c[0]))
         # Initial components: the nodes of the condensation without inputs.
         dag = nx.condensation(under)
         assert {frozenset(c) for c in cs.initial_components} == {
@@ -239,6 +328,7 @@ def test_components_and_cycle_counts_match_networkx():
             for c in nx.simple_cycles(under)
         )
         assert len(enumerate_cycles(g)) == expected
+    assert _strong_components(SignedDigraph((), frozenset())) == []
 
 
 # ---------------------------------------------------------------------------

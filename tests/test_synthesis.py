@@ -28,7 +28,12 @@ from sdgdyn import (
     fds_to_dict,
 )
 from sdgdyn.fds import Fds, IntervalProduct
-from sdgdyn.synthesis import ExtensionState, _ab_sets, certificate_from_dict
+from sdgdyn.synthesis import (
+    ExtensionState,
+    _ab_sets,
+    _component_qualifies,
+    certificate_from_dict,
+)
 
 import helpers
 
@@ -438,6 +443,33 @@ def test_construct_converging_random_triples():
         assert ok
         assert sorted(f.fixed_points()) == sorted(h.fixed_points())
         done += 1
+
+
+def test_component_qualifies_matches_an_arc_scan():
+    # Property P of one component of the isolated set, read straight off
+    # the arcs: not strongly connected, or an arc leaves the isolated set,
+    # or no arc enters from outside it.
+    rng = random.Random(43)
+    seen = {"not strong": 0, "leaving": 0, "not entering": 0, "fails": 0}
+    for _ in range(300):
+        g = helpers.random_connected_sdg(rng, 6)
+        iso = set(rng.sample(g.vertices, rng.randint(1, g.n)))
+        for comp in g.induced(iso).weak_components():
+            inner = [(s, t) for s, t, _ in g.arcs if s in comp and t in comp]
+            reach = {v: {v} for v in comp}
+            for _ in comp:
+                for s, t in inner:
+                    reach[s] |= reach[t]
+            strong = all(reach[v] == set(comp) for v in comp)
+            leaving = any(s in comp and t not in iso for s, t, _ in g.arcs)
+            entering = any(s not in iso and t in comp for s, t, _ in g.arcs)
+            want = not strong or leaving or not entering
+            assert _component_qualifies(g, iso, comp) == want
+            seen["not strong"] += not strong
+            seen["leaving"] += leaving
+            seen["not entering"] += not entering
+            seen["fails"] += not want
+    assert min(seen.values()) >= 10, seen
 
 
 def test_converging_rebuilds_nilpotent_bound():
