@@ -17,6 +17,8 @@ import os
 import sys
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import fds as fds_mod
 from . import sdg as sdg_mod
 from . import synthesis as syn_mod
@@ -53,11 +55,13 @@ _CONTAINERS = (dict, list, tuple)
 
 def dumps_indent2(obj, pad: str = "") -> str:
     """Exactly ``json.dumps(obj, indent=2)`` for a JSON value (dicts with str
-    keys, lists, tuples, scalars), written by the C encoder: a list of
+    keys, lists, tuples, scalars), where the value or a dict's value may be
+    a 2-D int ``ndarray``, which stands for its ``tolist()``.  Arrays are
+    rendered by :func:`fds.json_rows`, the rest by the C encoder: a list of
     scalars is one encoder call, and an entry repeated within a list is
     encoded once."""
     if not isinstance(obj, _CONTAINERS):
-        return _encode(obj)
+        return _dumps_rows(obj, pad) if isinstance(obj, np.ndarray) else _encode(obj)
     if not obj:
         return "{}" if isinstance(obj, dict) else "[]"
     inner = pad + "  "
@@ -79,6 +83,14 @@ def dumps_indent2(obj, pad: str = "") -> str:
                 memo[id(x)] = dumps_indent2(x, inner)
         body = (",\n" + inner).join(memo[id(x)] for x in obj)
     return "[\n" + inner + body + "\n" + pad + "]"
+
+
+def _dumps_rows(rows: np.ndarray, pad: str) -> str:
+    if not rows.size:
+        return dumps_indent2(rows.tolist(), pad)
+    inner, entry = pad + "  ", pad + "    "
+    body = fds_mod.json_rows(rows, ",\n" + entry, f"\n{inner}],\n{inner}[\n{entry}")
+    return f"[\n{inner}[\n{entry}{body}\n{inner}]\n{pad}]"
 
 
 def _emit(report: dict | None, lines: Iterable[str], as_json: bool) -> None:
@@ -146,7 +158,7 @@ def _write_synth_output(args, f, cert=None, extra=None, verdict="") -> None:
             syn_mod.save_certificate(cert, _cert_path(out))
     report = None
     if args.json:
-        report = {"system": fds_mod.fds_to_dict(f), "verdict": verdict, "seed": args.seed}
+        report = {"system": fds_mod.fds_document(f), "verdict": verdict, "seed": args.seed}
         if cert is not None:
             report["certificate"] = cert.to_dict()
         if extra:

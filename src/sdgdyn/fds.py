@@ -671,12 +671,49 @@ def enumerate_system_summaries(
 FDS_VERSION = "fds.v1"
 
 
-def fds_to_dict(f: Fds) -> dict:
+def fds_document(f: Fds) -> dict:
+    """The ``fds v1`` document of ``f`` with ``tables`` left as the ``(n, S)``
+    array, for writers that render it with :func:`json_rows`."""
     return {
         "version": FDS_VERSION,
         "intervals": [[lo, hi] for lo, hi in f.domain.intervals],
-        "tables": f.tables.tolist(),
+        "tables": f.tables,
     }
+
+
+def fds_to_dict(f: Fds) -> dict:
+    return {**fds_document(f), "tables": f.tables.tolist()}
+
+
+def json_rows(rows: np.ndarray, sep: str, row_sep: str) -> str:
+    """``row_sep.join(sep.join(map(str, row)) for row in rows)`` for a 2-D int
+    array with at least one column, built by numpy without a Python object
+    per entry.
+
+    Row ``i`` takes values in ``[lo_i, hi_i]``, its least and greatest
+    entries.  Two NUL-padded byte tables hold each such value's decimal
+    text, followed by ``sep`` in one and by ``row_sep`` in the other, at
+    ``value - lo_i + offset_i``.  The entries of each row are gathered from
+    the first, its last entry from the second, and the NUL bytes dropped.
+    A row of a system's table takes at most ``|X_i| <= S`` values, so a
+    byte table has no more entries than ``rows``.
+    """
+    lows, highs = rows.min(axis=1), rows.max(axis=1)
+    widths = highs - lows + 1
+    ends = np.cumsum(widths)
+    shift = highs - (ends - 1)  # value - shift = its entry in the byte tables
+    digits = max(len(str(lows.min())), len(str(highs.max())))
+    values = (np.arange(ends[-1]) + np.repeat(shift, widths)).astype(f"S{digits}")
+    at = rows - shift[:, None]
+    chars = np.concatenate(
+        [
+            np.char.add(values, s.encode())[cols].view(np.uint8).reshape(len(rows), -1)
+            for s, cols in ((sep, at[:, :-1]), (row_sep, at[:, -1:]))
+        ],
+        axis=1,
+    )
+    chars = chars[chars != 0]
+    return chars[: len(chars) - len(row_sep)].tobytes().decode("ascii")
 
 
 def json_int(value) -> int:
@@ -688,18 +725,25 @@ def json_int(value) -> int:
 
 
 def fds_from_dict(data: dict) -> Fds:
+    return _fds_from_dict(data, booleans=True)
+
+
+def _fds_from_dict(data: dict, booleans: bool) -> Fds:
+    """:func:`fds_from_dict`; ``booleans`` is False when the document is known
+    to hold no boolean, which skips the per-row search for them."""
     if not isinstance(data, dict) or data.get("version") != FDS_VERSION:
         raise SdgParseError(f"expected a {FDS_VERSION!r} document")
     try:
         intervals = tuple((json_int(lo), json_int(hi)) for lo, hi in data["intervals"])
         # One array for all tables: its dtype is integral when every entry
         # is an integer, and also when booleans are mixed in with integers
-        # (as 0 and 1), so the rows are searched for booleans too.
+        # (as 0 and 1), so the rows are searched for booleans too, unless
+        # the document is known to hold none.
         tables = np.array(data["tables"])
         if tables.size and (
             tables.dtype.kind != "i"
             or tables.ndim != 2
-            or any(bool in set(map(type, row)) for row in data["tables"])
+            or (booleans and any(bool in set(map(type, row)) for row in data["tables"]))
         ):
             raise TypeError("tables must be lists of integers")
     except (KeyError, TypeError, ValueError) as exc:
@@ -711,18 +755,41 @@ def fds_from_dict(data: dict) -> Fds:
 
 
 def save_fds(f: Fds, path: str) -> None:
+    """Write ``json.dumps(fds_to_dict(f)) + "\\n"`` to ``path``: the header by
+    ``json.dumps``, then the tables by :func:`json_rows`, in blocks of rows
+    of at most ``BLOCK_CELLS`` cells (at least one row), so that the memory
+    the text takes is bounded whatever the table size."""
+    head = json.dumps({**fds_document(f), "tables": []})[:-2]  # ends in '"tables": ['
+    rows = max(1, BLOCK_CELLS // f.domain.size)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(fds_to_dict(f)) + "\n")
+        fh.write(head)
+        for start in range(0, f.n, rows):
+            fh.write("], [" if start else "[")
+            fh.write(json_rows(f.tables[start : start + rows], ", ", "], ["))
+        fh.write("]]}\n" if f.n else "]}\n")
 
 
-def load_json(path: str):
-    """Parse a JSON file; malformed JSON raises :class:`SdgParseError`."""
+def _read_json(path: str) -> tuple[str, object]:
+    """The text of a JSON file and its value; malformed JSON raises
+    :class:`SdgParseError`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            text = fh.read()
+            return text, json.loads(text)
         except ValueError as exc:
             raise SdgParseError(f"{path}: malformed JSON: {exc}") from None
 
 
+def load_json(path: str):
+    """Parse a JSON file; malformed JSON raises :class:`SdgParseError`."""
+    return _read_json(path)[1]
+
+
 def load_fds(path: str) -> Fds:
-    return fds_from_dict(load_json(path))
+    text, data = _read_json(path)
+    # JSON spells a boolean only as the literal true or false, so a text
+    # without either holds none.  The text is dropped before the tables
+    # become arrays, so that it does not add to the peak memory.
+    booleans = "true" in text or "false" in text
+    del text
+    return _fds_from_dict(data, booleans)

@@ -16,8 +16,9 @@ from sdgdyn import (
     SignedDigraph,
     construct_nilpotent,
     is_signed_cycle,
+    random_fds,
 )
-from sdgdyn.fds import _realizes_signs, _sign_pattern
+from sdgdyn.fds import BLOCK_CELLS, _realizes_signs, _sign_pattern
 
 SIGNS = (POSITIVE, NEGATIVE)
 
@@ -305,6 +306,32 @@ def oracle_cycles(g: SignedDigraph, max_len: int | None = None):
                 for combo in product(*opts):
                     found.add((perm, combo))
     return found
+
+
+def rendering_systems(seed: int = 11) -> list[Fds]:
+    """Systems whose tables exercise every case of the table renderer: no
+    component, one state, one row, rows that take one value, negative lows,
+    multi-digit values, intervals at the ends of int64, a table of more
+    than ``BLOCK_CELLS`` cells, and seeded random systems."""
+    import numpy as np
+
+    rng = random.Random(seed)
+    out = [
+        Fds(IntervalProduct(()), []),
+        Fds(IntervalProduct(((5, 5), (-2, -2), (0, 0))), [[5], [-2], [0]]),
+        random_fds(rng, [7], [-3]),
+        Fds(IntervalProduct(((0, 1), (-9, 90))), [[1] * 200, list(range(-9, 91)) * 2]),
+    ]
+    lows = (0, -1, -7, 123, -(2**62), 2**62 - 10, -(2**63), 2**63 - 4)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        out.append(random_fds(rng, [rng.randint(1, 4) for _ in range(n)],
+                              [rng.choice(lows) for _ in range(n)]))
+    big = IntervalProduct(((-30, 33), (1000, 1063), (-(2**62), -(2**62) + 31)))
+    assert max(1, BLOCK_CELLS // big.size) < big.n  # written in several blocks
+    np_rng = np.random.default_rng(seed)
+    out.append(Fds(big, big.columns[0] + np_rng.integers(0, 32, size=(big.n, big.size))))
+    return out
 
 
 def brute_force_image_chain(f: Fds, steps: int) -> set:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import sdgdyn
 from sdgdyn import format_sdg, load_fds, save_fds
 from sdgdyn.cli import dumps_indent2, main
+from sdgdyn.fds import fds_document, fds_to_dict
 
 import helpers
 
@@ -379,6 +380,34 @@ def test_enumerate_json_in_a_fresh_process(tmp_path):
     )
     assert json.loads(proc.stdout)["count"] > 1
     assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2) + "\n"
+
+
+def test_synth_nilpotent_json_in_a_fresh_process(tmp_path):
+    gpath, out = tmp_path / "g.sdg", tmp_path / "f.json"
+    gpath.write_text(format_sdg(helpers.eight_vertex_example()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdgdyn.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdgdyn.cli", "synth-nilpotent", "--graph", str(gpath),
+         "--out", str(out), "--json"],
+        capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    report = json.loads(proc.stdout)
+    assert proc.stdout == json.dumps(report, indent=2) + "\n"
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"
+    assert report["system"] == json.loads(text)
+
+
+def test_dumps_indent2_renders_tables_like_stdlib():
+    for f in helpers.rendering_systems():
+        report = {"system": fds_document(f), "verdict": "ok", "seed": 0}
+        want = {**report, "system": fds_to_dict(f)}
+        # compared outside the assert, so that a failure is not a diff of
+        # megabytes of text
+        same = dumps_indent2(report) == json.dumps(want, indent=2)
+        same_top = dumps_indent2(f.tables) == json.dumps(f.tables.tolist(), indent=2)
+        assert same and same_top, f.domain
 
 
 _json_text = st.text(st.sampled_from('"\\,[]\n{}:') | st.characters(), max_size=8)

@@ -19,7 +19,9 @@ from sdgdyn import (
     enumerate_system_summaries,
     fds_from_dict,
     fds_to_dict,
+    load_fds,
     random_fds,
+    save_fds,
 )
 from sdgdyn import fds as fds_mod
 from sdgdyn.sdg import SdgParseError
@@ -661,6 +663,39 @@ def test_fds_json_rejects_malformed():
             fds_from_dict(doc)
         ints = [[int(x) for x in row] for row in tables]
         assert fds_from_dict({**doc, "tables": ints}).tables.tolist() == ints
+
+
+def test_save_fds_matches_stdlib(tmp_path):
+    path = tmp_path / "f.json"
+    for f in helpers.rendering_systems():
+        save_fds(f, str(path))
+        # compared outside the assert, so that a failure is not a diff of
+        # megabytes of text
+        same = path.read_text() == json.dumps(fds_to_dict(f)) + "\n"
+        assert same, f.domain
+        assert load_fds(str(path)) == f
+
+
+def test_load_fds_searches_for_booleans_only_when_the_text_has_one(tmp_path, monkeypatch):
+    seen = []
+    search = fds_mod._fds_from_dict
+
+    def spy(data, booleans):
+        seen.append(booleans)
+        return search(data, booleans)
+
+    monkeypatch.setattr(fds_mod, "_fds_from_dict", spy)
+    path = tmp_path / "f.json"
+    f = example13_system()
+    doc = fds_to_dict(f)
+    for extra, searched in (({}, False), ({"note": "true or false"}, True), ({"x": [False]}, True)):
+        path.write_text(json.dumps({**doc, **extra}))
+        assert load_fds(str(path)) == f
+        assert seen.pop() is searched
+    path.write_text(json.dumps({**doc, "tables": [[True, *row[1:]] for row in doc["tables"]]}))
+    with pytest.raises(SdgParseError):
+        load_fds(str(path))
+    assert seen == [True]
 
 
 def test_translate_and_mirror_preserve_structure():
