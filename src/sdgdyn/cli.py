@@ -29,6 +29,7 @@ from .sdg import (
     ResourceCapError,
     SdgError,
     SdgParseError,
+    SignedDigraph,
     classify_vertices,
     component_structure,
     enumerate_cycles,
@@ -212,9 +213,9 @@ def cmd_verify(args) -> int:
 
     f = load_fds(args.fds) if args.fds else None
     if f is not None:
-        ig = f.interaction_graph(g.vertices)
-        checks.append(("interaction graph matches", ig.arcs == g.arcs))
-        ok, bad = f.is_degree_bounded(ig)
+        arcs = f.interaction_arcs(g.vertices)
+        checks.append(("interaction graph matches", arcs == g.arcs))
+        ok, bad = f.is_degree_bounded(g if arcs == g.arcs else SignedDigraph(g.vertices, arcs))
         checks.append(
             ("degree bounds hold" + (f" (violations at {list(bad)})" if bad else ""), ok)
         )

@@ -25,6 +25,7 @@ import numpy as np
 from .sdg import (
     NEGATIVE,
     POSITIVE,
+    Arc,
     PreconditionError,
     ResourceCapError,
     SdgParseError,
@@ -33,6 +34,7 @@ from .sdg import (
 
 DEFAULT_STATE_CAP = 10**7
 DEFAULT_TABLE_CAP = 10**7
+_INT64 = np.iinfo(np.int64)
 
 State = tuple[int, ...]
 
@@ -245,14 +247,16 @@ class Fds:
         by one raises (lowers) ``f_i`` somewhere in the domain.
         """
         names = tuple(str(i + 1) for i in range(self.n)) if names is None else tuple(names)
+        return SignedDigraph(names, self.interaction_arcs(names))
+
+    def interaction_arcs(self, names: Sequence[str]) -> frozenset[Arc]:
+        """The arcs of :meth:`interaction_graph`, with component ``i`` named
+        ``names[i]``."""
         if len(names) != self.n:
             raise PreconditionError("need one vertex name per component")
         if len(set(names)) != self.n:
             raise PreconditionError("vertex names must be distinct")
-        return SignedDigraph(
-            names,
-            frozenset((names[j], names[i], sign) for j, i, sign in self._interaction_arcs),
-        )
+        return frozenset((names[j], names[i], sign) for j, i, sign in self._interaction_arcs)
 
     @cached_property
     def _interaction_arcs(self) -> list[tuple[int, int, str]]:
@@ -293,11 +297,11 @@ class Fds:
             raise PreconditionError("graph arity differs from system arity")
         bad = tuple(
             i
-            for i, (v, size) in enumerate(zip(g.vertices, self.domain.shape))
+            for i, (a, size) in enumerate(zip(g._adjacency.values(), self.domain.shape))
             if not (
                 size == 2
-                if g.out_degree(v) == 0 and g.in_degree(v) > 0
-                else size <= g.out_degree(v) + 1
+                if a.out_degree == 0 and a.in_degree > 0
+                else size <= a.out_degree + 1
             )
         )
         return (not bad, bad)
@@ -735,6 +739,8 @@ def _fds_from_dict(data: dict, booleans: bool) -> Fds:
         raise SdgParseError(f"expected a {FDS_VERSION!r} document")
     try:
         intervals = tuple((json_int(lo), json_int(hi)) for lo, hi in data["intervals"])
+        if not all(_INT64.min <= end <= _INT64.max for pair in intervals for end in pair):
+            raise ValueError("interval ends must be 64-bit integers")
         # One array for all tables: its dtype is integral when every entry
         # is an integer, and also when booleans are mixed in with integers
         # (as 0 and 1), so the rows are searched for booleans too, unless

@@ -152,8 +152,10 @@ class SignedDigraph:
         }
 
     def _adj(self, v: str) -> _Adjacency:
-        self.index(v)
-        return self._adjacency[v]
+        try:
+            return self._adjacency[v]
+        except KeyError:
+            raise PreconditionError(f"unknown vertex {v!r}") from None
 
     def in_plus(self, v: str) -> frozenset[str]:
         """Vertices with a positive arc into ``v``."""
@@ -179,10 +181,8 @@ class SignedDigraph:
 
     def sorted_arcs(self) -> list[Arc]:
         """Arcs in (source index, target index, '+' before '-') order."""
-        return sorted(
-            self.arcs,
-            key=lambda a: (self.index(a[0]), self.index(a[1]), a[2] != POSITIVE),
-        )
+        idx = self._index
+        return sorted(self.arcs, key=lambda a: (idx[a[0]], idx[a[1]], a[2] != POSITIVE))
 
     # -- derived graphs ----------------------------------------------------
 
@@ -196,7 +196,7 @@ class SignedDigraph:
     def _under_succ(self) -> dict[str, tuple[str, ...]]:
         """Out-neighbours of every vertex in vertex order."""
         return {
-            v: tuple(sorted(a.out_neighbors, key=self.index))
+            v: tuple(sorted(a.out_neighbors, key=self._index.__getitem__))
             for v, a in self._adjacency.items()
         }
 
@@ -219,9 +219,11 @@ class SignedDigraph:
     def induced(self, vertices: Iterable[str]) -> "SignedDigraph":
         """Subgraph induced by a vertex subset, keeping the ambient order."""
         want = set(vertices)
-        unknown = want - set(self.vertices)
+        unknown = want - self._index.keys()
         if unknown:
             raise PreconditionError(f"unknown vertices: {sorted(unknown)}")
+        if len(want) == self.n:
+            return self
         verts = tuple(v for v in self.vertices if v in want)
         arcs = frozenset(a for a in self.arcs if a[0] in want and a[1] in want)
         return SignedDigraph(verts, arcs)
@@ -240,6 +242,12 @@ class SignedDigraph:
 
     def weak_components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the underlying undirected graph, ordered."""
+        return self._weak_components
+
+    # Derived structure, computed once per graph (graphs are immutable).
+
+    @cached_property
+    def _weak_components(self) -> tuple[tuple[str, ...], ...]:
         seen: set[str] = set()
         comps: list[tuple[str, ...]] = []
         for root in self.vertices:
@@ -255,8 +263,18 @@ class SignedDigraph:
                     if w not in seen:
                         seen.add(w)
                         queue.append(w)
-            comps.append(tuple(sorted(comp, key=self.index)))
+            comps.append(tuple(sorted(comp, key=self._index.__getitem__)))
         return tuple(comps)
+
+    @cached_property
+    def _classes(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
+        sources = frozenset(v for v, a in self._adjacency.items() if a.in_degree == 0)
+        sinks = frozenset(v for v, a in self._adjacency.items() if a.out_degree == 0)
+        return sources, sinks, sources & sinks
+
+    @cached_property
+    def _structure(self) -> "ComponentStructure":
+        return _component_structure(self)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +346,19 @@ def _strong_components(g: SignedDigraph) -> list[tuple[str, ...]]:
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[v])
-    comps = [tuple(sorted(c, key=g.index)) for c in sccs]
-    return sorted(comps, key=lambda c: g.index(c[0]))
+    order = g._index.__getitem__
+    comps = [tuple(sorted(c, key=order)) for c in sccs]
+    return sorted(comps, key=lambda c: order(c[0]))
 
 
 def component_structure(g: SignedDigraph) -> ComponentStructure:
     """Strong components, which are initial, whether basic, beta and lambda."""
     if g.n == 0:
         raise PreconditionError("component structure of the empty graph is undefined")
+    return g._structure
+
+
+def _component_structure(g: SignedDigraph) -> ComponentStructure:
     sccs = _strong_components(g)
     initial = [c for c in sccs if all(g.in_neighbors(v) <= set(c) for v in c)]
     basic = all(len(c) == 1 and c[0] not in g.out_neighbors(c[0]) for c in initial)
@@ -385,9 +408,7 @@ def classify_vertices(
     g: SignedDigraph,
 ) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
     """Return (sources, sinks, isolated): in-degree 0 / out-degree 0 / both."""
-    sources = frozenset(v for v in g.vertices if g.in_degree(v) == 0)
-    sinks = frozenset(v for v in g.vertices if g.out_degree(v) == 0)
-    return sources, sinks, sources & sinks
+    return g._classes
 
 
 # ---------------------------------------------------------------------------

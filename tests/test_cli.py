@@ -234,6 +234,89 @@ def test_cap_exit_code(eight_vertex_file, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("SDG_CAP")
 
 
+# The exit-code contract: one row per subcommand and code it can return
+# (all seven subcommands; 1 only from verify, 4 from --cap and from SDG_CAP).
+# A row is (SDG_CAP, argv, exit code), where {name} is a file of ``cli_bundle``.
+EXIT_CODES = [
+    (None, "analyze --graph {eight}", 0),
+    (None, "analyze --graph {bad_sdg}", 2),
+    (None, "analyze --graph {empty}", 3),
+    (None, "analyze --graph {eight} --cap 1", 4),
+    ("1", "analyze --graph {eight}", 4),
+    (None, "synth-nilpotent --graph {eight}", 0),
+    (None, "synth-nilpotent --graph {missing}", 2),
+    (None, "synth-nilpotent --graph {eight} --cap 5", 2),
+    (None, "synth-nilpotent --graph {neg2}", 3),
+    ("100", "synth-nilpotent --graph {eight}", 4),
+    (None, "synth-converge --graph {conv} --sub {h}", 0),
+    (None, "synth-converge --graph {conv} --sub {bad_json}", 2),
+    (None, "synth-converge --graph {path} --sub {h}", 3),
+    ("1", "synth-converge --graph {conv} --sub {h}", 4),
+    (None, "synth-fixed-points --graph {neg2} --cycles 0", 0),
+    (None, "synth-fixed-points --graph {bad_sdg} --cycles 0", 2),
+    (None, "synth-fixed-points --graph {neg2}", 3),
+    ("1", "synth-fixed-points --graph {neg2} --cycles 0", 4),
+    (None, "verify --graph {eight} --fds {f}", 0),
+    (None, "verify --graph {eight} --fds {constant}", 1),
+    (None, "verify --graph {eight} --fds {bad_json}", 2),
+    (None, "verify --graph {eight} --sub {h}", 3),
+    ("1", "verify --graph {eight} --fds {f}", 4),
+    (None, "enumerate --graph {path}", 0),
+    (None, "enumerate --graph {path} --cap 0", 2),
+    (None, "enumerate --graph {eight} --cap 1", 4),
+    ("1", "enumerate --graph {eight}", 4),
+    (None, "export-dot --graph {eight}", 0),
+    (None, "export-dot --graph {bad_sdg}", 2),
+]
+
+
+@pytest.fixture(scope="module")
+def cli_bundle(tmp_path_factory):
+    from sdgdyn import SignedDigraph, constant_fds, construct_nilpotent, cycle_subsystem
+
+    root = tmp_path_factory.mktemp("bundle")
+    files = {name: str(root / name) for name in ("missing", "bad_sdg", "bad_json")}
+    (root / "bad_sdg").write_text("not a graph\n")
+    (root / "bad_json").write_text("{not json")
+    eight = helpers.eight_vertex_example()
+    conv, cycle = __import__("test_synthesis").fig_case1_instance()
+    graphs = {
+        "eight": eight,
+        "empty": SignedDigraph((), frozenset()),
+        "neg2": SignedDigraph.from_arcs([("1", "2", "+"), ("2", "1", "-")]),
+        "path": SignedDigraph.from_arcs([("1", "2", "+")]),
+        "conv": conv,
+    }
+    for name, g in graphs.items():
+        files[name] = str(root / f"{name}.sdg")
+        (root / f"{name}.sdg").write_text(format_sdg(g))
+    f, _ = construct_nilpotent(eight)
+    systems = {
+        "f": f,
+        "constant": constant_fds(f.domain, f.domain.lows),
+        "h": cycle_subsystem(conv, [cycle])[1],
+    }
+    for name, system in systems.items():
+        files[name] = str(root / f"{name}.json")
+        save_fds(system, files[name])
+    return files
+
+
+@pytest.mark.parametrize("cap, argv, code", EXIT_CODES)
+def test_exit_code_table(cli_bundle, cap, argv, code, monkeypatch, capsys):
+    if cap is None:
+        monkeypatch.delenv("SDG_CAP", raising=False)
+    else:
+        monkeypatch.setenv("SDG_CAP", cap)
+    try:
+        got = main([word.format(**cli_bundle) for word in argv.split()])
+    except SystemExit as exc:  # argparse rejects the command line
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert "Traceback" not in err
+
+
 def test_enumerate_cli(tmp_path, capsys):
     from sdgdyn import SignedDigraph
 

@@ -127,9 +127,20 @@ def test_adjacency_queries_match_a_scan_of_the_arcs():
             assert g.out_neighbors(v) == {t for s, t, _ in arcs if s == v}
             assert g.in_degree(v) == sum(1 for _, t, _ in arcs if t == v)
             assert g.out_degree(v) == sum(1 for s, _, _ in arcs if s == v)
-        for query in (g.in_plus, g.in_minus, g.in_neighbors, g.out_neighbors):
-            with pytest.raises(PreconditionError):
+        for query in (
+            g.in_plus, g.in_minus, g.in_neighbors, g.out_neighbors, g.in_degree, g.out_degree
+        ):
+            with pytest.raises(PreconditionError, match="^unknown vertex 'absent'$"):
                 query("absent")
+
+        # Derived structure is cached per graph: asking twice, or asking a
+        # separately built equal graph, gives the same answers.
+        twin = SignedDigraph(g.vertices, arcs)
+        for ask in (classify_vertices, SignedDigraph.weak_components):
+            assert ask(g) == ask(g) == ask(twin)
+        if g.n:
+            assert component_structure(g) == component_structure(g) == component_structure(twin)
+        assert g.induced(g.vertices) == g
 
         # Weak components by label propagation: each vertex takes the least
         # vertex index of its component.
@@ -228,8 +239,10 @@ def test_component_structure_single_vertex():
 
 
 def test_component_structure_empty_graph_rejected():
-    with pytest.raises(PreconditionError):
-        component_structure(SignedDigraph((), frozenset()))
+    empty = SignedDigraph((), frozenset())
+    for _ in range(2):  # every call raises; no answer is cached
+        with pytest.raises(PreconditionError):
+            component_structure(empty)
 
 
 def test_lambda_equals_n_when_strongly_connected():

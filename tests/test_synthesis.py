@@ -32,6 +32,7 @@ from sdgdyn.synthesis import (
     ExtensionState,
     _ab_sets,
     _component_qualifies,
+    _structure_problems,
     certificate_from_dict,
 )
 
@@ -174,10 +175,145 @@ def test_certificate_json_roundtrip_and_tampering():
     bad["xi"] = [1, 0, 2]
     assert check_nilpotency_certificate(g, f, certificate_from_dict(bad, g))
 
+    # the image chain stops once a set is its own image, so a huge lambda
+    # costs no more steps than the true one
+    huge = certificate_from_dict({**doc, "lambda": 10**12}, g)
+    assert check_nilpotency_certificate(g, f, huge) == [
+        f"lambda mismatch: certificate {10**12}, graph {cert.lam}"
+    ]
+
     tampered_tables = list(t.copy() for t in f.tables)
     tampered_tables[0][0] = 1
     tampered = Fds(f.domain, tuple(tampered_tables))
     assert check_nilpotency_certificate(g, tampered, cert)
+
+
+# ---------------------------------------------------------------------------
+# the structure check
+# ---------------------------------------------------------------------------
+
+ARCS_DIFFER = "interaction graph differs from the input graph"
+
+
+def _oracle_structure(f, g):
+    """Whether ``f``'s interaction graph is ``g``, and the components that
+    break the degree bound, from the brute-force interaction arcs and the
+    bound as stated: ``|X_i| = 2`` at a sink with in-arcs, otherwise
+    ``|X_i| <= out-degree + 1``."""
+    arcs = helpers.brute_force_interaction_arcs(f, g.vertices)
+    bad = []
+    for i, (v, size) in enumerate(zip(g.vertices, f.domain.shape)):
+        dout = sum(1 for s, _, _ in arcs if s == v)
+        din = sum(1 for _, t, _ in arcs if t == v)
+        if not (size == 2 if dout == 0 and din > 0 else size <= dout + 1):
+            bad.append(i)
+    return arcs == g.arcs, tuple(bad)
+
+
+def _widened(f, i, extra):
+    """``f`` with ``extra`` more values on top of component ``i``'s interval;
+    every table repeats its values at the old top there, so no arc appears or
+    disappears and only ``|X_i|`` grows."""
+    cube = f.tables.reshape((f.n,) + f.domain.shape)
+    cube = np.concatenate([cube, np.take(cube, [-1] * extra, axis=i + 1)], axis=i + 1)
+    intervals = list(f.domain.intervals)
+    intervals[i] = (intervals[i][0], intervals[i][1] + extra)
+    return Fds(IntervalProduct(tuple(intervals)), cube.reshape(f.n, -1))
+
+
+STRUCTURE_CASES = ("match", "missing arc", "extra arc", "flipped sign", "degree", "degree and arcs")
+
+
+def _structure_case(rng, case):
+    """A system and a graph that differ from the system's own interaction
+    graph as ``case`` says, or None when this draw cannot make the case."""
+    g = helpers.random_connected_sdg(rng, 4)
+    if rng.random() < 0.3:  # and a lone vertex
+        g = SignedDigraph(g.vertices + ("lone",), g.arcs)
+    f = helpers.random_system_on(rng, g)
+    if case.startswith("degree"):
+        i = rng.randrange(g.n)
+        v = g.vertices[i]
+        dout = g.out_degree(v)
+        size = dout + 2 if dout else (3 if g.in_degree(v) else 2)  # one above the bound
+        f = _widened(f, i, size - f.domain.shape[i])
+    arcs = set(g.arcs)
+    edit = rng.choice(STRUCTURE_CASES[1:4]) if case == "degree and arcs" else case
+    if edit == "missing arc":  # the graph names an arc f does not realize
+        absent = [(s, t, sg) for s in g.vertices for t in g.vertices for sg in "+-"]
+        absent = [a for a in absent if a not in arcs]
+        if not absent:
+            return None
+        arcs.add(rng.choice(absent))
+    elif edit in ("extra arc", "flipped sign"):  # f realizes an arc the graph lacks
+        if not arcs:
+            return None
+        s, t, sign = rng.choice(sorted(arcs))
+        arcs.remove((s, t, sign))
+        if edit == "flipped sign":
+            flipped = (s, t, NEGATIVE if sign == POSITIVE else POSITIVE)
+            if flipped in arcs:
+                return None
+            arcs.add(flipped)
+    return f, SignedDigraph(g.vertices, frozenset(arcs))
+
+
+def test_structure_check_matches_a_brute_force_oracle(tmp_path, capsys):
+    from sdgdyn import format_sdg, save_fds
+    from sdgdyn.cli import main
+
+    rng = random.Random(1212)
+    seen = dict.fromkeys(STRUCTURE_CASES, 0)
+    gpath, fpath = tmp_path / "g.sdg", tmp_path / "f.json"
+    for k in range(330):
+        case = STRUCTURE_CASES[k % len(STRUCTURE_CASES)]
+        drawn = _structure_case(rng, case)
+        if drawn is None:
+            continue
+        f, g = drawn
+        same, bad = _oracle_structure(f, g)
+        want = [ARCS_DIFFER] * (not same)
+        want += [f"degree bound violated at components {bad}"] * bool(bad)
+        assert _structure_problems(f, g) == want, (case, g, f.domain)
+        assert (same, bool(bad)) == (case in ("match", "degree"), case.startswith("degree"))
+        seen[case] += 1
+
+        # verify prints one PASS/FAIL line per check, in the same terms
+        gpath.write_text(format_sdg(g))
+        save_fds(f, str(fpath))
+        code = main(["verify", "--graph", str(gpath), "--fds", str(fpath)])
+        lines = [
+            f"{'PASS' if same else 'FAIL'}: interaction graph matches",
+            f"FAIL: degree bounds hold (violations at {list(bad)})" if bad
+            else "PASS: degree bounds hold",
+        ]
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line[:5] in ("PASS:", "FAIL:")] == lines
+        assert code == (1 if want else 0)
+    assert min(seen.values()) >= 10 and sum(seen.values()) >= 300, seen
+
+
+def test_graph_structure_is_derived_once_per_graph(monkeypatch):
+    from sdgdyn import sdg, synthesis
+
+    runs = []
+    strong_components = sdg._strong_components
+
+    def counting(g):
+        runs.append(g)
+        return strong_components(g)
+
+    monkeypatch.setattr(sdg, "_strong_components", counting)
+    monkeypatch.setattr(synthesis, "_strong_components", counting)
+    g = helpers.eight_vertex_example()
+    f, _ = construct_nilpotent(g)  # the planner and the certificate check
+    assert len(runs) == 1
+
+    built = []
+    init = SignedDigraph.__post_init__
+    monkeypatch.setattr(SignedDigraph, "__post_init__", lambda self: built.append(self) or init(self))
+    assert _structure_problems(f, g) == []
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
