@@ -488,7 +488,10 @@ def converges_toward(f: Fds, h: Fds, k: int) -> ConvergenceWitness:
     # f^k(X) as sorted offsets within X.
     fk = np.arange(f.domain.size)
     for _ in range(k):
-        fk = f.image_offsets(fk)
+        image = f.image_offsets(fk)
+        if image.size == fk.size:
+            break  # the images are nested, so this set is its own image from now on
+        fk = image
 
     # Componentwise inclusion in h_1(Y) x ... x h_n(Y): row i of `allowed`
     # marks the values of h_i, shifted by min X_i; the coordinates of f^k(X)

@@ -517,6 +517,8 @@ def find_disjoint_positive_cycles(
     def search(start: int) -> bool:
         if len(chosen) == k:
             return True
+        if g.n - len(used) < k - len(chosen):
+            return False  # each cycle still wanted needs a vertex of its own
         for pos in range(start, len(positives)):
             c = positives[pos]
             vs = c.vertex_set()

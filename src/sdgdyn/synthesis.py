@@ -179,7 +179,7 @@ def check_nilpotency_certificate(
         problems.append("system arity differs from graph order")
         return problems
     sources, _, _ = classify_vertices(g)
-    for v in sources:
+    for v in sorted(sources, key=g.index):
         i = g.index(v)
         if i >= len(cert.target) or cert.target[i] != f.domain.intervals[i][0]:
             problems.append(f"target at source {v} is not the interval minimum")
@@ -188,17 +188,13 @@ def check_nilpotency_certificate(
     if not f.domain.contains(cert.target):
         problems.append("target state outside the domain")
         return problems
-    current = np.arange(f.domain.size)
-    for _ in range(cert.lam + cert.beta):
-        image = f.image_offsets(current)
-        if np.array_equal(image, current):
-            break  # a set that is its own image stays so for every later step
-        current = image
-    want = f.domain.offset(cert.target)
-    if current.size != 1 or int(current[0]) != want:
-        problems.append(
-            f"iterates do not collapse to the target within {cert.lam + cert.beta} steps"
-        )
+    # A one-state domain is constant from f^0 on; otherwise f^index(X) is
+    # one state, which is also f^index of the target.
+    steps = cert.lam + cert.beta
+    if f.domain.size > 1:
+        index = f.nilpotency_index()
+        if index is None or index > steps or f.iterate(cert.target, index) != cert.target:
+            problems.append(f"iterates do not collapse to the target within {steps} steps")
     return problems
 
 
@@ -485,18 +481,19 @@ def _growth_direction(
 
 
 def _extended_tables(
-    system: Fds,
+    dom: IntervalProduct,
+    tables: np.ndarray,
     axis: int,
     direction: int,
-    head: int | None,
-    head_value: int,
-    grow: bool,
+    grow: bool = True,
+    head: int | None = None,
+    value: int = 0,
 ) -> tuple[IntervalProduct, np.ndarray]:
-    """The tables of ``system`` with the plane at the ``direction`` end of
-    ``axis`` duplicated outward (when ``grow``), and the head component set
-    to ``head_value`` on that end plane."""
-    dom = system.domain
-    cube = system.tables.reshape((system.n,) + dom.shape)
+    """``tables`` on ``dom`` with the plane at the ``direction`` end of
+    ``axis`` duplicated outward (when ``grow``), and component ``head`` (if
+    any) set to ``value`` on that end plane."""
+    n = len(tables)
+    cube = tables.reshape((n,) + dom.shape)
     before = (slice(None),) * (axis + 1)
     if grow:
         lo, hi = dom.intervals[axis]
@@ -508,80 +505,8 @@ def _extended_tables(
     else:
         cube = cube.copy()
     if head is not None:
-        cube[(head,) + before[1:] + (-1 if direction > 0 else 0,)] = head_value
-    return dom, cube.reshape(system.n, -1)
-
-
-def _finish_extension(
-    state: ExtensionState,
-    arc: Arc,
-    new_dom: IntervalProduct,
-    new_tables: np.ndarray,
-    base_graph: SignedDigraph,
-    base_system: Fds,
-) -> ExtensionState:
-    new_graph = SignedDigraph(state.graph.vertices, state.graph.arcs | {arc})
-    new_system = Fds(new_dom, new_tables)
-    problems = _structure_problems(new_system, new_graph)
-    if problems:
-        raise InternalInvariantError(f"extension by {arc}: " + "; ".join(problems))
-
-    a_set, b_set = _ab_sets(base_graph, new_graph)
-    new_state = ExtensionState(new_graph, new_system, state.anchor, a_set, b_set)
-    if __debug__:
-        problems = check_extension_postconditions(new_state, base_graph, base_system)
-        if problems:
-            raise InternalInvariantError(
-                f"extension by {arc} broke postconditions: " + "; ".join(problems)
-            )
-    return new_state
-
-
-def _extend_into_isolated(
-    state: ExtensionState,
-    arc: Arc,
-    base_graph: SignedDigraph,
-    base_system: Fds,
-    upcoming: Sequence[Arc],
-) -> ExtensionState:
-    """First arc into a vertex isolated so far.
-
-    Only supported when the head never gains out-arcs (a sink of the final
-    graph): its single-valued interval grows by one, the head steps to the
-    new value exactly on the new plane of the (also grown) tail coordinate,
-    and since nothing reads the head its transient value is harmless.
-    """
-    j, i, sign = arc
-    cur, f = state.graph, state.system
-    ji, ii = cur.index(j), cur.index(i)
-    if any(a[0] == i for a in upcoming) or cur.out_degree(i) > 0:
-        raise InternalInvariantError(
-            f"arc {arc} enters an isolated vertex that later gains out-arcs"
-        )
-    if f.domain.shape[ii] != 1:
-        raise InternalInvariantError(
-            f"isolated vertex {i} carries an interval of size {f.domain.shape[ii]}"
-        )
-    xi_i = f.domain.intervals[ii][0]
-
-    direction = _growth_direction(state, j, upcoming, None)
-    plane_top = direction > 0
-    rising = (sign == POSITIVE) == plane_top
-    escape = xi_i + 1 if rising else xi_i - 1
-
-    # Grow the head interval first; every table (the head's included) is
-    # simply duplicated along it, since nothing depends on the head yet.
-    mid_dom, mid_tables = _extended_tables(
-        f, ii, 1 if rising else -1, head=None, head_value=0, grow=True
-    )
-    # Then grow the tail coordinate; the head becomes a two-level step that
-    # leaves its original value only on the new tail plane.
-    new_dom, new_tables = _extended_tables(
-        Fds(mid_dom, mid_tables), ji, direction, head=ii, head_value=escape, grow=True
-    )
-    return _finish_extension(
-        state, arc, new_dom, new_tables, base_graph, base_system
-    )
+        cube[(head,) + before[1:] + (-1 if direction > 0 else 0,)] = value
+    return dom, cube.reshape(n, -1)
 
 
 def extend_by_arc(
@@ -593,6 +518,16 @@ def extend_by_arc(
 ) -> ExtensionState:
     """Extend the current system by exactly one arc.
 
+    The tail's interval grows by one plane (a sink tail of width 2 already
+    has its second plane), and on that plane the head takes the top of its
+    range when the sign of the arc agrees with the side of the plane (``+``
+    on the top plane, ``-`` on the bottom one), and the bottom otherwise.
+    The head's range is the extremes of its image when it varies, its base
+    interval when it is a source, and the two neighbours of its one value
+    when it is isolated: such a head must stay a sink of the final graph,
+    its interval grows toward the value it steps to, and since nothing
+    reads it the transient value is harmless.
+
     The new system's interaction graph gains exactly ``arc``; the four
     postconditions of :func:`check_extension_postconditions` are
     re-established (and asserted in debug mode).  ``upcoming`` lists the
@@ -603,70 +538,39 @@ def extend_by_arc(
     exists.
     """
     j, i, sign = arc
-    cur, f = state.graph, state.system
+    cur, dom, tables = state.graph, state.system.domain, state.system.tables
     if arc in cur.arcs:
         raise PreconditionError(f"arc {arc} already present")
     ji, ii = cur.index(j), cur.index(i)
-
-    j_sink = cur.out_degree(j) == 0
-    i_source = cur.in_degree(i) == 0
-    i_isolated = i_source and cur.out_degree(i) == 0
-    if i_isolated:
-        if j_sink:
-            raise InternalInvariantError(
-                f"arc {arc} runs from a current sink to an isolated vertex"
-            )
-        return _extend_into_isolated(
-            state, arc, base_graph, base_system, upcoming
-        )
-    if j_sink and i_source:
-        raise InternalInvariantError(
-            f"arc {arc} runs from a current sink to a current source"
-        )
-
-    if not i_source:
-        # Head already varies: reuse the extremes of its current image.
-        img = f.tables[ii]
-        vmin, vmax = int(img.min()), int(img.max())
-        if vmin == vmax:
-            raise InternalInvariantError(
-                f"vertex {i} has inputs but a constant update"
-            )
-        if j_sink:
-            # Tail was a sink: its interval has size 1 (isolated) or 2.
-            width = f.domain.shape[ji]
-            if width > 2:
-                raise InternalInvariantError(
-                    f"sink {j} carries an interval of size {width}"
-                )
-            grow = width == 1
-            if grow:
-                direction = _growth_direction(state, j, upcoming, None)
-                plane_top = direction > 0
-            else:
-                lo, hi = f.domain.intervals[ji]
-                plane_top = state.anchor[ji] == lo
+    j_sink, width = cur.out_degree(j) == 0, dom.shape[ji]
+    grow = True
+    if cur.in_degree(i) > 0:
+        # The head already varies: its range is the extremes of its image.
+        low, high = int(tables[ii].min()), int(tables[ii].max())
+        if low == high:
+            raise InternalInvariantError(f"vertex {i} has inputs but a constant update")
+        if j_sink and width > 2:
+            raise InternalInvariantError(f"sink {j} carries an interval of size {width}")
+        if j_sink and width == 2:
+            # The sink's second plane is already there: the head steps on the
+            # plane away from the anchor.
+            grow = False
+            direction = 1 if state.anchor[ji] == dom.intervals[ji][0] else -1
         else:
-            grow = True
             direction = _growth_direction(state, j, upcoming, None)
-            plane_top = direction > 0
-        if plane_top:
-            value = vmax if sign == POSITIVE else vmin
-        else:
-            value = vmin if sign == POSITIVE else vmax
-        dom, tables = _extended_tables(
-            f, ji, 1 if plane_top else -1, ii, value, grow
-        )
-    else:
-        # Head is a (non-isolated) source: its update is a constant of the
-        # base domain, and the new step must stay inside the base interval.
-        col = f.tables[ii]
-        c = int(col[0])
-        if (col != c).any():
+    elif cur.out_degree(i) > 0:
+        if j_sink:
+            raise InternalInvariantError(
+                f"arc {arc} runs from a current sink to a current source"
+            )
+        # The head is a source: its update is a constant of the base domain,
+        # and its range is the base interval, which its new step stays in.
+        c = int(tables[ii, 0])
+        if (tables[ii] != c).any():
             raise InternalInvariantError(f"source {i} has a non-constant update")
-        ylo, yhi = base_system.domain.intervals[ii]
-        up_ok = (c < yhi) if sign == POSITIVE else (c > ylo)
-        down_ok = (c > ylo) if sign == POSITIVE else (c < yhi)
+        low, high = base_system.domain.intervals[ii]
+        up_ok = (c < high) if sign == POSITIVE else (c > low)
+        down_ok = (c > low) if sign == POSITIVE else (c < high)
         preference = 1 if up_ok else (-1 if down_ok else None)
         if preference is None:
             raise InternalInvariantError(
@@ -674,23 +578,54 @@ def extend_by_arc(
                 "with no admissible step"
             )
         # A loop makes its own head a non-source, so pending arcs into the
-        # tail stop constraining the direction.
-        if j == i:
-            direction = preference
-        else:
-            direction = _growth_direction(state, j, upcoming, preference)
+        # tail stop constraining the direction; where the head's constant
+        # cannot step the way they ask, the later arcs into the tail are
+        # realized from the other end of its interval.
+        direction = (
+            preference if j == i else _growth_direction(state, j, upcoming, preference)
+        )
         if not (up_ok if direction > 0 else down_ok):
-            # The head's constant cannot step that way; the later arcs into
-            # the tail are realized from the other end of its interval.
             direction = preference
-        plane_top = direction > 0
-        if plane_top:
-            value = yhi if sign == POSITIVE else ylo
-        else:
-            value = ylo if sign == POSITIVE else yhi
-        dom, tables = _extended_tables(f, ji, direction, ii, value, True)
+    else:
+        # The head is isolated: it steps to a neighbour of its one value.
+        if j_sink:
+            raise InternalInvariantError(
+                f"arc {arc} runs from a current sink to an isolated vertex"
+            )
+        if any(a[0] == i for a in upcoming):
+            raise InternalInvariantError(
+                f"arc {arc} enters an isolated vertex that later gains out-arcs"
+            )
+        if dom.shape[ii] != 1:
+            raise InternalInvariantError(
+                f"isolated vertex {i} carries an interval of size {dom.shape[ii]}"
+            )
+        low, high = dom.intervals[ii][0] - 1, dom.intervals[ii][1] + 1
+        direction = _growth_direction(state, j, upcoming, None)
 
-    return _finish_extension(state, arc, dom, tables, base_graph, base_system)
+    value = high if (sign == POSITIVE) == (direction > 0) else low
+    lo, hi = dom.intervals[ii]
+    if not lo <= value <= hi:
+        # Only an isolated head steps outside its interval.  Nothing reads it
+        # yet, so every table, its own included, is duplicated along it.
+        dom, tables = _extended_tables(dom, tables, ii, value - lo)
+    dom, tables = _extended_tables(dom, tables, ji, direction, grow, ii, value)
+
+    new_graph = SignedDigraph(cur.vertices, cur.arcs | {arc})
+    new_system = Fds(dom, tables)
+    problems = _structure_problems(new_system, new_graph)
+    if problems:
+        raise InternalInvariantError(f"extension by {arc}: " + "; ".join(problems))
+    new_state = ExtensionState(
+        new_graph, new_system, state.anchor, *_ab_sets(base_graph, new_graph)
+    )
+    if __debug__:
+        problems = check_extension_postconditions(new_state, base_graph, base_system)
+        if problems:
+            raise InternalInvariantError(
+                f"extension by {arc} broke postconditions: " + "; ".join(problems)
+            )
+    return new_state
 
 
 def extend_all(
@@ -717,7 +652,8 @@ def extend_all(
             "base system's interaction graph differs from the base graph"
         )
     sources_b, sinks_b, isolated_b = classify_vertices(base_graph)
-    for src, dst, _ in target.arcs - base_graph.arcs:
+    missing = [a for a in target.sorted_arcs() if a not in base_graph.arcs]
+    for src, dst, _ in missing:
         if src in sinks_b and dst in sources_b:
             raise PreconditionError(
                 f"target arc ({src},{dst}) runs from a base sink to a base source"
@@ -735,16 +671,9 @@ def extend_all(
     if not base_system.domain.contains(anchor):
         raise PreconditionError("anchor state outside the base domain")
 
-    missing = target.arcs - base_graph.arcs
-    if order is None:
-        seq = sorted(
-            missing,
-            key=lambda a: (target.index(a[0]), target.index(a[1]), a[2] != POSITIVE),
-        )
-    else:
-        seq = list(order)
-        if set(seq) != missing or len(seq) != len(missing):
-            raise PreconditionError("order must list each missing arc exactly once")
+    seq = missing if order is None else list(order)
+    if sorted(seq) != sorted(missing):
+        raise PreconditionError("order must list each missing arc exactly once")
 
     state = ExtensionState(base_graph, base_system, anchor, frozenset(), frozenset())
     pending = list(seq) + list(future_arcs)

@@ -135,6 +135,14 @@ def test_synth_fixed_points_cli(tmp_path, capsys):
     assert main(["synth-fixed-points", "--graph", str(g2path), "--cycles", "1"]) == 0
     assert "2 fixed points" in capsys.readouterr().out
 
+    # More cycles than vertices: the search for them ends at once.
+    names = [str(v) for v in range(1, 8)]
+    dense = SignedDigraph.from_arcs([(a, b, "+") for a in names for b in names])
+    dense_path = tmp_path / "dense.sdg"
+    dense_path.write_text(format_sdg(dense))
+    assert main(["synth-fixed-points", "--graph", str(dense_path), "--cycles", "10"]) == 3
+    assert "graph has no 10 vertex-disjoint positive cycles" in capsys.readouterr().err
+
 
 def test_precondition_violation_exit_code(tmp_path, capsys):
     from sdgdyn import SignedDigraph, constant_fds, IntervalProduct

@@ -397,7 +397,7 @@ def _random_convergence_case(rng):
 
 def test_converges_toward_matches_brute_force_oracle():
     rng = random.Random(23)
-    seen = {"k0": 0, "no_box": 0, "no_agree": 0, "valid": 0, "n0": 0}
+    seen = {"k0": 0, "no_box": 0, "no_agree": 0, "valid": 0, "n0": 0, "huge": 0}
     for _ in range(400):
         f, h = _random_convergence_case(rng)
         k = rng.randint(0, 3)
@@ -405,6 +405,17 @@ def test_converges_toward_matches_brute_force_oracle():
         w = converges_toward(f, h, k)
         assert (w.domains_nested, w.fk_image_in_h_image, w.agreement) == (True, inside, agree)
         assert w.counterexample == counter and w.steps == k
+        if k == 3:
+            # The image chain is fixed after at most |X| steps, so the oracle
+            # runs that many for a step count it could not reach.
+            k = 10**9 + rng.randint(0, 1)
+            inside, agree, counter = helpers.brute_force_convergence(f, h, f.domain.size)
+            w = converges_toward(f, h, k)
+            assert (w.fk_image_in_h_image, w.agreement, w.counterexample) == (
+                inside, agree, counter
+            )
+            assert w.steps == k
+            seen["huge"] += 1
         seen["k0"] += k == 0
         seen["no_box"] += not inside
         seen["no_agree"] += not agree

@@ -419,6 +419,14 @@ def test_find_disjoint_positive_cycles():
     neg = SignedDigraph.from_arcs([("1", "2", "+"), ("2", "1", "-")])
     assert find_disjoint_positive_cycles(neg, 1) is None
 
+    # 2,372 positive cycles on 7 vertices, loops included: each cycle still
+    # wanted needs a vertex of its own, so both searches end early.
+    names = [str(v) for v in range(1, 8)]
+    dense = SignedDigraph.from_arcs([(a, b, "+") for a in names for b in names])
+    assert find_disjoint_positive_cycles(dense, 8) is None
+    loops = find_disjoint_positive_cycles(dense, 7)
+    assert [c.vertices for c in loops] == [(v,) for v in names]
+
 
 def test_find_disjoint_positive_cycles_matches_bruteforce():
     from itertools import combinations

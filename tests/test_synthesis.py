@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -10,6 +11,7 @@ from sdgdyn import (
     NEGATIVE,
     POSITIVE,
     PreconditionError,
+    SdgError,
     SignedDigraph,
     check_extension_postconditions,
     check_nilpotency_certificate,
@@ -27,6 +29,7 @@ from sdgdyn import (
     extend_by_arc,
     fds_to_dict,
 )
+from sdgdyn import synthesis
 from sdgdyn.fds import Fds, IntervalProduct
 from sdgdyn.synthesis import (
     ExtensionState,
@@ -175,8 +178,8 @@ def test_certificate_json_roundtrip_and_tampering():
     bad["xi"] = [1, 0, 2]
     assert check_nilpotency_certificate(g, f, certificate_from_dict(bad, g))
 
-    # the image chain stops once a set is its own image, so a huge lambda
-    # costs no more steps than the true one
+    # the collapse is read off the nilpotency index, so a huge lambda costs
+    # no more steps than the true one
     huge = certificate_from_dict({**doc, "lambda": 10**12}, g)
     assert check_nilpotency_certificate(g, f, huge) == [
         f"lambda mismatch: certificate {10**12}, graph {cert.lam}"
@@ -186,6 +189,21 @@ def test_certificate_json_roundtrip_and_tampering():
     tampered_tables[0][0] = 1
     tampered = Fds(f.domain, tuple(tampered_tables))
     assert check_nilpotency_certificate(g, tampered, cert)
+
+
+def test_certificate_problems_come_in_vertex_order():
+    # Sources b and a, listed b first: both targets are off their interval
+    # minimum, and the problems name them in vertex order.
+    g = SignedDigraph.from_arcs(
+        [("b", "c", "+"), ("a", "c", "+")], vertices=["b", "a", "c"]
+    )
+    f, cert = construct_nilpotent(g)
+    bad = certificate_from_dict({**cert.to_dict(), "xi": [1, 1, cert.target[2]]}, g)
+    assert check_nilpotency_certificate(g, f, bad) == [
+        "target at source b is not the interval minimum",
+        "target at source a is not the interval minimum",
+        f"iterates do not collapse to the target within {cert.lam + cert.beta} steps",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +597,62 @@ def test_construct_converging_random_triples():
         assert ok
         assert sorted(f.fixed_points()) == sorted(h.fixed_points())
         done += 1
+
+
+# SHA-256 of the outputs below, recorded before the extension step was
+# folded into one function; any change to a system or an error shows.
+CONVERGING_OUTPUTS_DIGEST = (
+    "f3d5d946f503110a66d1e13ec70d1c5059b635fd8ddb8f7173205914b4cf0de6"
+)
+
+
+def _step_kind(state: ExtensionState, arc) -> str:
+    """Which of the six kinds of extension step ``arc`` makes on ``state``."""
+    j, i, _ = arc
+    cur = state.graph
+    if cur.in_degree(i) == 0:
+        if cur.out_degree(i) == 0:
+            return "isolated head"
+        return "source-head loop" if j == i else "source head"
+    if cur.out_degree(j) == 0:
+        return f"sink tail of width {state.system.domain.shape[cur.index(j)]}"
+    return "varying head"
+
+
+def test_construct_converging_output_is_pinned(monkeypatch):
+    steps = collections.Counter()
+    step = synthesis.extend_by_arc
+
+    def counting(state, arc, *args, **kwargs):
+        steps[_step_kind(state, arc)] += 1
+        return step(state, arc, *args, **kwargs)
+
+    monkeypatch.setattr(synthesis, "extend_by_arc", counting)
+    digest = hashlib.sha256()
+
+    def record(build):
+        try:
+            out = json.dumps(fds_to_dict(build()))
+        except SdgError as exc:
+            out = f"{type(exc).__name__}: {exc}"
+        digest.update(out.encode() + b"\n")
+
+    rng = random.Random(1)
+    done = 0
+    while done < 400:
+        trip = helpers.random_subsystem_triple(rng, 6)
+        if trip is not None:
+            g, sub, h = trip
+            record(lambda: construct_converging(g, sub, h)[0])
+            done += 1
+    for k in range(400):
+        g = helpers.random_connected_sdg(rng, 7)
+        if k % 3:
+            record(lambda: construct_2k_fixed_points(g, k % 3))
+        else:
+            record(lambda: construct_no_fixed_point(g))
+    assert digest.hexdigest() == CONVERGING_OUTPUTS_DIGEST
+    assert len(steps) == 6 and min(steps.values()) >= 10, steps
 
 
 def test_component_qualifies_matches_an_arc_scan():
