@@ -315,11 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, *, graph=True, fds=False, subsys=False, steps=False,
-            cycles=False, out=False, cap=None):
+    def add(name, func, *, fds=False, subsys=False, steps=False, cycles=False,
+            out=False, cap=None):
         p = sub.add_parser(name)
-        if graph:
-            p.add_argument("--graph", required=True, help="sdg v1 graph file")
+        p.add_argument("--graph", required=True, help="sdg v1 graph file")
         if fds:
             p.add_argument("--fds", help="fds v1 system file")
         if subsys:
@@ -337,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(func=func)
-        return p
 
     add("analyze", cmd_analyze, cap="cycle cap")
     add("synth-nilpotent", cmd_synth_nilpotent, out=True)

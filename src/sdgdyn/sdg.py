@@ -511,14 +511,18 @@ def find_disjoint_positive_cycles(
         raise PreconditionError("k must be positive")
     positives = [c for c in enumerate_cycles(g, cap=cap) if c.sign == POSITIVE]
 
+    # shortest[i]: the fewest vertices of any cycle in positives[i:].
+    shortest = [math.inf] * (len(positives) + 1)
+    for i in range(len(positives) - 1, -1, -1):
+        shortest[i] = min(shortest[i + 1], len(positives[i].vertices))
     chosen: list[SignedCycle] = []
     used: set[str] = set()
 
     def search(start: int) -> bool:
         if len(chosen) == k:
             return True
-        if g.n - len(used) < k - len(chosen):
-            return False  # each cycle still wanted needs a vertex of its own
+        if (k - len(chosen)) * shortest[start] > g.n - len(used):
+            return False  # the cycles still wanted need more than the free vertices
         for pos in range(start, len(positives)):
             c = positives[pos]
             vs = c.vertex_set()

@@ -45,7 +45,6 @@ from .sdg import (
     enumerate_cycles,
     find_disjoint_positive_cycles,
     is_signed_cycle,
-    underlying_cycle_order,
 )
 from .fds import (
     ConvergenceWitness,
@@ -236,68 +235,77 @@ class _Plan:
 
 
 def _plan_cycle_with_parallels(
-    sub: SignedDigraph, order: tuple[str, ...], plan: _Plan
+    g: SignedDigraph, comp: Sequence[str], plan: _Plan
 ) -> None:
-    """A cycle carrying both signs on some step: each vertex steps to its
-    top exactly when its predecessor holds the value the arc between them
-    triggers on, starting after the first vertex with parallel arcs."""
+    """A component whose underlying digraph is one cycle carrying both signs
+    on some step: each vertex steps to its top exactly when its predecessor
+    holds the value the arc between them triggers on, starting after the
+    first vertex with parallel arcs."""
+    order = (comp[0],)
+    while len(order) < len(comp):
+        order += tuple(g.out_neighbors(order[-1]))
     parallel = {
         v
         for v, w in zip(order, order[1:] + order[:1])
-        if v in sub.in_plus(w) and v in sub.in_minus(w)
+        if v in g.in_plus(w) and v in g.in_minus(w)
     }
-    k = order.index(min(parallel, key=sub.index)) + 1
+    k = order.index(min(parallel, key=g.index)) + 1
     pos = order[k:] + order[:k]
     for t, v in enumerate(pos):
         prev = pos[t - 1]
         top = 2 if v in parallel else 1
-        trigger = 1 if prev in sub.in_plus(v) else 0
+        trigger = 1 if prev in g.in_plus(v) else 0
         plan.intervals[v] = (0, top)
         plan.rules[v] = (np.all, trigger, (), (prev,), (), top)
         plan.xi[v] = top if t and plan.xi[prev] == trigger else 0
         plan.depth[v] = t
-    plan.representatives.append((tuple(sorted(pos, key=sub.index)), pos[0]))
+    plan.representatives.append((tuple(comp), pos[0]))
 
 
-def _plan_general(sub: SignedDigraph, plan: _Plan) -> None:
-    """Any other component, a lone vertex included: representatives of the
-    initial strong components, layers by distance from them once the arcs
-    into them are removed, and threshold rules."""
+def _plan_general(g: SignedDigraph, plan: _Plan) -> None:
+    """Every vertex the cycle planner left, lone vertices included, in one
+    pass over ``g``: representatives of the initial strong components,
+    layers by distance from them once the arcs into them are removed, and
+    threshold rules."""
+    todo = [v for v in g.vertices if v not in plan.depth]
     reps = set()
-    for comp in component_structure(sub).initial_components:
-        eligible = _eligible_representatives(sub, comp)
+    for comp in component_structure(g).initial_components:
+        if comp[0] in plan.depth:
+            continue  # a cycle component, planned already
+        eligible = _eligible_representatives(g, comp)
         if not eligible:
             raise InternalInvariantError(
                 f"no admissible representative in component {comp}"
             )
-        rep = min(eligible, key=sub.index)
+        rep = min(eligible, key=g.index)
         plan.representatives.append((comp, rep))
         reps.add(rep)
 
-    stripped = sub.without_arcs([a for a in sub.arcs if a[1] in reps])
+    stripped = g.without_arcs([a for a in g.arcs if a[1] in reps])
     dist = _multi_source_distance(stripped, reps)
-    for v in sub.vertices:
+    isolated = classify_vertices(g)[2]
+    for v in todo:
         plan.depth[v] = int(dist[v])
-        outs = sub.out_neighbors(v)
-        parallel = {w for w in outs if v in sub.in_plus(w) and v in sub.in_minus(w)}
+        outs = g.out_neighbors(v)
+        parallel = {w for w in outs if v in g.in_plus(w) and v in g.in_minus(w)}
         if parallel & reps:
             plan.intervals[v] = (0, 3)
         elif parallel or outs & reps:
             plan.intervals[v] = (0, 2)
         else:
-            plan.intervals[v] = (0, 1 if sub.arcs else 0)
+            plan.intervals[v] = (0, 0 if v in isolated else 1)
 
-    for v in sorted(sub.vertices, key=plan.depth.get):
-        plus_only = sub.in_plus(v) - sub.in_minus(v)
-        both = sub.in_plus(v) & sub.in_minus(v)
-        minus_only = sub.in_minus(v) - sub.in_plus(v)
-        prev = {j for j in sub.in_neighbors(v) if plan.depth[j] == plan.depth[v] - 1}
+    for v in sorted(todo, key=plan.depth.get):
+        plus_only = g.in_plus(v) - g.in_minus(v)
+        both = g.in_plus(v) & g.in_minus(v)
+        minus_only = g.in_minus(v) - g.in_plus(v)
+        prev = {j for j in g.in_neighbors(v) if plan.depth[j] == plan.depth[v] - 1}
         if plan.depth[v] == 0:
             plan.xi[v] = 1 if minus_only else 0
             combine, theta = np.any, 2
         else:
             plan.xi[v] = int(
-                all(plan.xi[j] == 1 for j in sub.in_plus(v) & prev)
+                all(plan.xi[j] == 1 for j in g.in_plus(v) & prev)
                 and all(plan.xi[j] == 0 for j in minus_only & prev)
             )
             combine, theta = (np.any if plan.xi[v] else np.all), 1
@@ -317,17 +325,16 @@ def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
         raise PreconditionError("cannot synthesize on the empty graph")
     plan = _Plan()
     for comp in g.weak_components():
-        sub = g.induced(comp)
-        if is_signed_cycle(sub):
+        # An underlying cycle: one in- and one out-neighbour per vertex.
+        if any(len(g.in_neighbors(v)) != 1 or len(g.out_neighbors(v)) != 1 for v in comp):
+            continue
+        if sum(g.in_degree(v) for v in comp) == len(comp):
             raise PreconditionError(
                 f"component {comp} is a signed cycle; no nilpotent degree-bounded "
                 "system exists on it"
             )
-        order = underlying_cycle_order(sub)
-        if order is None:
-            _plan_general(sub, plan)
-        else:
-            _plan_cycle_with_parallels(sub, order, plan)
+        _plan_cycle_with_parallels(g, comp, plan)
+    _plan_general(g, plan)
 
     domain = IntervalProduct(tuple(plan.intervals[v] for v in g.vertices))
     grids = domain.coordinate_grids
@@ -703,7 +710,7 @@ class ConvergencePlan:
     """How :func:`construct_converging` builds its system, decided up front.
 
     ``isolated`` lists the vertices isolated in the subgraph but not in the
-    graph, and ``block_graph`` is the graph induced on them by the arcs
+    graph, and ``block_graph`` keeps, on all the graph's vertices, the arcs
     leaving isolated vertices from which no arc leaves the isolated set.
     Property P holds when every component of the induced isolated subgraph
     is not strongly connected, has an arc leaving the isolated set, or
@@ -715,8 +722,8 @@ class ConvergencePlan:
     components that are signed cycles, or else the closed block components
     whose sources need both orientations.  When ``closed`` is empty the
     direct path runs: a nilpotent system on ``block_graph``, mirrored on the
-    block components in ``mirrored``, is glued into the product subsystem
-    and extended twice.  An open block component whose sources need both
+    block components in ``mirrored``, is glued onto the subsystem at the
+    isolated vertices and extended twice.  An open block component whose sources need both
     orientations is neither mirrored nor closed; the extension realizes its
     arcs from whichever end each source's constant can step.
     """
@@ -737,14 +744,14 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
     property_p = not closed
     no_leaving = {u for u in iso if g.out_neighbors(u) <= iso_set}
     block_arcs = (a for a in g.arcs if a[0] in no_leaving and a[1] in iso_set)
-    block_graph = SignedDigraph(g.vertices, frozenset(block_arcs)).induced(iso)
+    block_graph = SignedDigraph(g.vertices, frozenset(block_arcs))
     if property_p:
         # Components that keep only their internal no-leaving arcs may still
         # collapse to signed cycles (e.g. a loop fed from a leaving-arc
         # vertex); those closed cycles are peeled off like the strongly
-        # connected blocks.
+        # connected blocks.  Vertices outside the isolated set are lone here.
         for comp in block_graph.weak_components():
-            if is_signed_cycle(block_graph.induced(comp)):
+            if comp[0] in iso_set and is_signed_cycle(block_graph.induced(comp)):
                 closed.update(comp)
     mirrored: list[str] = []
     if not closed:
@@ -834,58 +841,56 @@ def _inward_arc_order(
     return sorted(arcs, key=key)
 
 
+def _placed_block(
+    q: SignedDigraph, xi: Sequence[int], mirrored: Sequence[str] = ()
+) -> Fds:
+    """The nilpotent system on ``q``, mirrored on the vertices ``mirrored``
+    (whole weak components, so every arc keeps its sign) and translated so
+    that its target is ``xi``."""
+    block, cert = construct_nilpotent(q)
+    flip = [q.index(v) for v in mirrored]
+    lows, highs, _ = block.domain.columns
+    target = np.array(cert.target)
+    target[flip] = lows[flip, 0] + highs[flip, 0] - target[flip]
+    return block.mirror(flip).translate(np.subtract(xi, target))
+
+
+def _glue(base: Fds, block: Fds, rows: Sequence[int]) -> Fds:
+    """The system on the per-axis hull of the two domains whose components
+    ``rows`` are those of ``block`` and whose others are those of ``base``;
+    each part reads every state clipped onto its own domain."""
+    dom = IntervalProduct(tuple(
+        (min(lo, blo), max(hi, bhi))
+        for (lo, hi), (blo, bhi) in zip(base.domain.intervals, block.domain.intervals)
+    ))
+    grids = dom.coordinate_grids
+
+    def read(f: Fds) -> np.ndarray:
+        lows, highs, _ = f.domain.columns
+        return f.tables[:, f.domain.offsets_of(np.clip(grids, lows, highs))]
+
+    take = np.isin(np.arange(dom.n), rows)[:, None]
+    return Fds(dom, np.where(take, read(block), read(base)))
+
+
 def _pipeline_direct(
     g: SignedDigraph, sub: SignedDigraph, h: Fds, plan: ConvergencePlan
 ) -> Fds:
-    """Nothing to peel: build the oriented nilpotent block and extend."""
-    iso = plan.isolated
-    iso_set = set(iso)
-    q_graph = plan.block_graph
-    padded = SignedDigraph(g.vertices, sub.arcs | q_graph.arcs)
-    block, cert = construct_nilpotent(q_graph)
-
-    mirror_coords = [q_graph.index(u) for u in plan.mirrored]
-    target = list(cert.target)
-    if mirror_coords:
-        block = block.mirror(mirror_coords)
-        for k in mirror_coords:
-            lo, hi = block.domain.intervals[k]
-            target[k] = lo + hi - target[k]
-
+    """Nothing to peel: glue the oriented nilpotent block onto ``h`` at the
+    isolated vertices and extend."""
+    iso_set = set(plan.isolated)
+    padded = g.spanning(sub.arcs | plan.block_graph.arcs)
+    outward = g.spanning(padded.arcs | {a for a in g.arcs if a[1] not in iso_set})
     # h is degree-bounded on the subgraph, so its isolated vertices have
-    # one-value intervals.
-    xi_iso = {v: h.domain.intervals[g.index(v)][0] for v in iso}
-    deltas = [
-        xi_iso[v] - target[q_graph.index(v)] for v in q_graph.vertices
-    ]
-    block = block.translate(deltas)
-
-    # Product system on the padded subgraph: the block on the isolated
-    # coordinates, h elsewhere (h reads each isolated coordinate at its
-    # single value).
-    tilde_dom = IntervalProduct(tuple(
-        block.domain.intervals[q_graph.index(v)] if v in iso_set else h.domain.intervals[k]
-        for k, v in enumerate(g.vertices)
-    ))
-    grids = tilde_dom.coordinate_grids
-    iso_rows = [g.index(v) for v in q_graph.vertices]
-    iso_col = np.isin(np.arange(g.n), iso_rows)[:, None]
-    h_coords = np.where(iso_col, h.domain.columns[0], grids)
-    tables = h.tables[:, h.domain.offsets_of(h_coords)]
-    tables[iso_rows] = block.tables[:, block.domain.offsets_of(grids[iso_rows])]
-    tilde_h = Fds(tilde_dom, tables)
-
-    outward = SignedDigraph(
-        g.vertices, padded.arcs | frozenset(a for a in g.arcs if a[1] not in iso_set)
+    # one-value intervals; the block's target sits on them, and h reads
+    # each of them at that value.
+    block = _placed_block(plan.block_graph, h.domain.lows, plan.mirrored)
+    tilde_h = _glue(h, block, [g.index(v) for v in plan.isolated])
+    remaining = _inward_arc_order(
+        g, g.arcs - outward.arcs, set(plan.mirrored), plan.isolated
     )
-    anchor1 = tuple(
-        xi_iso[v] if v in iso_set else tilde_dom.intervals[k][0]
-        for k, v in enumerate(g.vertices)
-    )
-
-    remaining = _inward_arc_order(g, g.arcs - outward.arcs, set(plan.mirrored), iso)
     middle = extend_all(
-        outward, padded, tilde_h, anchor=anchor1, future_arcs=remaining
+        outward, padded, tilde_h, anchor=h.domain.lows, future_arcs=remaining
     )
     return extend_all(g, outward, middle, order=remaining)
 
@@ -894,36 +899,13 @@ def _pipeline_split(
     g: SignedDigraph, sub: SignedDigraph, h: Fds, closed: Sequence[str]
 ) -> Fds:
     """Part of the isolated set is closed (no arc leaves it): peel its
-    entering arcs off, recurse, then glue a nilpotent block over it."""
+    entering arcs off, recurse, then glue a nilpotent block over it, its
+    target at the top of the inner system's domain."""
     closed_set = set(closed)
-    trimmed = SignedDigraph(
-        g.vertices, frozenset(a for a in g.arcs if a[1] not in closed_set)
-    )
-    inner, _ = construct_converging(trimmed, sub, h)
-
-    xi = tuple(hi for _, hi in inner.domain.intervals)
-    q_arcs = frozenset(a for a in g.arcs if a[1] in closed_set)
-    q_graph = SignedDigraph(g.vertices, q_arcs)
-    block, cert = construct_nilpotent(q_graph)
-    deltas = [xi[k] - cert.target[k] for k in range(g.n)]
-    block = block.translate(deltas)
-
-    intervals = []
-    for k in range(g.n):
-        if g.vertices[k] in closed_set:
-            intervals.append(block.domain.intervals[k])
-        else:
-            intervals.append(
-                (inner.domain.intervals[k][0], block.domain.intervals[k][1])
-            )
-    dom = IntervalProduct(tuple(intervals))
-    grids = dom.coordinate_grids
-    closed_col = np.array([v in closed_set for v in g.vertices])[:, None]
-    xi_col = np.array(xi)[:, None]
-    # Clamp each state onto the inner domain and onto the block domain.
-    down = inner.domain.offsets_of(np.where(closed_col, xi_col, np.minimum(grids, xi_col)))
-    up = block.domain.offsets_of(np.where(closed_col, grids, np.maximum(grids, xi_col)))
-    return Fds(dom, np.where(closed_col, block.tables[:, up], inner.tables[:, down]))
+    q = g.spanning(a for a in g.arcs if a[1] in closed_set)
+    inner, _ = construct_converging(g.without_arcs(q.arcs), sub, h)
+    block = _placed_block(q, [hi for _, hi in inner.domain.intervals])
+    return _glue(inner, block, [g.index(v) for v in closed])
 
 
 def construct_converging(

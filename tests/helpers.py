@@ -18,7 +18,7 @@ from sdgdyn import (
     is_signed_cycle,
     random_fds,
 )
-from sdgdyn.fds import BLOCK_CELLS, _realizes_signs, _sign_pattern
+from sdgdyn.fds import BLOCK_CELLS
 
 SIGNS = (POSITIVE, NEGATIVE)
 
@@ -88,6 +88,23 @@ def random_non_cycle_connected_sdg(rng: random.Random, n_max: int = 7) -> Signed
             return g  # the one-vertex arcless graph is admissible
 
 
+def mixed_components_sdg(rng: random.Random) -> SignedDigraph:
+    """A disconnected graph in shuffled vertex order: a random connected
+    component, one to three lone vertices and an underlying cycle carrying
+    both signs on at least one step."""
+    core = random_connected_sdg(rng, 5)
+    arcs = [(f"g{s}", f"g{t}", sign) for s, t, sign in core.arcs]
+    ring = [f"c{k}" for k in range(rng.randint(1, 4))]
+    both = rng.randrange(len(ring))
+    for k, v in enumerate(ring):
+        w = ring[(k + 1) % len(ring)]
+        arcs += [(v, w, s) for s in (SIGNS if k == both else (rng.choice(SIGNS),))]
+    names = [f"g{v}" for v in core.vertices] + ring
+    names += [f"lone{k}" for k in range(rng.randint(1, 3))]
+    rng.shuffle(names)
+    return SignedDigraph.from_arcs(sorted(arcs), vertices=names)
+
+
 def random_subsystem_triple(
     rng: random.Random, n_max: int = 6, attempts: int = 200
 ):
@@ -153,18 +170,13 @@ def random_system_on(
     tables = []
     for k, v in enumerate(graph.vertices):
         nbrs = sorted(graph.in_neighbors(v), key=graph.index)
-        pattern = _sign_pattern(graph, v)
         local_shape = tuple(sizes[graph.index(j)] for j in nbrs)
-        cells = 1
-        for s in local_shape:
-            cells *= s
+        cells = list(product(*map(range, local_shape)))
         found = None
         for _ in range(attempts):
-            local = np.array(
-                [rng.randrange(sizes[k]) for _ in range(cells)], dtype=np.int64
-            )
-            if _realizes_signs(local.reshape((1,) + local_shape), pattern)[0]:
-                found = local
+            local = [rng.randrange(sizes[k]) for _ in cells]
+            if realizes_signs(graph, v, dict(zip(cells, local))):
+                found = np.array(local, dtype=np.int64)
                 break
         if found is None:
             return _canonical_system_on(graph)
@@ -378,6 +390,21 @@ def brute_force_interaction_arcs(f: Fds, names=None) -> set:
     return arcs
 
 
+def realizes_signs(g: SignedDigraph, v: str, local: dict) -> bool:
+    """Whether the local table ``local`` of ``v`` (a map from in-neighbor
+    coordinates, in vertex order, to values) rises and falls along each
+    in-neighbor exactly as the arcs into ``v`` say, compared cell by cell
+    with the next cell along each axis in pure Python."""
+    nbrs = sorted(g.in_neighbors(v), key=g.index)
+    seen = [[False, False] for _ in nbrs]
+    for x, fx in local.items():
+        for a in range(len(nbrs)):
+            y = x[:a] + (x[a] + 1,) + x[a + 1 :]
+            if y in local and local[y] != fx:
+                seen[a][local[y] < fx] = True
+    return seen == [[u in g.in_plus(v), u in g.in_minus(v)] for u in nbrs]
+
+
 def brute_force_convergence(f: Fds, h: Fds, k: int):
     """``(f^k(X) inside the box of h's value sets, agreement on Y, first
     disagreeing state)`` by iterating ``f`` over the states as tuple sets."""
@@ -414,15 +441,19 @@ def reference_local_table_systems(g: SignedDigraph, domains, cap: int):
         per_component = []
         for i, v in enumerate(g.vertices):
             nbrs = sorted(g.index(j) for j in g.in_neighbors(v))
-            local_shape = tuple(dom.shape[j] for j in nbrs)
             cells = list(product(*(range(dom.intervals[j][0], dom.intervals[j][1] + 1) for j in nbrs)))
             lo, hi = dom.intervals[i]
             scanned += (hi - lo + 1) ** len(cells)
             if scanned > cap:
                 raise ResourceCapError("cap")
-            candidates = [list(combo) for combo in product(range(lo, hi + 1), repeat=len(cells))]
-            local = np.array(candidates, dtype=np.int64).reshape((len(candidates),) + local_shape)
-            valid = local.reshape(len(candidates), -1)[_realizes_signs(local, _sign_pattern(g, v))]
+            valid = np.array(
+                [
+                    combo
+                    for combo in product(range(lo, hi + 1), repeat=len(cells))
+                    if realizes_signs(g, v, dict(zip(cells, combo)))
+                ],
+                dtype=np.int64,
+            ).reshape(-1, len(cells))
             if not len(valid):
                 break
             cell_of = {coords: c for c, coords in enumerate(cells)}

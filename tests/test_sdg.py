@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from sdgdyn import (
     to_dot,
     underlying_cycle_order,
 )
+from sdgdyn import sdg
 from sdgdyn.sdg import _strong_components
 
 import helpers
@@ -431,24 +433,39 @@ def test_find_disjoint_positive_cycles():
 def test_find_disjoint_positive_cycles_matches_bruteforce():
     from itertools import combinations
 
+    # The search takes cycles in enumeration order, so the family it returns
+    # is the first disjoint combination of positive cycles in that order.
     rng = random.Random(31)
-    for _ in range(30):
-        g = helpers.random_connected_sdg(rng, 5)
+    for _ in range(60):
+        g = helpers.random_connected_sdg(rng, 6)
         positives = [c for c in enumerate_cycles(g) if c.sign == POSITIVE]
-        for k in (1, 2):
-            expect = any(
-                not (a.vertex_set() & b.vertex_set())
-                for a, b in combinations(positives, 2)
-            ) if k == 2 else bool(positives)
-            got = find_disjoint_positive_cycles(g, k)
-            assert (got is not None) == expect
-            if got:
-                assert len(got) == k
-                used = set()
-                for c in got:
-                    assert c.sign == POSITIVE
-                    assert not (used & c.vertex_set())
-                    used |= c.vertex_set()
+        for k in (1, 2, 3):
+            expect = next(
+                (
+                    list(family)
+                    for family in combinations(positives, k)
+                    if sum(len(c.vertices) for c in family)
+                    == len(set().union(*(c.vertices for c in family)))
+                ),
+                None,
+            )
+            assert find_disjoint_positive_cycles(g, k) == expect
+
+
+def test_find_disjoint_positive_cycles_counts_cycle_lengths(monkeypatch):
+    # On the complete loopless all-positive digraph on 8 vertices, five
+    # disjoint cycles of two or more vertices would need ten vertices, so
+    # the search ends at once.  Its 16,064 cycles are enumerated outside
+    # the timed call.
+    names = [str(v) for v in range(8)]
+    g = SignedDigraph.from_arcs([(a, b, "+") for a in names for b in names if a != b])
+    cycles = enumerate_cycles(g)
+    monkeypatch.setattr(sdg, "enumerate_cycles", lambda graph, cap: cycles)
+    start = time.perf_counter()
+    assert find_disjoint_positive_cycles(g, 5) is None
+    assert time.perf_counter() - start < 0.1
+    four = find_disjoint_positive_cycles(g, 4)
+    assert sorted(v for c in four for v in c.vertices) == names
 
 
 def test_eight_vertex_example_disjoint_positive_pair():

@@ -28,6 +28,8 @@ from sdgdyn import (
     extend_all,
     extend_by_arc,
     fds_to_dict,
+    is_signed_cycle,
+    underlying_cycle_order,
 )
 from sdgdyn import synthesis
 from sdgdyn.fds import Fds, IntervalProduct
@@ -144,9 +146,31 @@ def test_nilpotent_property_random():
 NILPOTENT_OUTPUTS_DIGEST = (
     "3a133386ea421e8786e72ec304f4460de279417e56236e5522185fb121e840ed"
 )
+# The same for the graphs of helpers.mixed_components_sdg, recorded before
+# the planner covered every non-cycle component in one pass.
+MIXED_NILPOTENT_OUTPUTS_DIGEST = (
+    "0413f45084ad98bd00029f84ec83c8c5baf64650987fb9c3179f156d3eb45efa"
+)
+
+
+def _nilpotent_output(g: SignedDigraph) -> str:
+    try:
+        f, cert = construct_nilpotent(g)
+        return json.dumps([fds_to_dict(f), cert.to_dict()])
+    except PreconditionError as exc:  # a component is a signed cycle
+        return type(exc).__name__
 
 
 def test_construct_nilpotent_output_is_pinned():
+    seen = collections.Counter()
+
+    def count(g):
+        comps = [g.induced(c) for c in g.weak_components()]
+        seen["lone vertex, disconnected"] += len(comps) > 1 and bool(classify_vertices(g)[2])
+        seen["cycle carrying both signs"] += any(
+            underlying_cycle_order(c) is not None and not is_signed_cycle(c) for c in comps
+        )
+
     rng = random.Random(20221)
     digest = hashlib.sha256()
     for k in range(300):
@@ -158,13 +182,18 @@ def test_construct_nilpotent_output_is_pinned():
                 sorted(g.arcs) + [(rename[s], rename[t], sg) for s, t, sg in other.arcs],
                 vertices=list(g.vertices) + [rename[v] for v in other.vertices],
             )
-        try:
-            f, cert = construct_nilpotent(g)
-            out = json.dumps([fds_to_dict(f), cert.to_dict()])
-        except PreconditionError as exc:  # a component is a signed cycle
-            out = type(exc).__name__
-        digest.update(out.encode() + b"\n")
+        count(g)
+        digest.update(_nilpotent_output(g).encode() + b"\n")
     assert digest.hexdigest() == NILPOTENT_OUTPUTS_DIGEST
+
+    rng = random.Random(20261)
+    digest = hashlib.sha256()
+    for _ in range(60):
+        g = helpers.mixed_components_sdg(rng)
+        count(g)
+        digest.update(_nilpotent_output(g).encode() + b"\n")
+    assert digest.hexdigest() == MIXED_NILPOTENT_OUTPUTS_DIGEST
+    assert min(seen.values()) >= 10, seen
 
 
 def test_certificate_json_roundtrip_and_tampering():
@@ -332,6 +361,32 @@ def test_graph_structure_is_derived_once_per_graph(monkeypatch):
     monkeypatch.setattr(SignedDigraph, "__post_init__", lambda self: built.append(self) or init(self))
     assert _structure_problems(f, g) == []
     assert built == []
+
+
+def test_nilpotent_planner_derives_strong_components_once(monkeypatch):
+    from sdgdyn import sdg
+
+    runs = []
+    strong_components = sdg._strong_components
+
+    def counting(g):
+        runs.append(g)
+        return strong_components(g)
+
+    monkeypatch.setattr(sdg, "_strong_components", counting)
+    monkeypatch.setattr(synthesis, "_strong_components", counting)
+    # Three lone vertices, a two-cycle carrying both signs on one step and a
+    # general component, their vertices interleaved.
+    g = SignedDigraph.from_arcs(
+        [
+            ("c1", "c2", "+"), ("c2", "c1", "+"), ("c2", "c1", "-"),
+            ("1", "2", "+"), ("2", "3", "-"), ("3", "1", "+"), ("3", "4", "-"),
+        ],
+        vertices=["lone1", "1", "c1", "lone2", "2", "3", "c2", "4", "lone3"],
+    )
+    f, cert = construct_nilpotent(g)
+    assert len(runs) == 1
+    assert not check_nilpotency_certificate(g, f, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +683,20 @@ def test_construct_converging_output_is_pinned(monkeypatch):
         return step(state, arc, *args, **kwargs)
 
     monkeypatch.setattr(synthesis, "extend_by_arc", counting)
+    paths = collections.Counter()
+    direct, split = synthesis._pipeline_direct, synthesis._pipeline_split
+
+    def counting_direct(g, sub, h, plan):
+        paths["direct"] += 1
+        paths["mirrored block"] += bool(plan.mirrored)
+        return direct(g, sub, h, plan)
+
+    def counting_split(*args):
+        paths["split"] += 1
+        return split(*args)
+
+    monkeypatch.setattr(synthesis, "_pipeline_direct", counting_direct)
+    monkeypatch.setattr(synthesis, "_pipeline_split", counting_split)
     digest = hashlib.sha256()
 
     def record(build):
@@ -653,6 +722,7 @@ def test_construct_converging_output_is_pinned(monkeypatch):
             record(lambda: construct_no_fixed_point(g))
     assert digest.hexdigest() == CONVERGING_OUTPUTS_DIGEST
     assert len(steps) == 6 and min(steps.values()) >= 10, steps
+    assert len(paths) == 3 and min(paths.values()) >= 10, paths
 
 
 def test_component_qualifies_matches_an_arc_scan():
