@@ -151,6 +151,28 @@ class SignedDigraph:
             for v in self.vertices
         }
 
+    def _with_arc(self, arc: Arc) -> "SignedDigraph":
+        """This graph plus ``arc``, which it lacks: the vertex index is shared
+        and the adjacency is a copy of this graph's with the entries of the
+        arc's two ends replaced, so no arc is indexed again."""
+        if arc in self.arcs:
+            raise PreconditionError(f"arc {arc} already present")
+        src, dst, sign = arc
+        g = SignedDigraph(self.vertices, self.arcs | {arc})
+        adj = dict(self._adjacency)
+        a = adj[src]
+        adj[src] = a._replace(out_neighbors=a.out_neighbors | {dst}, out_degree=a.out_degree + 1)
+        b = adj[dst]  # for a loop, the tail's entry just replaced
+        adj[dst] = b._replace(
+            in_plus=b.in_plus | {src} if sign == POSITIVE else b.in_plus,
+            in_minus=b.in_minus | {src} if sign == NEGATIVE else b.in_minus,
+            in_neighbors=b.in_neighbors | {src},
+            in_degree=b.in_degree + 1,
+        )
+        g.__dict__["_index"] = self._index
+        g.__dict__["_adjacency"] = adj
+        return g
+
     def _adj(self, v: str) -> _Adjacency:
         try:
             return self._adjacency[v]
@@ -499,16 +521,43 @@ def enumerate_cycles(g: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Sig
     return out
 
 
+def _shortest_cycle_length(g: SignedDigraph) -> float:
+    """Vertices on a shortest directed cycle of ``g`` (one for a loop), or
+    ``math.inf`` when it has none: a breadth-first search from each vertex,
+    stopped at the depth where a cycle back to it would be no shorter than
+    the best one found."""
+    best = math.inf
+    succ = g._under_succ
+    for v in g.vertices:
+        frontier, seen, depth = [v], {v}, 0
+        while frontier and depth + 1 < best:
+            depth += 1
+            reached = []
+            for u in frontier:
+                for w in succ[u]:
+                    if w == v:
+                        best = depth
+                    elif w not in seen:
+                        seen.add(w)
+                        reached.append(w)
+            frontier = reached
+    return best
+
+
 def find_disjoint_positive_cycles(
     g: SignedDigraph, k: int, cap: int = DEFAULT_CYCLE_CAP
 ) -> list[SignedCycle] | None:
     """Exact search for ``k`` vertex-disjoint positive cycles.
 
     Returns the first family in the deterministic search order, or ``None``
-    when no such family exists (the backtracking is exhaustive).
+    when no such family exists (the backtracking is exhaustive).  When ``k``
+    cycles of the shortest length already need more than ``n`` vertices it
+    returns ``None`` before enumerating any cycle, so the cap cannot raise.
     """
     if k <= 0:
         raise PreconditionError("k must be positive")
+    if k * _shortest_cycle_length(g) > g.n:
+        return None  # k disjoint cycles would need more than n vertices
     positives = [c for c in enumerate_cycles(g, cap=cap) if c.sign == POSITIVE]
 
     # shortest[i]: the fewest vertices of any cycle in positives[i:].

@@ -516,6 +516,65 @@ def _extended_tables(
     return dom, cube.reshape(n, -1)
 
 
+def _plane_problems(
+    dom: IntervalProduct, tables: np.ndarray, tail: int, head: int, direction: int, sign: str
+) -> list[str]:
+    """Why the end plane of axis ``tail`` on the ``direction`` side, the one
+    a step writes, fails to add exactly the arc ``tail -> head`` of
+    ``sign``: every other component must copy the neighbour plane on it,
+    and the unit step of ``head`` into it must have ``sign`` wherever it is
+    nonzero and be nonzero somewhere."""
+    n = len(tables)
+    cube = tables.reshape((n,) + dom.shape)
+    at = (slice(None),) * (tail + 1)
+    end, inner = (-1, -2) if direction > 0 else (0, 1)
+    plane, near = cube[at + (end,)], cube[at + (inner,)]
+    problems = []
+    differs = (plane != near).reshape(n, -1).any(axis=1)
+    differs[head] = False
+    if differs.any():
+        problems.append(
+            f"components {np.flatnonzero(differs).tolist()} differ from the "
+            "neighbour of the written plane"
+        )
+    step = (plane[head] - near[head]) * (direction if sign == POSITIVE else -direction)
+    if (step < 0).any():
+        problems.append(f"component {head} steps against the arc's sign")
+    if not step.any():
+        problems.append(f"component {head} does not step into the written plane")
+    return problems
+
+
+def _step_postcondition_problems(
+    state: ExtensionState, arc: Arc, value: int, plane: int, base_system: Fds
+) -> list[str]:
+    """The guarantees of :func:`check_extension_postconditions` for the one
+    value a step writes: ``value`` of the head on the plane at coordinate
+    ``plane`` of the tail's axis, every other entry being copied."""
+    j, i, _ = arc
+    ji, ii = state.graph.index(j), state.graph.index(i)
+    Y, H = base_system.domain, base_system.tables
+    problems = []
+    if i not in state.new_inputs:
+        lo, hi = Y.intervals[ii]
+        if not lo <= value <= hi:
+            problems.append(f"image of component {ii} leaves the base domain")
+        if not (H[ii] == value).any():
+            problems.append(f"image of component {ii} leaves the base image")
+    lo, hi = Y.intervals[ji]
+    # A plane inside the base domain is one the sink tail already had: it
+    # must lie off the anchor, and the head deviates there by reading the
+    # tail, which must be a new output.
+    if lo <= plane <= hi:
+        if j not in state.new_outputs:
+            problems.append(
+                f"component {ii} depends on no new output yet deviates on the base domain"
+            )
+        if j not in state.new_outputs or plane == state.anchor[ji]:
+            problems.append(f"component {ii} deviates from the base on anchored states")
+    return problems
+
+
 def extend_by_arc(
     state: ExtensionState,
     arc: Arc,
@@ -535,14 +594,39 @@ def extend_by_arc(
     its interval grows toward the value it steps to, and since nothing
     reads it the transient value is harmless.
 
-    The new system's interaction graph gains exactly ``arc``; the four
-    postconditions of :func:`check_extension_postconditions` are
-    re-established (and asserted in debug mode).  ``upcoming`` lists the
-    arcs that will be added later, which steers the direction in which tail
-    intervals grow; where the head is a source whose constant cannot step
-    the way ``upcoming`` asks for, the tail grows the way it can.  Raises
-    :class:`InternalInvariantError` when no sound treatment of the arc
-    exists.
+    The state's system must realize exactly the state's graph, as
+    :func:`extend_all` checks for its base.  The step then checks only the
+    plane it writes, and that proves the new system's interaction graph is
+    the old one plus ``arc``.  An arc ``k -> m`` is a unit step of
+    component ``m`` along axis ``k`` with its sign, and on the written plane
+    every component but the head copies the neighbour plane (the first
+    check) while the head is the constant ``value``.
+
+    * Along an axis other than the tail's, a unit step inside the written
+      plane is zero for the head and a step of the neighbour plane for the
+      others; every other step is one of the old system's.
+    * Along the tail's axis, the step into the written plane is zero for
+      every component but the head, whose step has the arc's sign
+      wherever it is nonzero and is nonzero somewhere (the second check);
+      every other step is one of the old system's.
+    * A width-2 sink tail grows nothing, and its second plane is written
+      over.  Nothing read the sink, so every old table was constant along
+      its axis: the head's old steps on that plane are kept on the other
+      one, and the step into it is the only one along the axis.
+    * An isolated head first grows its own axis toward ``value``, by a copy
+      of its end plane.  Nothing read it, so every table stays constant
+      along its axis.
+
+    So the step adds exactly ``arc``.  The degree bounds are checked on the
+    new graph, which is derived from the old one, and a failed check raises
+    :class:`InternalInvariantError`.  In debug mode the step also checks the
+    four postconditions of :func:`check_extension_postconditions` on the
+    one value it writes; :func:`extend_all` checks them in full once, on
+    its result.  ``upcoming`` lists the arcs that will be added later, which
+    steers the direction in which tail intervals grow; where the head is a
+    source whose constant cannot step the way ``upcoming`` asks for, the
+    tail grows the way it can.  Raises :class:`InternalInvariantError` when
+    no sound treatment of the arc exists.
     """
     j, i, sign = arc
     cur, dom, tables = state.graph, state.system.domain, state.system.tables
@@ -618,16 +702,20 @@ def extend_by_arc(
         dom, tables = _extended_tables(dom, tables, ii, value - lo)
     dom, tables = _extended_tables(dom, tables, ji, direction, grow, ii, value)
 
-    new_graph = SignedDigraph(cur.vertices, cur.arcs | {arc})
+    problems = _plane_problems(dom, tables, ji, ii, direction, sign)
+    new_graph = cur._with_arc(arc)
     new_system = Fds(dom, tables)
-    problems = _structure_problems(new_system, new_graph)
+    ok, bad = new_system.is_degree_bounded(new_graph)
+    if not ok:
+        problems.append(f"degree bound violated at components {bad}")
     if problems:
         raise InternalInvariantError(f"extension by {arc}: " + "; ".join(problems))
     new_state = ExtensionState(
         new_graph, new_system, state.anchor, *_ab_sets(base_graph, new_graph)
     )
     if __debug__:
-        problems = check_extension_postconditions(new_state, base_graph, base_system)
+        plane = dom.intervals[ji][1 if direction > 0 else 0]
+        problems = _step_postcondition_problems(new_state, arc, value, plane, base_system)
         if problems:
             raise InternalInvariantError(
                 f"extension by {arc} broke postconditions: " + "; ".join(problems)
@@ -650,7 +738,8 @@ def extend_all(
     a vertex isolated in the base.  Arcs are added in (source index, target
     index, ``+`` before ``-``) order unless an explicit order is supplied;
     ``future_arcs`` are arcs that later invocations will add, used only to
-    steer interval growth.
+    steer interval growth.  In debug mode the result is checked once
+    against all four guarantees of :func:`check_extension_postconditions`.
     """
     if not base_graph.is_spanning_subgraph_of(target):
         raise PreconditionError("base graph is not a spanning subgraph of the target")
@@ -688,6 +777,12 @@ def extend_all(
         state = extend_by_arc(
             state, arc, base_graph, base_system, upcoming=pending[pos + 1 :]
         )
+    if __debug__ and seq:
+        problems = check_extension_postconditions(state, base_graph, base_system)
+        if problems:
+            raise InternalInvariantError(
+                "extension broke postconditions: " + "; ".join(problems)
+            )
     return state.system
 
 

@@ -490,6 +490,39 @@ def test_synth_nilpotent_json_in_a_fresh_process(tmp_path):
     assert report["system"] == json.loads(text)
 
 
+def test_synthesis_output_is_the_same_without_debug_checks(tmp_path):
+    # Under -O the per-step and final extension postcondition checks do not
+    # run; a converging and a fixed-point synthesis must write the same bytes.
+    from sdgdyn import SignedDigraph, cycle_subsystem
+
+    g, cycle = __import__("test_synthesis").fig_case1_instance()
+    gpath, hpath = tmp_path / "g.sdg", tmp_path / "h.json"
+    gpath.write_text(format_sdg(g))
+    save_fds(cycle_subsystem(g, [cycle])[1], str(hpath))
+    arcs = [("1", "2", "+"), ("2", "1", "+"), ("2", "3", "-"), ("3", "4", "+"),
+            ("4", "3", "+"), ("4", "1", "-"), ("1", "1", "-")]
+    fpath = tmp_path / "fp.sdg"
+    fpath.write_text(format_sdg(SignedDigraph.from_arcs(arcs)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdgdyn.__file__)))
+    outputs = []
+    for flags in ([], ["-O"]):
+        runs = []
+        for name, argv in (
+            ("converge", ["synth-converge", "--graph", str(gpath), "--sub", str(hpath), "--json"]),
+            ("fixed", ["synth-fixed-points", "--graph", str(fpath), "--cycles", "2"]),
+        ):
+            out = tmp_path / f"{name}.json"
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "sdgdyn.cli", *argv, "--out", str(out)],
+                capture_output=True, check=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=src),
+            )
+            runs.append((proc.stdout, proc.stderr, out.read_bytes()))
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
+    assert b"4 fixed points" in outputs[0][1][0]
+
+
 def test_dumps_indent2_renders_tables_like_stdlib():
     for f in helpers.rendering_systems():
         report = {"system": fds_document(f), "verdict": "ok", "seed": 0}

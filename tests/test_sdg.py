@@ -115,6 +115,22 @@ def _random_adjacency_case(rng):
     return SignedDigraph.from_arcs(sorted(arcs), vertices=order)
 
 
+def _assert_adjacency_matches_a_scan(g):
+    arcs = g.arcs
+    for v in g.vertices:
+        assert g.in_plus(v) == {s for s, t, sg in arcs if t == v and sg == POSITIVE}
+        assert g.in_minus(v) == {s for s, t, sg in arcs if t == v and sg == NEGATIVE}
+        assert g.in_neighbors(v) == {s for s, t, _ in arcs if t == v}
+        assert g.out_neighbors(v) == {t for s, t, _ in arcs if s == v}
+        assert g.in_degree(v) == sum(1 for _, t, _ in arcs if t == v)
+        assert g.out_degree(v) == sum(1 for s, _, _ in arcs if s == v)
+    for query in (
+        g.in_plus, g.in_minus, g.in_neighbors, g.out_neighbors, g.in_degree, g.out_degree
+    ):
+        with pytest.raises(PreconditionError, match="^unknown vertex 'absent'$"):
+            query("absent")
+
+
 def test_adjacency_queries_match_a_scan_of_the_arcs():
     rng = random.Random(41)
     seen = dict.fromkeys(["loop", "parallel", "isolated", "split", "signed cycle", "ring"], 0)
@@ -122,18 +138,7 @@ def test_adjacency_queries_match_a_scan_of_the_arcs():
         g = _random_adjacency_case(rng)
         arcs = g.arcs
         pairs = {(s, t) for s, t, _ in arcs}
-        for v in g.vertices:
-            assert g.in_plus(v) == {s for s, t, sg in arcs if t == v and sg == POSITIVE}
-            assert g.in_minus(v) == {s for s, t, sg in arcs if t == v and sg == NEGATIVE}
-            assert g.in_neighbors(v) == {s for s, t, _ in arcs if t == v}
-            assert g.out_neighbors(v) == {t for s, t, _ in arcs if s == v}
-            assert g.in_degree(v) == sum(1 for _, t, _ in arcs if t == v)
-            assert g.out_degree(v) == sum(1 for s, _, _ in arcs if s == v)
-        for query in (
-            g.in_plus, g.in_minus, g.in_neighbors, g.out_neighbors, g.in_degree, g.out_degree
-        ):
-            with pytest.raises(PreconditionError, match="^unknown vertex 'absent'$"):
-                query("absent")
+        _assert_adjacency_matches_a_scan(g)
 
         # Derived structure is cached per graph: asking twice, or asking a
         # separately built equal graph, gives the same answers.
@@ -183,6 +188,27 @@ def test_adjacency_queries_match_a_scan_of_the_arcs():
         seen["signed cycle"] += is_signed_cycle(g)
         seen["ring"] += ring is not None and len(pairs) < len(arcs)
     assert min(seen.values()) >= 10, seen
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_graph_plus_one_arc_derives_its_adjacency(data):
+    # The graph an extension step builds: its parent's adjacency with the
+    # two entries of the new arc replaced, queried like any other graph.
+    g = data.draw(signed_digraphs())
+    absent = [(s, t, sign) for s in g.vertices for t in g.vertices for sign in "+-"]
+    absent = [a for a in absent if a not in g.arcs]
+    if not absent:
+        return
+    arc = data.draw(st.sampled_from(absent))
+    new = g._with_arc(arc)
+    assert new == SignedDigraph(g.vertices, g.arcs | {arc})
+    _assert_adjacency_matches_a_scan(new)
+    assert new._adjacency == SignedDigraph(g.vertices, new.arcs)._adjacency
+    assert list(new._adjacency) == list(g.vertices)
+    _assert_adjacency_matches_a_scan(g)  # the parent is left as it was
+    with pytest.raises(PreconditionError):
+        new._with_arc(arc)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +492,31 @@ def test_find_disjoint_positive_cycles_counts_cycle_lengths(monkeypatch):
     assert time.perf_counter() - start < 0.1
     four = find_disjoint_positive_cycles(g, 4)
     assert sorted(v for c in four for v in c.vertices) == names
+
+
+def test_disjoint_cycle_search_is_bounded_by_the_shortest_cycle():
+    # Five disjoint cycles of two or more vertices need ten vertices, so on
+    # the complete loopless all-positive digraph on 8 vertices the search
+    # returns None before it enumerates any of its 16,064 cycles, even past
+    # the cycle cap; four such cycles fit, and finding them needs the cycles.
+    names = [str(v) for v in range(8)]
+    g = SignedDigraph.from_arcs([(a, b, "+") for a in names for b in names if a != b])
+    start = time.perf_counter()
+    assert find_disjoint_positive_cycles(g, 5) is None
+    assert time.perf_counter() - start < 0.02
+    assert find_disjoint_positive_cycles(g, 5, cap=10) is None
+    with pytest.raises(ResourceCapError):
+        find_disjoint_positive_cycles(g, 4, cap=10)
+
+    # The bound reads the shortest cycle, which one enumeration also gives.
+    rng = random.Random(37)
+    lengths = set()
+    for _ in range(150):
+        g = helpers.random_connected_sdg(rng, 6, loops=rng.random() < 0.5)
+        want = min((len(c.vertices) for c in enumerate_cycles(g)), default=math.inf)
+        assert sdg._shortest_cycle_length(g) == want
+        lengths.add(want)
+    assert {1, 2, 3, math.inf} <= lengths, lengths
 
 
 def test_eight_vertex_example_disjoint_positive_pair():

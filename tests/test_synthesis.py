@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -723,6 +724,189 @@ def test_construct_converging_output_is_pinned(monkeypatch):
     assert digest.hexdigest() == CONVERGING_OUTPUTS_DIGEST
     assert len(steps) == 6 and min(steps.values()) >= 10, steps
     assert len(paths) == 3 and min(paths.values()) >= 10, paths
+
+
+def test_each_step_check_agrees_with_the_full_checks(monkeypatch):
+    # Every extension step checks only the plane it writes, and raises on
+    # a problem.  The full checks stay the reference: on every step of
+    # seeded converging and fixed-point constructions they must accept what
+    # the step's own checks accepted.
+    kinds = collections.Counter()
+    step = synthesis.extend_by_arc
+
+    def checked(state, arc, base_graph, base_system, *args, **kwargs):
+        kind = _step_kind(state, arc)
+        new = step(state, arc, base_graph, base_system, *args, **kwargs)
+        assert _structure_problems(new.system, new.graph) == [], (kind, arc)
+        assert check_extension_postconditions(new, base_graph, base_system) == [], (kind, arc)
+        kinds[kind] += 1
+        return new
+
+    monkeypatch.setattr(synthesis, "extend_by_arc", checked)
+    rng = random.Random(8)
+    for k in range(120):
+        trip = helpers.random_subsystem_triple(rng, 6)
+        if trip is not None:
+            construct_converging(*trip)
+        g = helpers.random_connected_sdg(rng, 7)
+        try:
+            construct_2k_fixed_points(g, k % 3) if k % 3 else construct_no_fixed_point(g)
+        except PreconditionError:
+            pass
+    assert len(kinds) == 6 and min(kinds.values()) >= 5, kinds
+
+
+def _two_step_base():
+    """Base 1 -> 2 +, 1 -> 3 + on [0,1]^3 with h = (0, x1, x1), anchored at
+    the lows.  Adding 1 -> 3 - grows the source tail 1 to [0,2] and writes
+    3 = 0 on the plane x1 = 2; adding 2 -> 3 - writes 3 = 0 on the second
+    plane x2 = 1 of the sink tail 2."""
+    base = SignedDigraph.from_arcs([("1", "2", "+"), ("1", "3", "+")])
+    Y = IntervalProduct(((0, 1),) * 3)
+    h = Fds(Y, [[0] * 8, [s[0] for s in Y.states()], [s[0] for s in Y.states()]])
+    return base, h, ExtensionState(base, h, (0, 0, 0), frozenset(), frozenset())
+
+
+_EXTENDED_TABLES = synthesis._extended_tables
+
+
+def _flip_direction(dom, tables, axis, direction, grow=True, head=None, value=0):
+    # A second-plane step made on the anchor plane instead.
+    if not grow:
+        direction = -direction
+    return _EXTENDED_TABLES(dom, tables, axis, direction, grow, head, value)
+
+
+def _mutate_written_plane(edit):
+    """An ``_extended_tables`` whose head-writing call hands ``edit`` the
+    ``(n, *shape)`` cube, the head and the index of the written plane."""
+
+    def extended(dom, tables, axis, direction, grow=True, head=None, value=0):
+        dom, tables = _EXTENDED_TABLES(dom, tables, axis, direction, grow, head, value)
+        if head is not None:
+            cube = tables.reshape((len(tables),) + dom.shape)
+            edit(cube, head, (slice(None),) * axis + (-1 if direction > 0 else 0,))
+        return dom, tables
+
+    return extended
+
+
+def _set_row_cell(cube, head, at):
+    cube[(1,) + at][0] = 0  # component 2 reads 1 on the plane x1 = 2
+
+
+def _set_head(value):
+    def edit(cube, head, at):
+        cube[(head,) + at] = value
+
+    return edit
+
+
+def _copy_neighbour(cube, head, at):
+    near = at[:-1] + (-2 if at[-1] == -1 else 1,)
+    cube[(head,) + at] = cube[(head,) + near]
+
+
+@pytest.mark.parametrize(
+    "arc, extended, message",
+    [
+        pytest.param(
+            ("1", "3", "-"), _mutate_written_plane(_set_row_cell),
+            "components [1] differ from the neighbour of the written plane",
+            id="non-head-row",
+        ),
+        pytest.param(
+            ("2", "3", "-"), _mutate_written_plane(_set_head(1)),
+            "component 2 steps against the arc's sign", id="wrong-sign",
+        ),
+        pytest.param(
+            ("1", "3", "-"), _mutate_written_plane(_copy_neighbour),
+            "component 2 does not step into the written plane", id="no-step",
+        ),
+        pytest.param(
+            ("2", "3", "-"), _flip_direction,
+            "component 2 steps against the arc's sign", id="anchor-plane",
+        ),
+    ],
+)
+def test_step_check_rejects_a_bad_plane(monkeypatch, arc, extended, message):
+    base, h, state = _two_step_base()
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(extended(*args, **kwargs))
+        return made[-1]
+
+    assert extend_by_arc(state, arc, base, h).graph.arcs == base.arcs | {arc}
+    monkeypatch.setattr(synthesis, "_extended_tables", recording)
+    with pytest.raises(InternalInvariantError, match=re.escape(message)):
+        extend_by_arc(state, arc, base, h)
+    # The full checks reject the faulty system too.
+    graph = SignedDigraph(base.vertices, base.arcs | {arc})
+    bad = ExtensionState(graph, Fds(*made[-1]), (0, 0, 0), *_ab_sets(base, graph))
+    assert _structure_problems(bad.system, graph)
+    if extended is _flip_direction:
+        assert check_extension_postconditions(bad, base, h)
+
+
+def test_step_postconditions_name_each_broken_guarantee():
+    # The per-step checks give the full check's message for each guarantee
+    # that the one written value or plane can break.
+    base, h, _ = _two_step_base()
+    arc = ("2", "3", "-")
+    graph = SignedDigraph(base.vertices, base.arcs | {arc})
+    state = ExtensionState(graph, h, (0, 0, 0), *_ab_sets(base, graph))
+    check = synthesis._step_postcondition_problems
+    assert check(state, arc, 0, 1, h) == []
+    assert check(state, arc, 2, 1, h) == [
+        "image of component 2 leaves the base domain",
+        "image of component 2 leaves the base image",
+    ]
+    assert check(state, arc, 0, 0, h) == [
+        "component 2 deviates from the base on anchored states"
+    ]
+    lost = ExtensionState(graph, h, (0, 0, 0), frozenset(), frozenset())
+    assert check(lost, arc, 0, 1, h) == [
+        "component 2 depends on no new output yet deviates on the base domain",
+        "component 2 deviates from the base on anchored states",
+    ]
+    assert check(state, arc, 0, 2, h) == []  # a grown plane lies outside the base
+
+
+def test_extend_all_checks_the_whole_system_once(monkeypatch):
+    # Three steps run neither the interaction-graph kernel nor the full
+    # postcondition check: the kernel runs for the base and for the final
+    # result only, and the postconditions are checked in full once.
+    import functools
+
+    base, h, _ = _two_step_base()
+    target = SignedDigraph(
+        base.vertices, base.arcs | {("1", "3", "-"), ("2", "3", "-"), ("3", "3", "+")}
+    )
+    kernel = Fds.__dict__["_interaction_arcs"].func
+    runs = []
+
+    def counting_kernel(self):
+        runs.append(self)
+        return kernel(self)
+
+    prop = functools.cached_property(counting_kernel)
+    prop.__set_name__(Fds, "_interaction_arcs")
+    monkeypatch.setattr(Fds, "_interaction_arcs", prop)
+    full = []
+    check = synthesis.check_extension_postconditions
+    monkeypatch.setattr(
+        synthesis, "check_extension_postconditions", lambda *a: full.append(a) or check(*a)
+    )
+    steps = []
+    step = synthesis.extend_by_arc
+    monkeypatch.setattr(synthesis, "extend_by_arc", lambda *a, **k: steps.append(a) or step(*a, **k))
+
+    f = extend_all(target, base, h)
+    assert _structure_problems(f, target) == []
+    assert len(steps) == 3
+    assert len(full) == 1 and full[0][0].system is f
+    assert len(runs) == 2 and runs[0] is h and runs[1] is f
 
 
 def test_component_qualifies_matches_an_arc_scan():
