@@ -29,7 +29,6 @@ from .sdg import (
     ResourceCapError,
     SdgError,
     SdgParseError,
-    SignedDigraph,
     classify_vertices,
     component_structure,
     enumerate_cycles,
@@ -213,11 +212,10 @@ def cmd_verify(args) -> int:
 
     f = load_fds(args.fds) if args.fds else None
     if f is not None:
-        arcs = f.interaction_arcs(g.vertices)
-        checks.append(("interaction graph matches", arcs == g.arcs))
-        ok, bad = f.is_degree_bounded(g if arcs == g.arcs else SignedDigraph(g.vertices, arcs))
+        match, bad = f.structure_fit(g)
+        checks.append(("interaction graph matches", match))
         checks.append(
-            ("degree bounds hold" + (f" (violations at {list(bad)})" if bad else ""), ok)
+            ("degree bounds hold" + (f" (violations at {list(bad)})" if bad else ""), not bad)
         )
         index = f.nilpotency_index()
         report["nilpotency_index"] = index

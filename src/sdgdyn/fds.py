@@ -260,28 +260,33 @@ class Fds:
 
     @cached_property
     def _interaction_arcs(self) -> list[tuple[int, int, str]]:
-        """``(j, i, sign)`` for every arc of the interaction graph: one slice
-        difference of the ``(n, *shape)`` cube per axis ``j`` covers every
-        ``f_i`` (in chunks of components of at most ``BLOCK_CELLS`` cells
-        when the tables are large)."""
-        n, shape = self.n, self.domain.shape
-        cube = self.tables.reshape((n,) + shape)
-        axes = [j for j in range(n) if shape[j] > 1]
+        """``(j, i, sign)`` for every arc of the interaction graph: one
+        :func:`unit_step_signs` call per axis ``j`` of the ``(n, *shape)``
+        cube covers every ``f_i`` (in chunks of components of at most
+        ``BLOCK_CELLS`` cells when the tables are large)."""
+        n = self.n
+        cube = self.tables.reshape((n,) + self.domain.shape)
         rows = max(1, BLOCK_CELLS // self.domain.size)
-        rise = np.empty((len(axes), n), dtype=np.int64)
+        rise = np.empty((n, n), dtype=bool)  # [j, i]: a step along j raises f_i
         fall = np.empty_like(rise)
-        for a, j in enumerate(axes):
-            before = (slice(None),) * (j + 1)
+        for j in range(n):
             for r in range(0, n, rows):
-                part = cube[r : r + rows]
-                diff = part[before + (slice(1, None),)] - part[before + (slice(-1),)]
-                rise[a, r : r + rows] = diff.reshape(len(part), -1).max(axis=1)
-                fall[a, r : r + rows] = diff.reshape(len(part), -1).min(axis=1)
+                part = slice(r, r + rows)
+                rise[j, part], fall[j, part] = unit_step_signs(cube[part], j)
         return [
-            (axes[a], i, sign)
-            for sign, hits in ((POSITIVE, rise > 0), (NEGATIVE, fall < 0))
-            for a, i in np.argwhere(hits).tolist()
+            (j, i, sign)
+            for sign, hits in ((POSITIVE, rise), (NEGATIVE, fall))
+            for j, i in np.argwhere(hits).tolist()
         ]
+
+    def structure_fit(self, g: SignedDigraph) -> tuple[bool, tuple[int, ...]]:
+        """Whether the interaction graph is exactly ``g`` (component ``i``
+        named ``g.vertices[i]``), and the components at which the degree
+        bound fails on the interaction graph (see :meth:`is_degree_bounded`)."""
+        arcs = self.interaction_arcs(g.vertices)
+        # Equal arcs give equal degrees, so only a mismatch needs the system's own graph.
+        _, bad = self.is_degree_bounded(g if arcs == g.arcs else SignedDigraph(g.vertices, arcs))
+        return arcs == g.arcs, bad
 
     def is_degree_bounded(
         self, graph: SignedDigraph | None = None
@@ -357,6 +362,17 @@ def value_masks(values: np.ndarray, width: int) -> np.ndarray:
     masks = np.zeros((len(values), width), dtype=bool)
     masks[np.arange(len(values))[:, None], values] = True
     return masks
+
+
+def unit_step_signs(cubes: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each row of the ``(rows, *shape)`` array ``cubes``: whether a unit
+    step along state axis ``axis`` (array axis ``axis + 1``) raises the value
+    somewhere, and whether it lowers it somewhere.  An axis of length 1, or
+    a block of no rows, gives two all-False arrays."""
+    at = (slice(None),) * (axis + 1)
+    diff = cubes[at + (slice(1, None),)] - cubes[at + (slice(-1),)]
+    rest = tuple(range(1, cubes.ndim))
+    return (diff > 0).any(axis=rest), (diff < 0).any(axis=rest)
 
 
 def image_chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -535,18 +551,6 @@ def _sign_pattern(g: SignedDigraph, v: str) -> list[tuple[bool, bool]]:
     return [(u in plus, u in minus) for u in sorted(g.in_neighbors(v), key=g.index)]
 
 
-def _realizes_signs(cubes: np.ndarray, pattern: Sequence[tuple[bool, bool]]) -> np.ndarray:
-    """Which local tables ``cubes[b]`` (one axis per in-neighbor) raise and
-    lower their value along each axis exactly as ``pattern`` says."""
-    rows = len(cubes)
-    ok = np.ones(rows, dtype=bool)
-    for a, (pos, neg) in enumerate(pattern):
-        diff = np.diff(cubes, axis=a + 1).reshape(rows, -1)
-        ok &= (diff > 0).any(axis=1) == pos
-        ok &= (diff < 0).any(axis=1) == neg
-    return ok
-
-
 # Cells (systems x components x states) in one block of tables, so that the
 # memory an enumeration holds does not grow with the number of systems.
 BLOCK_CELLS = 1 << 16
@@ -600,8 +604,8 @@ def _local_table_systems(
                 raise _cap_error(cap)
             # Candidate r fills the cells with the mixed-radix digits of r
             # (first cell most significant).  Candidates are checked in
-            # blocks of rows, one diff per axis and block, which keeps memory
-            # bounded whatever the cap.
+            # blocks of rows, one sign kernel call per axis and block, which
+            # keeps memory bounded whatever the cap.
             valid: list[np.ndarray] = []
             for start in range(0, count, 4096):
                 rest = np.arange(start, min(start + 4096, count))
@@ -610,7 +614,11 @@ def _local_table_systems(
                     rest, digit = np.divmod(rest, width)
                     local[:, cell] = lo + digit
                 cube = local.reshape((len(local),) + local_shape)
-                valid.append(local[_realizes_signs(cube, want[i])])
+                ok = np.ones(len(local), dtype=bool)
+                for a, (pos, neg) in enumerate(want[i]):
+                    rise, fall = unit_step_signs(cube, a)
+                    ok &= (rise == pos) & (fall == neg)
+                valid.append(local[ok])
             valid_tables = np.concatenate(valid)
             if not len(valid_tables):
                 break

@@ -55,14 +55,6 @@ class InternalInvariantError(SdgError):
     """
 
 
-@dataclass(frozen=True)
-class UnsignedDigraph:
-    """Plain digraph: the signed graph with signs (and parallel arcs) dropped."""
-
-    vertices: tuple[str, ...]
-    arcs: frozenset[tuple[str, str]]
-
-
 class _Adjacency(NamedTuple):
     """Everything one vertex's arcs say about it; degrees count parallel
     arcs twice."""
@@ -208,12 +200,6 @@ class SignedDigraph:
 
     # -- derived graphs ----------------------------------------------------
 
-    def underlying(self) -> UnsignedDigraph:
-        """The unsigned digraph: one arc per ordered pair that carries any sign."""
-        return UnsignedDigraph(
-            self.vertices, frozenset((s, t) for (s, t, _) in self.arcs)
-        )
-
     @cached_property
     def _under_succ(self) -> dict[str, tuple[str, ...]]:
         """Out-neighbours of every vertex in vertex order."""
@@ -253,11 +239,6 @@ class SignedDigraph:
     def without_vertices(self, vertices: Iterable[str]) -> "SignedDigraph":
         drop = set(vertices)
         return self.induced(v for v in self.vertices if v not in drop)
-
-    def union(self, other: "SignedDigraph") -> "SignedDigraph":
-        """Union of vertex sets and arc sets (shared names denote shared vertices)."""
-        verts = tuple(dict.fromkeys(self.vertices + other.vertices))
-        return SignedDigraph(verts, self.arcs | other.arcs)
 
     def is_spanning_subgraph_of(self, other: "SignedDigraph") -> bool:
         return self.vertices == other.vertices and self.arcs <= other.arcs

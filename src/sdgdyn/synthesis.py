@@ -53,6 +53,7 @@ from .fds import (
     converges_toward,
     json_int,
     load_json,
+    unit_step_signs,
     value_masks,
 )
 
@@ -126,12 +127,10 @@ def _structure_problems(f: Fds, g: SignedDigraph) -> list[str]:
     """Why ``f`` is not a degree-bounded system whose interaction graph is
     exactly ``g`` (empty when it is); ``f`` has one component per vertex."""
     problems = []
-    arcs = f.interaction_arcs(g.vertices)
-    if arcs != g.arcs:
+    match, bad = f.structure_fit(g)
+    if not match:
         problems.append("interaction graph differs from the input graph")
-    # Equal arcs give equal degrees, so only a mismatch needs f's own graph.
-    ok, bad = f.is_degree_bounded(g if arcs == g.arcs else SignedDigraph(g.vertices, arcs))
-    if not ok:
+    if bad:
         problems.append(f"degree bound violated at components {bad}")
     return problems
 
@@ -521,26 +520,22 @@ def _plane_problems(
 ) -> list[str]:
     """Why the end plane of axis ``tail`` on the ``direction`` side, the one
     a step writes, fails to add exactly the arc ``tail -> head`` of
-    ``sign``: every other component must copy the neighbour plane on it,
-    and the unit step of ``head`` into it must have ``sign`` wherever it is
-    nonzero and be nonzero somewhere."""
-    n = len(tables)
-    cube = tables.reshape((n,) + dom.shape)
-    at = (slice(None),) * (tail + 1)
-    end, inner = (-1, -2) if direction > 0 else (0, 1)
-    plane, near = cube[at + (end,)], cube[at + (inner,)]
+    ``sign``.  :func:`unit_step_signs` reads the unit steps between the two
+    end planes in coordinate order, in which the arc is a rise when it is
+    positive and a fall when it is negative, whichever end was written: no
+    component but the head may step there, and the head must step
+    somewhere and never against ``sign``."""
+    cube = tables.reshape((len(tables),) + dom.shape)
+    end = dom.shape[tail] - 2 if direction > 0 else 0
+    rise, fall = unit_step_signs(cube[(slice(None),) * (tail + 1) + (slice(end, end + 2),)], tail)
+    steps = rise | fall
     problems = []
-    differs = (plane != near).reshape(n, -1).any(axis=1)
-    differs[head] = False
-    if differs.any():
-        problems.append(
-            f"components {np.flatnonzero(differs).tolist()} differ from the "
-            "neighbour of the written plane"
-        )
-    step = (plane[head] - near[head]) * (direction if sign == POSITIVE else -direction)
-    if (step < 0).any():
+    others = [k for k in np.flatnonzero(steps).tolist() if k != head]
+    if others:
+        problems.append(f"components {others} differ from the neighbour of the written plane")
+    if (fall if sign == POSITIVE else rise)[head]:
         problems.append(f"component {head} steps against the arc's sign")
-    if not step.any():
+    if not steps[head]:
         problems.append(f"component {head} does not step into the written plane")
     return problems
 
@@ -596,19 +591,20 @@ def extend_by_arc(
 
     The state's system must realize exactly the state's graph, as
     :func:`extend_all` checks for its base.  The step then checks only the
-    plane it writes, and that proves the new system's interaction graph is
-    the old one plus ``arc``.  An arc ``k -> m`` is a unit step of
-    component ``m`` along axis ``k`` with its sign, and on the written plane
-    every component but the head copies the neighbour plane (the first
-    check) while the head is the constant ``value``.
+    unit steps between the written plane and its neighbour, and that proves
+    the new system's interaction graph is the old one plus ``arc``.  An arc
+    ``k -> m`` is a unit step of component ``m`` along axis ``k`` that rises
+    (``+``) or falls (``-``) somewhere, and on the written plane every
+    component but the head copies the neighbour plane (the first check)
+    while the head is the constant ``value``.
 
     * Along an axis other than the tail's, a unit step inside the written
       plane is zero for the head and a step of the neighbour plane for the
       others; every other step is one of the old system's.
-    * Along the tail's axis, the step into the written plane is zero for
-      every component but the head, whose step has the arc's sign
-      wherever it is nonzero and is nonzero somewhere (the second check);
-      every other step is one of the old system's.
+    * Along the tail's axis, the step between the two planes, read in
+      coordinate order, is zero for every component but the head, which
+      never steps against ``sign`` (the second check) and steps somewhere
+      (the third); every other step is one of the old system's.
     * A width-2 sink tail grows nothing, and its second plane is written
       over.  Nothing read the sink, so every old table was constant along
       its axis: the head's old steps on that plane are kept on the other
@@ -747,6 +743,19 @@ def extend_all(
         raise PreconditionError(
             "base system's interaction graph differs from the base graph"
         )
+    return _fold_arcs(target, base_graph, base_system, anchor, order, future_arcs)
+
+
+def _fold_arcs(
+    target: SignedDigraph,
+    base_graph: SignedDigraph,
+    base_system: Fds,
+    anchor: Sequence[int] | None = None,
+    order: Sequence[Arc] | None = None,
+    future_arcs: Sequence[Arc] = (),
+) -> Fds:
+    """:func:`extend_all` on a base system already known to realize exactly
+    ``base_graph``, such as the result of an earlier fold, whose steps proved it."""
     sources_b, sinks_b, isolated_b = classify_vertices(base_graph)
     missing = [a for a in target.sorted_arcs() if a not in base_graph.arcs]
     for src, dst, _ in missing:
@@ -987,7 +996,7 @@ def _pipeline_direct(
     middle = extend_all(
         outward, padded, tilde_h, anchor=h.domain.lows, future_arcs=remaining
     )
-    return extend_all(g, outward, middle, order=remaining)
+    return _fold_arcs(g, outward, middle, order=remaining)
 
 
 def _pipeline_split(
@@ -1094,9 +1103,12 @@ def cycle_subsystem(
 def _converge_on_cycles(g: SignedDigraph, cycles: Sequence[SignedCycle]) -> Fds:
     """A system on ``g`` converging toward the cycle subsystem of ``cycles``."""
     sub, h = cycle_subsystem(g, cycles)
-    if sub.arcs == g.arcs:
-        return h
-    return construct_converging(g, sub, h)[0]
+    if sub.arcs != g.arcs:
+        return construct_converging(g, sub, h)[0]
+    problems = _structure_problems(h, g)
+    if problems:
+        raise InternalInvariantError("cycle subsystem failed self-check: " + "; ".join(problems))
+    return h
 
 
 def construct_no_fixed_point(g: SignedDigraph) -> Fds:

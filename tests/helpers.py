@@ -390,6 +390,25 @@ def brute_force_interaction_arcs(f: Fds, names=None) -> set:
     return arcs
 
 
+def count_kernel_runs(monkeypatch) -> list:
+    """Patch ``Fds._interaction_arcs``, the interaction-graph kernel, so
+    that each run appends its system to the list returned; the result is
+    still cached per system."""
+    import functools
+
+    kernel = Fds.__dict__["_interaction_arcs"].func
+    runs = []
+
+    def counting_kernel(self):
+        runs.append(self)
+        return kernel(self)
+
+    prop = functools.cached_property(counting_kernel)
+    prop.__set_name__(Fds, "_interaction_arcs")
+    monkeypatch.setattr(Fds, "_interaction_arcs", prop)
+    return runs
+
+
 def realizes_signs(g: SignedDigraph, v: str, local: dict) -> bool:
     """Whether the local table ``local`` of ``v`` (a map from in-neighbor
     coordinates, in vertex order, to values) rises and falls along each

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import islice, product
 
@@ -204,6 +205,45 @@ def test_interaction_graph_matches_brute_force_oracle():
         flat_axes += 1 in f.domain.shape
         parallel += any((j, i, "-") in arcs for j, i, sign in arcs if sign == "+")
     assert flat_axes > 20 and parallel > 20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_unit_step_signs_match_a_cell_scan(data):
+    # Per row, whether some cell rises or falls into its successor along
+    # the axis, read off every cell; blocks of no rows and axes of length 1
+    # included.
+    shape = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    rows = data.draw(st.integers(0, 5))
+    axis = data.draw(st.integers(0, len(shape) - 1))
+    size = math.prod(shape)
+    values = data.draw(st.lists(st.integers(-2, 2), min_size=rows * size, max_size=rows * size))
+    cubes = np.array(values, dtype=np.int64).reshape([rows] + shape)
+    rise, fall = fds_mod.unit_step_signs(cubes, axis)
+    assert rise.shape == fall.shape == (rows,)
+    for b in range(rows):
+        value = dict(zip(product(*map(range, shape)), values[b * size : (b + 1) * size]))
+        rises = falls = False
+        for x, v in value.items():
+            y = x[:axis] + (x[axis] + 1,) + x[axis + 1 :]
+            if y in value:
+                rises |= value[y] > v
+                falls |= value[y] < v
+        assert (bool(rise[b]), bool(fall[b])) == (rises, falls)
+
+
+@pytest.mark.parametrize("cells", [1, 6, 30])
+def test_interaction_arcs_in_chunks_match_brute_force(monkeypatch, cells):
+    # BLOCK_CELLS small: the kernel runs on chunks of one or a few
+    # components at a time.
+    monkeypatch.setattr(fds_mod, "BLOCK_CELLS", cells)
+    rng = random.Random(cells)
+    chunked = 0
+    for _ in range(80):
+        f = random_fds(rng, [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 5))])
+        assert f.interaction_graph().arcs == helpers.brute_force_interaction_arcs(f)
+        chunked += max(1, cells // f.domain.size) < f.n
+    assert chunked >= 20, chunked
 
 
 def test_interaction_graph_cache_serves_any_names():

@@ -54,7 +54,6 @@ def test_parallel_arcs_are_two_records():
     assert g.out_degree("a") == 2
     assert g.out_neighbors("a") == {"b"}
     assert (g.out_degree("b"), g.out_neighbors("b")) == (0, frozenset())
-    assert len(g.underlying().arcs) == 1
     for query in (g.out_degree, g.out_neighbors, g.in_degree):
         with pytest.raises(PreconditionError):
             query("c")
@@ -218,16 +217,7 @@ def test_a_graph_plus_one_arc_derives_its_adjacency(data):
 
 def test_underlying_of_pseudo_cycle_is_cycle():
     g = helpers.pseudo_cycle_example()
-    und = g.underlying()
-    assert und.arcs == {("3", "1"), ("1", "2"), ("2", "3")}
     assert underlying_cycle_order(g) == ("1", "2", "3")
-
-
-def test_underlying_trivial_cases():
-    empty = SignedDigraph.from_arcs([], vertices=["v"])
-    assert empty.underlying().arcs == frozenset()
-    loop = SignedDigraph.from_arcs([("v", "v", "+")])
-    assert loop.underlying().arcs == {("v", "v")}
 
 
 def test_classify_vertices():
@@ -304,7 +294,7 @@ def test_lambda_of_disconnected_graph_is_max_over_components():
             [(f"b{s}", f"b{t}", sg) for (s, t, sg) in sorted(g2_raw.arcs)],
             vertices=[f"b{v}" for v in g2_raw.vertices],
         )
-        g = g1.union(g2)
+        g = SignedDigraph(g1.vertices + g2.vertices, g1.arcs | g2.arcs)
         cs, cs1, cs2 = (component_structure(x) for x in (g, g1, g2))
         assert cs.lam == max(cs1.lam, cs2.lam)
         assert cs.beta == max(cs1.beta, cs2.beta)
@@ -346,7 +336,7 @@ def test_components_and_cycle_counts_match_networkx():
         g = helpers.random_connected_sdg(rng, 6)
         under = nx.DiGraph()
         under.add_nodes_from(g.vertices)
-        under.add_edges_from(g.underlying().arcs)
+        under.add_edges_from((s, t) for s, t, _ in g.arcs)
         cs = component_structure(g)
         assert {frozenset(c) for c in cs.strong_components} == set(
             map(frozenset, nx.strongly_connected_components(under))
@@ -555,14 +545,6 @@ def test_graph_edit_operations():
         g.induced(["nope"])
     with pytest.raises(PreconditionError):
         g.without_arcs([("1", "1", "+")])
-
-
-def test_union_merges_by_name():
-    a = SignedDigraph.from_arcs([("x", "y", "+")])
-    b = SignedDigraph.from_arcs([("y", "z", "-"), ("x", "y", "+")])
-    u = a.union(b)
-    assert u.vertices == ("x", "y", "z")
-    assert u.arcs == {("x", "y", "+"), ("y", "z", "-")}
 
 
 # ---------------------------------------------------------------------------

@@ -877,22 +877,11 @@ def test_extend_all_checks_the_whole_system_once(monkeypatch):
     # Three steps run neither the interaction-graph kernel nor the full
     # postcondition check: the kernel runs for the base and for the final
     # result only, and the postconditions are checked in full once.
-    import functools
-
     base, h, _ = _two_step_base()
     target = SignedDigraph(
         base.vertices, base.arcs | {("1", "3", "-"), ("2", "3", "-"), ("3", "3", "+")}
     )
-    kernel = Fds.__dict__["_interaction_arcs"].func
-    runs = []
-
-    def counting_kernel(self):
-        runs.append(self)
-        return kernel(self)
-
-    prop = functools.cached_property(counting_kernel)
-    prop.__set_name__(Fds, "_interaction_arcs")
-    monkeypatch.setattr(Fds, "_interaction_arcs", prop)
+    runs = helpers.count_kernel_runs(monkeypatch)
     full = []
     check = synthesis.check_extension_postconditions
     monkeypatch.setattr(
@@ -907,6 +896,88 @@ def test_extend_all_checks_the_whole_system_once(monkeypatch):
     assert len(steps) == 3
     assert len(full) == 1 and full[0][0].system is f
     assert len(runs) == 2 and runs[0] is h and runs[1] is f
+
+
+def test_direct_path_never_runs_the_kernel_on_its_middle_system(monkeypatch):
+    # The direct converging path extends twice.  The first fold's steps
+    # prove the arcs of its result, so the second fold takes that result as
+    # its base without running the interaction-graph kernel on it.  The
+    # kernel still runs on every converging result (one that was never
+    # extended is the subsystem, whose kernel ran when it was drawn).
+    runs = helpers.count_kernel_runs(monkeypatch)
+    middles, results = [], []
+    extend, converge = synthesis.extend_all, synthesis.construct_converging
+
+    def first_fold(*args, **kwargs):
+        # The direct path's first fold is the one call given future arcs;
+        # when it adds no arc, its result is its base, checked on entry.
+        result = extend(*args, **kwargs)
+        if "future_arcs" in kwargs and result is not args[2]:
+            middles.append(result)
+        return result
+
+    def recorded(*args):
+        results.append(converge(*args)[0])
+        return results[-1], None
+
+    monkeypatch.setattr(synthesis, "extend_all", first_fold)
+    monkeypatch.setattr(synthesis, "construct_converging", recorded)
+    rng = random.Random(21)
+    proved = 0
+    for _ in range(300):
+        trip = helpers.random_subsystem_triple(rng, 6)
+        if trip is None:
+            continue
+        runs.clear()
+        middles.clear()
+        results.clear()
+        synthesis.construct_converging(*trip)
+        for f in results:
+            assert f is trip[2] or any(r is f for r in runs)
+        for m in middles:
+            if not any(m is f for f in results):
+                assert not any(r is m for r in runs)
+                proved += 1
+    assert proved >= 25, proved
+
+
+@pytest.mark.parametrize(
+    "arcs, build, row, read, negate",
+    [
+        # f1 = 1 - x1: a negative loop 1 -> 1 for the arc 3 -> 1 -, and still
+        # no fixed point.
+        pytest.param(
+            [("1", "2", "+"), ("2", "3", "+"), ("3", "1", "-")], construct_no_fixed_point,
+            0, 0, True, id="no-fixed-point",
+        ),
+        # f2 = x2: a positive loop 2 -> 2 for the arc 1 -> 2 +, and still two
+        # fixed points.
+        pytest.param(
+            [("1", "2", "+"), ("2", "1", "+")], lambda g: construct_2k_fixed_points(g, 1),
+            1, 1, False, id="two-fixed-points",
+        ),
+    ],
+)
+def test_single_cycle_results_are_structure_checked(monkeypatch, arcs, build, row, read, negate):
+    # When the graph is exactly the chosen cycles, the cycle subsystem is
+    # the result: its structure is checked once, and a wrong table raises
+    # although its fixed-point count is the one asked for.
+    g = SignedDigraph.from_arcs(arcs)
+    runs = helpers.count_kernel_runs(monkeypatch)
+    f = build(g)
+    assert len(runs) == 1 and runs[0] is f
+    made = synthesis.cycle_subsystem
+
+    def wrong(g, cycles):
+        sub, h = made(g, cycles)
+        tables = h.tables.copy()
+        x = h.domain.coordinate_grids[read]
+        tables[row] = 1 - x if negate else x
+        return sub, Fds(h.domain, tables)
+
+    monkeypatch.setattr(synthesis, "cycle_subsystem", wrong)
+    with pytest.raises(InternalInvariantError, match="cycle subsystem failed self-check"):
+        build(g)
 
 
 def test_component_qualifies_matches_an_arc_scan():
