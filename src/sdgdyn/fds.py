@@ -263,13 +263,14 @@ class Fds:
         """``(j, i, sign)`` for every arc of the interaction graph: one
         :func:`unit_step_signs` call per axis ``j`` of the ``(n, *shape)``
         cube covers every ``f_i`` (in chunks of components of at most
-        ``BLOCK_CELLS`` cells when the tables are large)."""
+        ``BLOCK_CELLS`` cells when the tables are large).  An axis of length
+        1 carries no arc and is skipped."""
         n = self.n
         cube = self.tables.reshape((n,) + self.domain.shape)
         rows = max(1, BLOCK_CELLS // self.domain.size)
-        rise = np.empty((n, n), dtype=bool)  # [j, i]: a step along j raises f_i
-        fall = np.empty_like(rise)
-        for j in range(n):
+        rise = np.zeros((n, n), dtype=bool)  # [j, i]: a step along j raises f_i
+        fall = np.zeros_like(rise)
+        for j in np.flatnonzero(np.array(self.domain.shape) > 1).tolist():
             for r in range(0, n, rows):
                 part = slice(r, r + rows)
                 rise[j, part], fall[j, part] = unit_step_signs(cube[part], j)

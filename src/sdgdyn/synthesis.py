@@ -53,7 +53,6 @@ from .fds import (
     converges_toward,
     json_int,
     load_json,
-    unit_step_signs,
     value_masks,
 )
 
@@ -374,18 +373,12 @@ def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
 
 @dataclass(frozen=True)
 class ExtensionState:
-    """Rolling state of :func:`extend_all`.
-
-    ``new_inputs`` (``new_outputs``) are the vertices that were sources
-    (sinks) of the base subgraph but are not sources (sinks) of the current
-    graph any more.
-    """
+    """Rolling state of :func:`extend_all`: the graph built so far, the
+    system on it, and the anchor state of the base domain."""
 
     graph: SignedDigraph
     system: Fds
     anchor: tuple[int, ...]
-    new_inputs: frozenset[str]
-    new_outputs: frozenset[str]
 
 
 def _ab_sets(
@@ -411,13 +404,13 @@ def check_extension_postconditions(
     4. components whose current in-neighbors gained no outputs agree with
        the base on the whole base domain.
 
-    The vertices that gained inputs (outputs) are read from the state's
-    ``new_inputs`` (``new_outputs``).
+    The vertices that gained inputs (outputs) are the sources (sinks) of
+    ``base_graph`` that are not sources (sinks) of the state's graph.
     """
     f, h = state.system, base_system
     X, Y = f.domain, h.domain
     F, H = f.tables, h.tables
-    a_set, b_set = state.new_inputs, state.new_outputs
+    a_set, b_set = _ab_sets(base_graph, state.graph)
     verts = base_graph.vertices
     problems: list[str] = []
 
@@ -515,65 +508,9 @@ def _extended_tables(
     return dom, cube.reshape(n, -1)
 
 
-def _plane_problems(
-    dom: IntervalProduct, tables: np.ndarray, tail: int, head: int, direction: int, sign: str
-) -> list[str]:
-    """Why the end plane of axis ``tail`` on the ``direction`` side, the one
-    a step writes, fails to add exactly the arc ``tail -> head`` of
-    ``sign``.  :func:`unit_step_signs` reads the unit steps between the two
-    end planes in coordinate order, in which the arc is a rise when it is
-    positive and a fall when it is negative, whichever end was written: no
-    component but the head may step there, and the head must step
-    somewhere and never against ``sign``."""
-    cube = tables.reshape((len(tables),) + dom.shape)
-    end = dom.shape[tail] - 2 if direction > 0 else 0
-    rise, fall = unit_step_signs(cube[(slice(None),) * (tail + 1) + (slice(end, end + 2),)], tail)
-    steps = rise | fall
-    problems = []
-    others = [k for k in np.flatnonzero(steps).tolist() if k != head]
-    if others:
-        problems.append(f"components {others} differ from the neighbour of the written plane")
-    if (fall if sign == POSITIVE else rise)[head]:
-        problems.append(f"component {head} steps against the arc's sign")
-    if not steps[head]:
-        problems.append(f"component {head} does not step into the written plane")
-    return problems
-
-
-def _step_postcondition_problems(
-    state: ExtensionState, arc: Arc, value: int, plane: int, base_system: Fds
-) -> list[str]:
-    """The guarantees of :func:`check_extension_postconditions` for the one
-    value a step writes: ``value`` of the head on the plane at coordinate
-    ``plane`` of the tail's axis, every other entry being copied."""
-    j, i, _ = arc
-    ji, ii = state.graph.index(j), state.graph.index(i)
-    Y, H = base_system.domain, base_system.tables
-    problems = []
-    if i not in state.new_inputs:
-        lo, hi = Y.intervals[ii]
-        if not lo <= value <= hi:
-            problems.append(f"image of component {ii} leaves the base domain")
-        if not (H[ii] == value).any():
-            problems.append(f"image of component {ii} leaves the base image")
-    lo, hi = Y.intervals[ji]
-    # A plane inside the base domain is one the sink tail already had: it
-    # must lie off the anchor, and the head deviates there by reading the
-    # tail, which must be a new output.
-    if lo <= plane <= hi:
-        if j not in state.new_outputs:
-            problems.append(
-                f"component {ii} depends on no new output yet deviates on the base domain"
-            )
-        if j not in state.new_outputs or plane == state.anchor[ji]:
-            problems.append(f"component {ii} deviates from the base on anchored states")
-    return problems
-
-
 def extend_by_arc(
     state: ExtensionState,
     arc: Arc,
-    base_graph: SignedDigraph,
     base_system: Fds,
     upcoming: Sequence[Arc] = (),
 ) -> ExtensionState:
@@ -589,40 +526,13 @@ def extend_by_arc(
     its interval grows toward the value it steps to, and since nothing
     reads it the transient value is harmless.
 
-    The state's system must realize exactly the state's graph, as
-    :func:`extend_all` checks for its base.  The step then checks only the
-    unit steps between the written plane and its neighbour, and that proves
-    the new system's interaction graph is the old one plus ``arc``.  An arc
-    ``k -> m`` is a unit step of component ``m`` along axis ``k`` that rises
-    (``+``) or falls (``-``) somewhere, and on the written plane every
-    component but the head copies the neighbour plane (the first check)
-    while the head is the constant ``value``.
-
-    * Along an axis other than the tail's, a unit step inside the written
-      plane is zero for the head and a step of the neighbour plane for the
-      others; every other step is one of the old system's.
-    * Along the tail's axis, the step between the two planes, read in
-      coordinate order, is zero for every component but the head, which
-      never steps against ``sign`` (the second check) and steps somewhere
-      (the third); every other step is one of the old system's.
-    * A width-2 sink tail grows nothing, and its second plane is written
-      over.  Nothing read the sink, so every old table was constant along
-      its axis: the head's old steps on that plane are kept on the other
-      one, and the step into it is the only one along the axis.
-    * An isolated head first grows its own axis toward ``value``, by a copy
-      of its end plane.  Nothing read it, so every table stays constant
-      along its axis.
-
-    So the step adds exactly ``arc``.  The degree bounds are checked on the
-    new graph, which is derived from the old one, and a failed check raises
-    :class:`InternalInvariantError`.  In debug mode the step also checks the
-    four postconditions of :func:`check_extension_postconditions` on the
-    one value it writes; :func:`extend_all` checks them in full once, on
-    its result.  ``upcoming`` lists the arcs that will be added later, which
-    steers the direction in which tail intervals grow; where the head is a
-    source whose constant cannot step the way ``upcoming`` asks for, the
-    tail grows the way it can.  Raises :class:`InternalInvariantError` when
-    no sound treatment of the arc exists.
+    ``upcoming`` lists the arcs that will be added later, which steers the
+    direction in which tail intervals grow; where the head is a source
+    whose constant cannot step the way ``upcoming`` asks for, the tail
+    grows the way it can.  The step checks nothing of its result:
+    :func:`extend_all` checks the system it returns.  Raises
+    :class:`InternalInvariantError` when no sound treatment of the arc
+    exists.
     """
     j, i, sign = arc
     cur, dom, tables = state.graph, state.system.domain, state.system.tables
@@ -698,25 +608,7 @@ def extend_by_arc(
         dom, tables = _extended_tables(dom, tables, ii, value - lo)
     dom, tables = _extended_tables(dom, tables, ji, direction, grow, ii, value)
 
-    problems = _plane_problems(dom, tables, ji, ii, direction, sign)
-    new_graph = cur._with_arc(arc)
-    new_system = Fds(dom, tables)
-    ok, bad = new_system.is_degree_bounded(new_graph)
-    if not ok:
-        problems.append(f"degree bound violated at components {bad}")
-    if problems:
-        raise InternalInvariantError(f"extension by {arc}: " + "; ".join(problems))
-    new_state = ExtensionState(
-        new_graph, new_system, state.anchor, *_ab_sets(base_graph, new_graph)
-    )
-    if __debug__:
-        plane = dom.intervals[ji][1 if direction > 0 else 0]
-        problems = _step_postcondition_problems(new_state, arc, value, plane, base_system)
-        if problems:
-            raise InternalInvariantError(
-                f"extension by {arc} broke postconditions: " + "; ".join(problems)
-            )
-    return new_state
+    return ExtensionState(cur._with_arc(arc), Fds(dom, tables), state.anchor)
 
 
 def extend_all(
@@ -729,13 +621,17 @@ def extend_all(
 ) -> Fds:
     """Fold :func:`extend_by_arc` over all arcs of ``target`` missing from the base.
 
-    Requires the two structural hypotheses of the extension: no target arc
-    from a sink of the base to a source of the base, and no target arc into
-    a vertex isolated in the base.  Arcs are added in (source index, target
-    index, ``+`` before ``-``) order unless an explicit order is supplied;
-    ``future_arcs`` are arcs that later invocations will add, used only to
-    steer interval growth.  In debug mode the result is checked once
-    against all four guarantees of :func:`check_extension_postconditions`.
+    Requires a base system whose interaction graph is exactly
+    ``base_graph``, and the two structural hypotheses of the extension: no
+    target arc from a sink of the base to a source of the base, and no
+    target arc into a vertex isolated in the base.  Arcs are added in
+    (source index, target index, ``+`` before ``-``) order unless an
+    explicit order is supplied; ``future_arcs`` are arcs that later
+    invocations will add, used only to steer interval growth.  A result
+    that adds an arc is checked once: :func:`_structure_problems` against
+    ``target`` always, and the four guarantees of
+    :func:`check_extension_postconditions` in debug mode; a failure raises
+    :class:`InternalInvariantError`, naming the missing and extra arcs.
     """
     if not base_graph.is_spanning_subgraph_of(target):
         raise PreconditionError("base graph is not a spanning subgraph of the target")
@@ -743,19 +639,6 @@ def extend_all(
         raise PreconditionError(
             "base system's interaction graph differs from the base graph"
         )
-    return _fold_arcs(target, base_graph, base_system, anchor, order, future_arcs)
-
-
-def _fold_arcs(
-    target: SignedDigraph,
-    base_graph: SignedDigraph,
-    base_system: Fds,
-    anchor: Sequence[int] | None = None,
-    order: Sequence[Arc] | None = None,
-    future_arcs: Sequence[Arc] = (),
-) -> Fds:
-    """:func:`extend_all` on a base system already known to realize exactly
-    ``base_graph``, such as the result of an earlier fold, whose steps proved it."""
     sources_b, sinks_b, isolated_b = classify_vertices(base_graph)
     missing = [a for a in target.sorted_arcs() if a not in base_graph.arcs]
     for src, dst, _ in missing:
@@ -780,18 +663,23 @@ def _fold_arcs(
     if sorted(seq) != sorted(missing):
         raise PreconditionError("order must list each missing arc exactly once")
 
-    state = ExtensionState(base_graph, base_system, anchor, frozenset(), frozenset())
+    state = ExtensionState(base_graph, base_system, anchor)
     pending = list(seq) + list(future_arcs)
     for pos, arc in enumerate(seq):
-        state = extend_by_arc(
-            state, arc, base_graph, base_system, upcoming=pending[pos + 1 :]
-        )
-    if __debug__ and seq:
-        problems = check_extension_postconditions(state, base_graph, base_system)
+        state = extend_by_arc(state, arc, base_system, upcoming=pending[pos + 1 :])
+    if seq:
+        f = state.system
+        problems = _structure_problems(f, target)
+        arcs = f.interaction_arcs(target.vertices)
+        for label, diff in (("missing", target.arcs - arcs), ("extra", arcs - target.arcs)):
+            if diff:
+                problems.append(
+                    f"{label} arcs {SignedDigraph(target.vertices, diff).sorted_arcs()}"
+                )
+        if __debug__:
+            problems += check_extension_postconditions(state, base_graph, base_system)
         if problems:
-            raise InternalInvariantError(
-                "extension broke postconditions: " + "; ".join(problems)
-            )
+            raise InternalInvariantError("extension failed self-check: " + "; ".join(problems))
     return state.system
 
 
@@ -996,7 +884,7 @@ def _pipeline_direct(
     middle = extend_all(
         outward, padded, tilde_h, anchor=h.domain.lows, future_arcs=remaining
     )
-    return _fold_arcs(g, outward, middle, order=remaining)
+    return extend_all(g, outward, middle, order=remaining)
 
 
 def _pipeline_split(

@@ -491,8 +491,8 @@ def test_synth_nilpotent_json_in_a_fresh_process(tmp_path):
 
 
 def test_synthesis_output_is_the_same_without_debug_checks(tmp_path):
-    # Under -O the per-step and final extension postcondition checks do not
-    # run; a converging and a fixed-point synthesis must write the same bytes.
+    # Under -O the extension postcondition check does not run; a converging
+    # and a fixed-point synthesis must write the same bytes.
     from sdgdyn import SignedDigraph, cycle_subsystem
 
     g, cycle = __import__("test_synthesis").fig_case1_instance()
@@ -521,6 +521,29 @@ def test_synthesis_output_is_the_same_without_debug_checks(tmp_path):
         outputs.append(runs)
     assert outputs[0] == outputs[1]
     assert b"4 fixed points" in outputs[0][1][0]
+
+
+def test_extension_result_is_checked_without_debug_checks():
+    # The structure check of an extension's result is not a debug check:
+    # under -O a step that writes a wrong row still raises, naming its arcs.
+    script = """
+from sdgdyn import InternalInvariantError, extend_all, synthesis
+import test_synthesis as t
+base, h = t._two_step_base()
+synthesis._extended_tables = t._mutate_written_plane(t._set_row_cell)
+try:
+    extend_all(base._with_arc(("1", "3", "-")), base, h)
+except InternalInvariantError as exc:
+    print(__debug__, exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdgdyn.__file__)))
+    path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        check=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.startswith("False extension failed self-check: "), proc.stdout
+    assert "extra arcs [('1', '2', '-'), ('2', '2', '+')]" in proc.stdout
 
 
 def test_dumps_indent2_renders_tables_like_stdlib():

@@ -235,15 +235,17 @@ def test_unit_step_signs_match_a_cell_scan(data):
 @pytest.mark.parametrize("cells", [1, 6, 30])
 def test_interaction_arcs_in_chunks_match_brute_force(monkeypatch, cells):
     # BLOCK_CELLS small: the kernel runs on chunks of one or a few
-    # components at a time.
+    # components at a time.  Axes of length 1, which the kernel skips, are
+    # drawn too.
     monkeypatch.setattr(fds_mod, "BLOCK_CELLS", cells)
     rng = random.Random(cells)
-    chunked = 0
+    chunked = flat = 0
     for _ in range(80):
         f = random_fds(rng, [rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 5))])
         assert f.interaction_graph().arcs == helpers.brute_force_interaction_arcs(f)
         chunked += max(1, cells // f.domain.size) < f.n
-    assert chunked >= 20, chunked
+        flat += f.n > 1 and 1 in f.domain.shape
+    assert chunked >= 20 and flat >= 20, (chunked, flat)
 
 
 def test_interaction_graph_cache_serves_any_names():

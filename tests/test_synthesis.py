@@ -429,7 +429,7 @@ def test_extend_all_postconditions_on_eight_vertex_example():
     ok, _ = f.is_degree_bounded()
     assert ok
     # final-state postconditions against (base, h, anchor)
-    state = ExtensionState(g, f, tuple(anchor), *_ab_sets(base, g))
+    state = ExtensionState(g, f, tuple(anchor))
     assert not check_extension_postconditions(state, base, h)
 
 
@@ -449,8 +449,8 @@ def _tampered_extension_state(edits) -> list[str]:
     tables = [[x1 for x1, _ in X.states()], [0] * X.size]
     for (k, s), value in edits.items():
         tables[k][X.offset(s)] = value
-    state = ExtensionState(graph, Fds(X, tuple(tables)), (0, 0), *_ab_sets(base, graph))
-    assert (state.new_inputs, state.new_outputs) == (frozenset(), {"2"})
+    state = ExtensionState(graph, Fds(X, tuple(tables)), (0, 0))
+    assert _ab_sets(base, graph) == (frozenset(), {"2"})
     return check_extension_postconditions(state, base, h)
 
 
@@ -525,15 +525,16 @@ def test_extend_by_arc_state_bookkeeping():
         [("1", "2", "+"), ("1", "3", "+")], vertices=["1", "2", "3"]
     )
     h = helpers.random_system_on(random.Random(3), base)
-    state = ExtensionState(base, h, (0, 0, 0), frozenset(), frozenset())
+    state = ExtensionState(base, h, (0, 0, 0))
     arc = ("2", "3", "-")  # tail 2 was a sink of the base
-    new = extend_by_arc(state, arc, base, h)
+    new = extend_by_arc(state, arc, h)
     assert arc in new.graph.arcs
-    assert new.new_outputs == {"2"}  # 2 stopped being a sink
-    assert new.new_inputs == frozenset()
+    assert new.anchor == state.anchor
+    # 2 stopped being a sink; no vertex gained inputs
+    assert _ab_sets(base, new.graph) == (frozenset(), {"2"})
     assert new.system.interaction_graph(base.vertices).arcs == new.graph.arcs
     with pytest.raises(PreconditionError):
-        extend_by_arc(new, arc, base, h)  # already present
+        extend_by_arc(new, arc, h)  # already present
 
 
 def test_extend_by_arc_grows_singleton_sink_tail():
@@ -727,16 +728,18 @@ def test_construct_converging_output_is_pinned(monkeypatch):
 
 
 def test_each_step_check_agrees_with_the_full_checks(monkeypatch):
-    # Every extension step checks only the plane it writes, and raises on
-    # a problem.  The full checks stay the reference: on every step of
-    # seeded converging and fixed-point constructions they must accept what
-    # the step's own checks accepted.
+    # extend_all checks only its result.  Every intermediate step must be
+    # sound too: on every step of seeded converging and fixed-point
+    # constructions, of all six kinds, the full checks accept the step's
+    # system against its own graph and against the base (whose graph is the
+    # base system's cached interaction graph, which extend_all checked).
     kinds = collections.Counter()
     step = synthesis.extend_by_arc
 
-    def checked(state, arc, base_graph, base_system, *args, **kwargs):
+    def checked(state, arc, base_system, *args, **kwargs):
         kind = _step_kind(state, arc)
-        new = step(state, arc, base_graph, base_system, *args, **kwargs)
+        new = step(state, arc, base_system, *args, **kwargs)
+        base_graph = base_system.interaction_graph(new.graph.vertices)
         assert _structure_problems(new.system, new.graph) == [], (kind, arc)
         assert check_extension_postconditions(new, base_graph, base_system) == [], (kind, arc)
         kinds[kind] += 1
@@ -764,7 +767,7 @@ def _two_step_base():
     base = SignedDigraph.from_arcs([("1", "2", "+"), ("1", "3", "+")])
     Y = IntervalProduct(((0, 1),) * 3)
     h = Fds(Y, [[0] * 8, [s[0] for s in Y.states()], [s[0] for s in Y.states()]])
-    return base, h, ExtensionState(base, h, (0, 0, 0), frozenset(), frozenset())
+    return base, h
 
 
 _EXTENDED_TABLES = synthesis._extended_tables
@@ -808,76 +811,45 @@ def _copy_neighbour(cube, head, at):
 
 
 @pytest.mark.parametrize(
-    "arc, extended, message",
+    "arc, extended, named",
     [
+        # component 2 reads 0 at (2, 0, 0): it falls into the written plane
+        # x1 = 2 and rises along x2 there
         pytest.param(
             ("1", "3", "-"), _mutate_written_plane(_set_row_cell),
-            "components [1] differ from the neighbour of the written plane",
-            id="non-head-row",
+            "extra arcs [('1', '2', '-'), ('2', '2', '+')]", id="non-head-row",
         ),
         pytest.param(
             ("2", "3", "-"), _mutate_written_plane(_set_head(1)),
-            "component 2 steps against the arc's sign", id="wrong-sign",
+            "missing arcs [('2', '3', '-')]; extra arcs [('2', '3', '+')]", id="wrong-sign",
         ),
         pytest.param(
             ("1", "3", "-"), _mutate_written_plane(_copy_neighbour),
-            "component 2 does not step into the written plane", id="no-step",
+            "missing arcs [('1', '3', '-')]", id="no-step",
         ),
         pytest.param(
             ("2", "3", "-"), _flip_direction,
-            "component 2 steps against the arc's sign", id="anchor-plane",
+            "missing arcs [('2', '3', '-')]; extra arcs [('2', '3', '+')]", id="anchor-plane",
         ),
     ],
 )
-def test_step_check_rejects_a_bad_plane(monkeypatch, arc, extended, message):
-    base, h, state = _two_step_base()
-    made = []
-
-    def recording(*args, **kwargs):
-        made.append(extended(*args, **kwargs))
-        return made[-1]
-
-    assert extend_by_arc(state, arc, base, h).graph.arcs == base.arcs | {arc}
-    monkeypatch.setattr(synthesis, "_extended_tables", recording)
-    with pytest.raises(InternalInvariantError, match=re.escape(message)):
-        extend_by_arc(state, arc, base, h)
-    # The full checks reject the faulty system too.
-    graph = SignedDigraph(base.vertices, base.arcs | {arc})
-    bad = ExtensionState(graph, Fds(*made[-1]), (0, 0, 0), *_ab_sets(base, graph))
-    assert _structure_problems(bad.system, graph)
-    if extended is _flip_direction:
-        assert check_extension_postconditions(bad, base, h)
-
-
-def test_step_postconditions_name_each_broken_guarantee():
-    # The per-step checks give the full check's message for each guarantee
-    # that the one written value or plane can break.
-    base, h, _ = _two_step_base()
-    arc = ("2", "3", "-")
-    graph = SignedDigraph(base.vertices, base.arcs | {arc})
-    state = ExtensionState(graph, h, (0, 0, 0), *_ab_sets(base, graph))
-    check = synthesis._step_postcondition_problems
-    assert check(state, arc, 0, 1, h) == []
-    assert check(state, arc, 2, 1, h) == [
-        "image of component 2 leaves the base domain",
-        "image of component 2 leaves the base image",
-    ]
-    assert check(state, arc, 0, 0, h) == [
-        "component 2 deviates from the base on anchored states"
-    ]
-    lost = ExtensionState(graph, h, (0, 0, 0), frozenset(), frozenset())
-    assert check(lost, arc, 0, 1, h) == [
-        "component 2 depends on no new output yet deviates on the base domain",
-        "component 2 deviates from the base on anchored states",
-    ]
-    assert check(state, arc, 0, 2, h) == []  # a grown plane lies outside the base
+def test_step_check_rejects_a_bad_plane(monkeypatch, arc, extended, named):
+    # A faulty step is caught by extend_all's one check of its result, which
+    # names the arcs that the faulty plane lost or added.
+    base, h = _two_step_base()
+    target = base._with_arc(arc)
+    assert _structure_problems(extend_all(target, base, h), target) == []
+    monkeypatch.setattr(synthesis, "_extended_tables", extended)
+    with pytest.raises(InternalInvariantError, match=re.escape(named)) as caught:
+        extend_all(target, base, h)
+    assert "interaction graph differs from the input graph" in str(caught.value)
 
 
 def test_extend_all_checks_the_whole_system_once(monkeypatch):
     # Three steps run neither the interaction-graph kernel nor the full
     # postcondition check: the kernel runs for the base and for the final
     # result only, and the postconditions are checked in full once.
-    base, h, _ = _two_step_base()
+    base, h = _two_step_base()
     target = SignedDigraph(
         base.vertices, base.arcs | {("1", "3", "-"), ("2", "3", "-"), ("3", "3", "+")}
     )
@@ -898,47 +870,36 @@ def test_extend_all_checks_the_whole_system_once(monkeypatch):
     assert len(runs) == 2 and runs[0] is h and runs[1] is f
 
 
-def test_direct_path_never_runs_the_kernel_on_its_middle_system(monkeypatch):
-    # The direct converging path extends twice.  The first fold's steps
-    # prove the arcs of its result, so the second fold takes that result as
-    # its base without running the interaction-graph kernel on it.  The
-    # kernel still runs on every converging result (one that was never
-    # extended is the subsystem, whose kernel ran when it was drawn).
+def test_every_extension_result_runs_the_kernel_once(monkeypatch):
+    # The interaction-graph kernel is cached per system: extend_all checks
+    # each result that added an arc with one kernel run, and a later reader
+    # of that result (the direct path's second extension, which takes it as
+    # its base, and construct_converging's final check) reuses the run.
     runs = helpers.count_kernel_runs(monkeypatch)
-    middles, results = [], []
-    extend, converge = synthesis.extend_all, synthesis.construct_converging
+    extended = []
+    extend = synthesis.extend_all
 
-    def first_fold(*args, **kwargs):
-        # The direct path's first fold is the one call given future arcs;
-        # when it adds no arc, its result is its base, checked on entry.
+    def recording(*args, **kwargs):
         result = extend(*args, **kwargs)
-        if "future_arcs" in kwargs and result is not args[2]:
-            middles.append(result)
+        if result is not args[2]:
+            extended.append(result)
         return result
 
-    def recorded(*args):
-        results.append(converge(*args)[0])
-        return results[-1], None
-
-    monkeypatch.setattr(synthesis, "extend_all", first_fold)
-    monkeypatch.setattr(synthesis, "construct_converging", recorded)
+    monkeypatch.setattr(synthesis, "extend_all", recording)
     rng = random.Random(21)
-    proved = 0
+    chained = 0
     for _ in range(300):
         trip = helpers.random_subsystem_triple(rng, 6)
         if trip is None:
             continue
         runs.clear()
-        middles.clear()
-        results.clear()
+        extended.clear()
         synthesis.construct_converging(*trip)
-        for f in results:
-            assert f is trip[2] or any(r is f for r in runs)
-        for m in middles:
-            if not any(m is f for f in results):
-                assert not any(r is m for r in runs)
-                proved += 1
-    assert proved >= 25, proved
+        assert len({id(r) for r in runs}) == len(runs)
+        for f in extended:
+            assert any(r is f for r in runs)
+        chained += len(extended) == 2
+    assert chained >= 25, chained
 
 
 @pytest.mark.parametrize(
