@@ -3,8 +3,9 @@
 Subcommands: analyze, synth-nilpotent, synth-converge, synth-fixed-points,
 verify, enumerate, export-dot.  Reports are line oriented; ``--json``
 switches to a single JSON document on stdout.  Exit status: 0 when all
-requested checks pass, 1 on failed checks, 2 on parse errors, 3 on
-precondition violations, 4 on resource caps.
+requested checks pass, 1 on failed checks (or when the reader closes
+stdout), 2 on parse errors, 3 on precondition violations, 4 on resource
+caps.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import fds as fds_mod
 from . import sdg as sdg_mod
 from . import synthesis as syn_mod
-from .fds import converges_toward, enumerate_system_summaries, load_fds, save_fds
+from .fds import converges_toward, load_fds, save_fds
 from .sdg import (
     InternalInvariantError,
     PreconditionError,
@@ -77,11 +78,9 @@ def dumps_indent2(obj, pad: str = "") -> str:
     ):
         body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(obj)[1:-1]
     else:
-        memo: dict[int, str] = {}
-        for x in obj:
-            if id(x) not in memo:
-                memo[id(x)] = dumps_indent2(x, inner)
-        body = (",\n" + inner).join(memo[id(x)] for x in obj)
+        ids = list(map(id, obj))
+        memo = {i: dumps_indent2(x, inner) for i, x in dict(zip(ids, obj)).items()}
+        body = (",\n" + inner).join(map(memo.__getitem__, ids))
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
@@ -268,25 +267,23 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     g = load_sdg(args.graph)
     cap = _cap_from(args, fds_mod.DEFAULT_TABLE_CAP)
-    # One dict per distinct summary: a report repeats a few of them many
-    # times, and the JSON writer encodes a repeated entry once.
-    shared: dict[tuple, dict] = {}
-    summaries = []
-    for key in enumerate_system_summaries(g, table_cap=cap):
-        if key not in shared:
-            sizes, index, fixed = key
-            shared[key] = {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
-        summaries.append(shared[key])
-    count = len(summaries)
-    report = {"count": count, "systems": summaries, "seed": args.seed}
-    lines = itertools.chain(
-        [f"degree-bounded systems: {count}"],
-        (
-            f"sizes={s['sizes']} index={s['nilpotency_index']} "
-            f"fixed_points={s['fixed_points']}"
-            for s in summaries
-        ),
-    )
+    # One dict and one text line per distinct summary: a report repeats a
+    # few of them many times, and the JSON writer encodes a repeated entry
+    # once.
+    dicts: dict[tuple, dict] = {}
+    texts: dict[tuple, str] = {}
+    keys: list[tuple] = []
+    for sizes, index, fixed in fds_mod._summary_blocks(g, cap):
+        block = list(zip(itertools.repeat(sizes), index, fixed))
+        for key in set(block).difference(dicts):
+            _, k, points = key
+            k = k if k > 0 else None
+            dicts[key] = {"sizes": list(sizes), "nilpotency_index": k, "fixed_points": points}
+            texts[key] = f"sizes={list(sizes)} index={k} fixed_points={points}"
+        keys += block
+    count = len(keys)
+    report = {"count": count, "systems": list(map(dicts.__getitem__, keys)), "seed": args.seed}
+    lines = itertools.chain([f"degree-bounded systems: {count}"], map(texts.__getitem__, keys))
     _emit(report, lines, args.json)
     return EXIT_OK
 
@@ -349,7 +346,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # exit raises no second error (the recipe of the ``signal`` docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAILED
     except SdgParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -444,13 +444,28 @@ def brute_force_convergence(f: Fds, h: Fds, k: int):
     return inside, counter is None, counter
 
 
+def reference_local_tables(g: SignedDigraph, v: str, cells: list, lo: int, hi: int):
+    """Every local table of ``v`` with values in ``[lo, hi]`` over ``cells``
+    (in-neighbor coordinate tuples) that realizes the signs of the arcs into
+    ``v``, as an int64 ``(m, len(cells))`` array: ``itertools.product``
+    order, filtered by :func:`realizes_signs`."""
+    import numpy as np
+
+    return np.array(
+        [
+            combo
+            for combo in product(range(lo, hi + 1), repeat=len(cells))
+            if realizes_signs(g, v, dict(zip(cells, combo)))
+        ],
+        dtype=np.int64,
+    ).reshape(-1, len(cells))
+
+
 def reference_local_table_systems(g: SignedDigraph, domains, cap: int):
     """The local-table enumerator of ``fds._local_table_systems`` written with
     ``itertools.product``: every candidate is a tuple of cell values, and
     each state of the domain looks up its local cell by its in-neighbor
     coordinates.  Same blocks, order and cap accounting."""
-    import numpy as np
-
     from sdgdyn import ResourceCapError
     from sdgdyn.fds import _table_blocks
 
@@ -465,14 +480,7 @@ def reference_local_table_systems(g: SignedDigraph, domains, cap: int):
             scanned += (hi - lo + 1) ** len(cells)
             if scanned > cap:
                 raise ResourceCapError("cap")
-            valid = np.array(
-                [
-                    combo
-                    for combo in product(range(lo, hi + 1), repeat=len(cells))
-                    if realizes_signs(g, v, dict(zip(cells, combo)))
-                ],
-                dtype=np.int64,
-            ).reshape(-1, len(cells))
+            valid = reference_local_tables(g, v, cells, lo, hi)
             if not len(valid):
                 break
             cell_of = {coords: c for c, coords in enumerate(cells)}

@@ -473,6 +473,55 @@ def test_enumerate_json_in_a_fresh_process(tmp_path):
     assert proc.stdout == json.dumps(json.loads(proc.stdout), indent=2) + "\n"
 
 
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_enumerate_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path, form):
+    from sdgdyn import SignedDigraph
+
+    # 26,744 systems: about 1 MB of text and 3 MB of JSON, far past the
+    # 64 KiB a pipe holds, so the writer is still blocked on the report
+    # when the reader goes.
+    g = SignedDigraph.from_arcs([("1", "1", "+"), ("1", "1", "-"), ("1", "2", "+"), ("2", "1", "+")])
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text(format_sdg(g))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdgdyn.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sdgdyn.cli", "enumerate", "--graph", str(gpath), *form],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first == (b"{\n" if form else b"degree-bounded systems: 26744\n")
+    assert proc.returncode == 1 and err == b"", err.decode()
+
+
+@pytest.mark.parametrize("graph", ["multi-block", "lone vertex", "double loop"])
+def test_enumerate_report_bytes_match_the_per_system_summaries(graph, tmp_path, capsys):
+    from sdgdyn import SignedDigraph, enumerate_system_summaries
+    from test_fds import MULTI_BLOCK_GRAPH
+
+    g = {
+        "multi-block": MULTI_BLOCK_GRAPH,
+        "lone vertex": SignedDigraph.from_arcs([], vertices=["1"]),
+        "double loop": SignedDigraph.from_arcs([("1", "1", "+"), ("1", "1", "-")]),
+    }[graph]
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text(format_sdg(g))
+    systems = [
+        {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
+        for sizes, index, fixed in enumerate_system_summaries(g)
+    ]
+    report = {"count": len(systems), "systems": systems, "seed": 0}
+    assert main(["enumerate", "--graph", str(gpath), "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+    lines = [f"degree-bounded systems: {len(systems)}"] + [
+        f"sizes={s['sizes']} index={s['nilpotency_index']} fixed_points={s['fixed_points']}"
+        for s in systems
+    ]
+    assert main(["enumerate", "--graph", str(gpath)]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
 def test_synth_nilpotent_json_in_a_fresh_process(tmp_path):
     gpath, out = tmp_path / "g.sdg", tmp_path / "f.json"
     gpath.write_text(format_sdg(helpers.eight_vertex_example()))

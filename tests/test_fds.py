@@ -625,15 +625,31 @@ def test_local_table_systems_match_product_reference():
         g = helpers.random_connected_sdg(rng, 3 if len(cases) < 16 else 4)
         if g.n > 1:
             cases.append(g)
-    tripped_midway = finished = 0
-    for g in cases:
-        domains = list(fds_mod._degree_bounded_domains(g))
-        for cap in (1, 30, 300, 3_000, 30_000):
-            got = _blocks_until_cap(fds_mod._local_table_systems, g, domains, cap)
-            want = _blocks_until_cap(helpers.reference_local_table_systems, g, domains, cap)
-            assert got == want, (g, cap)
-            tripped_midway += got[1] and bool(got[0])
-        finished += not got[1] and bool(got[0])
+    caps = (1, 30, 300, 3_000, 30_000)
+    domains = [list(fds_mod._degree_bounded_domains(g)) for g in cases]
+    # A memo hit counts as a scan: the blocks and the cap trip points are
+    # the same with a cold memo and with one the first pass filled.
+    fds_mod._sign_valid_tables.cache_clear()
+    cold = [
+        _blocks_until_cap(fds_mod._local_table_systems, g, doms, cap)
+        for g, doms in zip(cases, domains)
+        for cap in caps
+    ]
+    warm = [
+        _blocks_until_cap(fds_mod._local_table_systems, g, doms, cap)
+        for g, doms in zip(cases, domains)
+        for cap in caps
+    ]
+    assert fds_mod._sign_valid_tables.cache_info().hits > 0
+    want = [
+        _blocks_until_cap(helpers.reference_local_table_systems, g, doms, cap)
+        for g, doms in zip(cases, domains)
+        for cap in caps
+    ]
+    assert cold == want and warm == want
+    tripped_midway = sum(tripped and bool(blocks) for blocks, tripped in cold)
+    last_cap = cold[len(caps) - 1 :: len(caps)]
+    finished = sum(not tripped and bool(blocks) for blocks, tripped in last_cap)
     assert tripped_midway >= 8 and finished >= 20
 
 
@@ -649,10 +665,62 @@ def test_local_table_candidates_span_several_row_blocks(monkeypatch):
 
     monkeypatch.setattr(fds_mod, "_table_blocks", record)
     domains = [IntervalProduct(((0, 2),) * 3)]
+    # Components 2 and 3 scan 3^3 candidates each, which the memo answers;
+    # the 3^9 scan of component 1 runs uncached.
+    memo = fds_mod._sign_valid_tables
+    memo.cache_clear()
+    memo(3, (3,), ((True, True),))
+    memo(3, (3,), ((False, True),))
     for enumerator in (fds_mod._local_table_systems, helpers.reference_local_table_systems):
         assert list(enumerator(WIDE_GRAPH, domains, 10**9)) == []
+    assert memo.cache_info()[:4] == (2, 2, 64, 2)  # hits, misses, maxsize, size
     assert len(seen) == 2 and seen[0] == seen[1]
     assert len(seen[0][0]) > 4096
+
+
+def test_sign_valid_tables_match_the_pure_python_filter():
+    # Every sign pattern on 0 to 3 in-neighbor axes (each axis +, - or
+    # both), each three times over a seeded width in 2..4 and axis lengths
+    # in 1..3 with at most 4,096 candidates (one block), against the
+    # product-and-filter of the tests' reference enumerator.  An axis of
+    # length 1 realizes no sign, so most of the 120 sets are empty.
+    rng = random.Random(18)
+    memo = fds_mod._sign_valid_tables
+    signs = ((True, False), (False, True), (True, True))
+    nonempty = 0
+    seen_widths, seen_lengths = set(), set()
+    cases = [pattern for axes in range(4) for pattern in product(signs, repeat=axes)] * 3
+    for pattern in cases:
+        axes = len(pattern)
+        while True:
+            width = rng.randint(2, 4)
+            shape = tuple(rng.randint(1, 3) for _ in range(axes))
+            if width ** math.prod(shape) <= 4096:
+                break
+        seen_widths.add(width)
+        seen_lengths.update(shape)
+        names = ["v"] + [f"u{a}" for a in range(axes)]
+        arcs = [(f"u{a}", "v", sg) for a, (pos, neg) in enumerate(pattern)
+                for sg, on in (("+", pos), ("-", neg)) if on]
+        g = SignedDigraph.from_arcs(arcs, vertices=names)
+        cells = list(product(*(range(k) for k in shape)))
+        want = helpers.reference_local_tables(g, "v", cells, 0, width - 1).tolist()
+        memo.cache_clear()
+        got = memo(width, shape, pattern)
+        assert got.tolist() == want, (width, shape, pattern)
+        assert not got.flags.writeable
+        assert memo(width, shape, pattern) is got
+        nonempty += bool(want)
+        # A table realizes one pattern only: flipping one sign of one
+        # axis (to no sign at all, too) gives a disjoint set, so a
+        # different one unless both are empty.
+        for a in range(axes):
+            for side in range(2):
+                flipped = list(map(list, pattern))
+                flipped[a][side] = not flipped[a][side]
+                other = memo(width, shape, tuple(map(tuple, flipped)))
+                assert not set(map(tuple, want)) & set(map(tuple, other.tolist()))
+    assert nonempty >= 20 and seen_widths == {2, 3, 4} and seen_lengths == {1, 2, 3}
 
 
 def test_table_blocks_follow_itertools_product(monkeypatch):
