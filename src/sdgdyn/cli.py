@@ -23,7 +23,7 @@ import numpy as np
 from . import fds as fds_mod
 from . import sdg as sdg_mod
 from . import synthesis as syn_mod
-from .fds import converges_toward, load_fds, save_fds
+from .fds import converges_toward, enumerate_system_summaries, load_fds, save_fds
 from .sdg import (
     InternalInvariantError,
     PreconditionError,
@@ -78,9 +78,11 @@ def dumps_indent2(obj, pad: str = "") -> str:
     ):
         body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(obj)[1:-1]
     else:
-        ids = list(map(id, obj))
-        memo = {i: dumps_indent2(x, inner) for i, x in dict(zip(ids, obj)).items()}
-        body = (",\n" + inner).join(map(memo.__getitem__, ids))
+        memo: dict[int, str] = {}
+        for x in obj:
+            if id(x) not in memo:
+                memo[id(x)] = dumps_indent2(x, inner)
+        body = (",\n" + inner).join(memo[id(x)] for x in obj)
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
@@ -92,11 +94,30 @@ def _dumps_rows(rows: np.ndarray, pad: str) -> str:
     return f"[\n{inner}[\n{entry}{body}\n{inner}]\n{pad}]"
 
 
+class _StdoutClosed(Exception):
+    """The reader closed stdout before the whole output was written."""
+
+
+def _write(text: str, end: str = "\n") -> None:
+    """Print ``text`` to stdout and flush it.  If the reader has closed
+    stdout, point it at devnull, so that the flush at exit raises no second
+    error (the recipe of the ``signal`` docs), and raise
+    :class:`_StdoutClosed`."""
+    try:
+        print(text, end=end)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _StdoutClosed from None
+
+
 def _emit(report: dict | None, lines: Iterable[str], as_json: bool) -> None:
     """Print the JSON report under --json, else the text lines; callers
     skip building the form that is not printed (``report`` may then be
     None, ``lines`` a lazy iterable)."""
-    print(dumps_indent2(report) if as_json else "\n".join(lines))
+    _write(dumps_indent2(report) if as_json else "\n".join(lines))
 
 
 def _cap_from(args, default: int) -> int:
@@ -267,23 +288,25 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     g = load_sdg(args.graph)
     cap = _cap_from(args, fds_mod.DEFAULT_TABLE_CAP)
-    # One dict and one text line per distinct summary: a report repeats a
-    # few of them many times, and the JSON writer encodes a repeated entry
-    # once.
-    dicts: dict[tuple, dict] = {}
-    texts: dict[tuple, str] = {}
-    keys: list[tuple] = []
-    for sizes, index, fixed in fds_mod._summary_blocks(g, cap):
-        block = list(zip(itertools.repeat(sizes), index, fixed))
-        for key in set(block).difference(dicts):
-            _, k, points = key
-            k = k if k > 0 else None
-            dicts[key] = {"sizes": list(sizes), "nilpotency_index": k, "fixed_points": points}
-            texts[key] = f"sizes={list(sizes)} index={k} fixed_points={points}"
-        keys += block
-    count = len(keys)
-    report = {"count": count, "systems": list(map(dicts.__getitem__, keys)), "seed": args.seed}
-    lines = itertools.chain([f"degree-bounded systems: {count}"], map(texts.__getitem__, keys))
+    # One dict per distinct summary: a report repeats a few of them many
+    # times, and the JSON writer encodes a repeated entry once.
+    shared: dict[tuple, dict] = {}
+    summaries = []
+    for key in enumerate_system_summaries(g, table_cap=cap):
+        if key not in shared:
+            sizes, index, fixed = key
+            shared[key] = {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
+        summaries.append(shared[key])
+    count = len(summaries)
+    report = {"count": count, "systems": summaries, "seed": args.seed}
+    lines = itertools.chain(
+        [f"degree-bounded systems: {count}"],
+        (
+            f"sizes={s['sizes']} index={s['nilpotency_index']} "
+            f"fixed_points={s['fixed_points']}"
+            for s in summaries
+        ),
+    )
     _emit(report, lines, args.json)
     return EXIT_OK
 
@@ -294,9 +317,9 @@ def cmd_export_dot(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {args.out}")
+        _write(f"wrote {args.out}")
     else:
-        print(text, end="")
+        _write(text, end="")
     return EXIT_OK
 
 
@@ -346,15 +369,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # The reader closed stdout.  Point it at devnull so that the flush at
-        # exit raises no second error (the recipe of the ``signal`` docs).
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        return args.func(args)
+    except _StdoutClosed:
         return EXIT_FAILED
     except SdgParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ and the kernels run over all components at once.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -575,32 +574,24 @@ def _table_blocks(per_component: list[np.ndarray], size: int) -> Iterator[np.nda
         yield block
 
 
-# Rows of candidate local tables checked per sign-kernel call.
-_SCAN_ROWS = 4096
-
-
-@functools.lru_cache(maxsize=64)
 def _sign_valid_tables(
     width: int, local_shape: tuple[int, ...], pattern: tuple[tuple[bool, bool], ...]
 ) -> np.ndarray:
-    """The read-only ``(m, cells)`` array of every local table with values in
+    """The ``(m, cells)`` array of every local table with values in
     ``[0, width)`` over the cells of ``local_shape`` (in lexicographic order)
     that realizes ``pattern``: along in-neighbor axis ``a`` it rises
     somewhere iff ``pattern[a][0]`` and falls somewhere iff ``pattern[a][1]``.
 
     Candidate ``r`` fills the cells with the mixed-radix digits of ``r``,
-    first cell most significant, and candidates are checked ``_SCAN_ROWS``
-    at a time, one sign kernel call per axis.  The memo is for scans of one
-    block (callers run larger ones through ``__wrapped__``), so an entry
-    holds at most 4,096 rows of at most 12 cells (a one-value component
-    with in-neighbors realizes no sign, so a width of 1 gives no row), and
-    the memo at most 64 x 4,096 x 12 x 8 B, about 25 MB.
+    first cell most significant, and candidates are checked in blocks of
+    4,096 rows, one sign kernel call per axis and block, which keeps memory
+    bounded whatever the count.
     """
     cells = math.prod(local_shape)
     count = width**cells
     valid: list[np.ndarray] = []
-    for start in range(0, count, _SCAN_ROWS):
-        rest = np.arange(start, min(start + _SCAN_ROWS, count))
+    for start in range(0, count, 4096):
+        rest = np.arange(start, min(start + 4096, count))
         local = np.empty((len(rest), cells), dtype=np.int64)
         for cell in reversed(range(cells)):
             rest, local[:, cell] = np.divmod(rest, width)
@@ -610,9 +601,7 @@ def _sign_valid_tables(
             rise, fall = unit_step_signs(cube, a)
             ok &= (rise == pos) & (fall == neg)
         valid.append(local[ok])
-    tables = np.concatenate(valid)
-    tables.flags.writeable = False
-    return tables
+    return np.concatenate(valid)
 
 
 def _local_table_systems(
@@ -626,15 +615,18 @@ def _local_table_systems(
     local table over the intervals of the component's in-neighbors, with
     its cells in lexicographic order, and kept when every in-neighbor axis
     realizes exactly the signs of ``g`` (see :func:`_sign_valid_tables`).
-    Raises :class:`ResourceCapError` before scanning the candidates of a
-    component, or building the systems of a domain, would take the total
-    count of candidate tables and systems past ``cap``; a scan answered by
-    the memo counts as a scan.
+    Each distinct (width, in-neighbor widths, signs) scan runs once per
+    call.  Raises :class:`ResourceCapError` before scanning the candidates
+    of a component, or building the systems of a domain, would take the
+    total count of candidate tables and systems past ``cap``; a scan reused
+    from an earlier domain or component counts as a scan again.
     """
     verts = g.vertices
     in_nbrs = [sorted(g.index(j) for j in g.in_neighbors(v)) for v in verts]
     want = [_sign_pattern(g, v) for v in verts]
     scanned = 0
+    # The scans so far, keyed on their arguments: at most ``cap`` rows.
+    seen: dict[tuple, np.ndarray] = {}
     for dom in domains:
         per_component: list[np.ndarray] = []
         for i, nbrs in enumerate(in_nbrs):
@@ -644,8 +636,10 @@ def _local_table_systems(
             scanned += count
             if scanned > cap:
                 raise _cap_error(cap)
-            scan = _sign_valid_tables if count <= _SCAN_ROWS else _sign_valid_tables.__wrapped__
-            valid_tables = scan(width, local_shape, want[i]) + dom.intervals[i][0]
+            key = (width, local_shape, want[i])
+            if key not in seen:
+                seen[key] = _sign_valid_tables(*key)
+            valid_tables = seen[key] + dom.intervals[i][0]
             if not len(valid_tables):
                 break
             # Full tables: repeat each local table along the axes f_i ignores.
@@ -699,20 +693,10 @@ def enumerate_system_summaries(
     system of :func:`enumerate_degree_bounded_systems`, in the same order and
     under the same cap, without building an :class:`Fds`: one
     :func:`image_chains` call covers each block of systems."""
-    for shape, index, fixed in _summary_blocks(g, table_cap):
-        for k, count in zip(index, fixed):
-            yield shape, (k if k > 0 else None), count
-
-
-def _summary_blocks(
-    g: SignedDigraph, cap: int
-) -> Iterator[tuple[tuple[int, ...], list[int], list[int]]]:
-    """``(interval sizes, nilpotency indices, fixed-point counts)`` of each
-    block of :func:`_local_table_systems`, an index of -1 meaning that no
-    iterate is constant."""
-    for dom, tables in _local_table_systems(g, _degree_bounded_domains(g), cap):
+    for dom, tables in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
         index, fixed = image_chains(dom.offsets_of(tables))
-        yield dom.shape, index.tolist(), fixed.tolist()
+        for k, count in zip(index.tolist(), fixed.tolist()):
+            yield dom.shape, (k if k > 0 else None), count
 
 
 # ---------------------------------------------------------------------------

@@ -495,6 +495,19 @@ def test_enumerate_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path, form
     assert proc.returncode == 1 and err == b"", err.decode()
 
 
+def test_a_broken_pipe_off_stdout_is_not_taken_for_a_closed_reader(monkeypatch):
+    # Only a failed write to stdout means that the reader went; any other
+    # BrokenPipeError propagates with its traceback.
+    import sdgdyn.cli as cli
+
+    def broken(path):
+        raise BrokenPipeError("not stdout")
+
+    monkeypatch.setattr(cli, "load_sdg", broken)
+    with pytest.raises(BrokenPipeError, match="not stdout"):
+        main(["enumerate", "--graph", "g.sdg"])
+
+
 @pytest.mark.parametrize("graph", ["multi-block", "lone vertex", "double loop"])
 def test_enumerate_report_bytes_match_the_per_system_summaries(graph, tmp_path, capsys):
     from sdgdyn import SignedDigraph, enumerate_system_summaries

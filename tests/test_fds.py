@@ -625,32 +625,50 @@ def test_local_table_systems_match_product_reference():
         g = helpers.random_connected_sdg(rng, 3 if len(cases) < 16 else 4)
         if g.n > 1:
             cases.append(g)
-    caps = (1, 30, 300, 3_000, 30_000)
-    domains = [list(fds_mod._degree_bounded_domains(g)) for g in cases]
-    # A memo hit counts as a scan: the blocks and the cap trip points are
-    # the same with a cold memo and with one the first pass filled.
-    fds_mod._sign_valid_tables.cache_clear()
-    cold = [
-        _blocks_until_cap(fds_mod._local_table_systems, g, doms, cap)
-        for g, doms in zip(cases, domains)
-        for cap in caps
-    ]
-    warm = [
-        _blocks_until_cap(fds_mod._local_table_systems, g, doms, cap)
-        for g, doms in zip(cases, domains)
-        for cap in caps
-    ]
-    assert fds_mod._sign_valid_tables.cache_info().hits > 0
-    want = [
-        _blocks_until_cap(helpers.reference_local_table_systems, g, doms, cap)
-        for g, doms in zip(cases, domains)
-        for cap in caps
-    ]
-    assert cold == want and warm == want
-    tripped_midway = sum(tripped and bool(blocks) for blocks, tripped in cold)
-    last_cap = cold[len(caps) - 1 :: len(caps)]
-    finished = sum(not tripped and bool(blocks) for blocks, tripped in last_cap)
+    tripped_midway = finished = 0
+    for g in cases:
+        domains = list(fds_mod._degree_bounded_domains(g))
+        for cap in (1, 30, 300, 3_000, 30_000):
+            got = _blocks_until_cap(fds_mod._local_table_systems, g, domains, cap)
+            want = _blocks_until_cap(helpers.reference_local_table_systems, g, domains, cap)
+            assert got == want, (g, cap)
+            tripped_midway += got[1] and bool(got[0])
+        finished += not got[1] and bool(got[0])
     assert tripped_midway >= 8 and finished >= 20
+
+
+def test_local_table_systems_scan_each_distinct_key_once(monkeypatch):
+    # A double loop on 1 and 1 -> 2 -> 1.  The domains of shape (3, 2), one
+    # of them shifted twice, ask for the same two scans (729 and 8
+    # candidates, 224 systems); those of shape (2, 2) for the same scan of
+    # 16 candidates, which no table survives.  Each scan runs once per call
+    # and the caller adds each interval's low end, while a reused scan
+    # still counts against the cap, as the reference enumerator counts it:
+    # cap 2,000 stops before the third (3, 2) domain.
+    g = SignedDigraph.from_arcs([("1", "1", "+"), ("1", "1", "-"), ("1", "2", "+"), ("2", "1", "+")])
+    scans = []
+    real = fds_mod._sign_valid_tables
+
+    def record(*key):
+        scans.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(fds_mod, "_sign_valid_tables", record)
+    domains = [
+        IntervalProduct(((0, 2), (0, 1))),
+        IntervalProduct(((0, 1), (0, 1))),
+        IntervalProduct(((2, 4), (-1, 0))),
+        IntervalProduct(((5, 6), (1, 2))),
+        IntervalProduct(((1, 3), (5, 6))),
+    ]
+    yielded = []
+    for cap in (700, 1_000, 2_000, 3_000):
+        scans.clear()
+        got = _blocks_until_cap(fds_mod._local_table_systems, g, domains, cap)
+        assert got == _blocks_until_cap(helpers.reference_local_table_systems, g, domains, cap)
+        assert len(scans) == len(set(scans))
+        yielded.append(len({dom for dom, _ in got[0]}))
+    assert yielded == [0, 1, 2, 3] and not got[1] and len(scans) == 3
 
 
 def test_local_table_candidates_span_several_row_blocks(monkeypatch):
@@ -665,15 +683,8 @@ def test_local_table_candidates_span_several_row_blocks(monkeypatch):
 
     monkeypatch.setattr(fds_mod, "_table_blocks", record)
     domains = [IntervalProduct(((0, 2),) * 3)]
-    # Components 2 and 3 scan 3^3 candidates each, which the memo answers;
-    # the 3^9 scan of component 1 runs uncached.
-    memo = fds_mod._sign_valid_tables
-    memo.cache_clear()
-    memo(3, (3,), ((True, True),))
-    memo(3, (3,), ((False, True),))
     for enumerator in (fds_mod._local_table_systems, helpers.reference_local_table_systems):
         assert list(enumerator(WIDE_GRAPH, domains, 10**9)) == []
-    assert memo.cache_info()[:4] == (2, 2, 64, 2)  # hits, misses, maxsize, size
     assert len(seen) == 2 and seen[0] == seen[1]
     assert len(seen[0][0]) > 4096
 
@@ -681,11 +692,11 @@ def test_local_table_candidates_span_several_row_blocks(monkeypatch):
 def test_sign_valid_tables_match_the_pure_python_filter():
     # Every sign pattern on 0 to 3 in-neighbor axes (each axis +, - or
     # both), each three times over a seeded width in 2..4 and axis lengths
-    # in 1..3 with at most 4,096 candidates (one block), against the
-    # product-and-filter of the tests' reference enumerator.  An axis of
-    # length 1 realizes no sign, so most of the 120 sets are empty.
+    # in 1..3 with at most 4,096 candidates (to keep the filter fast),
+    # against the product-and-filter of the tests' reference enumerator.
+    # An axis of length 1 realizes no sign, so most of the 120 sets are
+    # empty.
     rng = random.Random(18)
-    memo = fds_mod._sign_valid_tables
     signs = ((True, False), (False, True), (True, True))
     nonempty = 0
     seen_widths, seen_lengths = set(), set()
@@ -705,11 +716,8 @@ def test_sign_valid_tables_match_the_pure_python_filter():
         g = SignedDigraph.from_arcs(arcs, vertices=names)
         cells = list(product(*(range(k) for k in shape)))
         want = helpers.reference_local_tables(g, "v", cells, 0, width - 1).tolist()
-        memo.cache_clear()
-        got = memo(width, shape, pattern)
+        got = fds_mod._sign_valid_tables(width, shape, pattern)
         assert got.tolist() == want, (width, shape, pattern)
-        assert not got.flags.writeable
-        assert memo(width, shape, pattern) is got
         nonempty += bool(want)
         # A table realizes one pattern only: flipping one sign of one
         # axis (to no sign at all, too) gives a disjoint set, so a
@@ -718,7 +726,7 @@ def test_sign_valid_tables_match_the_pure_python_filter():
             for side in range(2):
                 flipped = list(map(list, pattern))
                 flipped[a][side] = not flipped[a][side]
-                other = memo(width, shape, tuple(map(tuple, flipped)))
+                other = fds_mod._sign_valid_tables(width, shape, tuple(map(tuple, flipped)))
                 assert not set(map(tuple, want)) & set(map(tuple, other.tolist()))
     assert nonempty >= 20 and seen_widths == {2, 3, 4} and seen_lengths == {1, 2, 3}
 
