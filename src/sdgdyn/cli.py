@@ -288,15 +288,16 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     g = load_sdg(args.graph)
     cap = _cap_from(args, fds_mod.DEFAULT_TABLE_CAP)
-    # One dict per distinct summary: a report repeats a few of them many
-    # times, and the JSON writer encodes a repeated entry once.
-    shared: dict[tuple, dict] = {}
-    summaries = []
-    for key in enumerate_system_summaries(g, table_cap=cap):
-        if key not in shared:
-            sizes, index, fixed = key
-            shared[key] = {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
-        summaries.append(shared[key])
+    # One dict per distinct summary of a block: a report repeats a few of
+    # them many times, and the JSON writer encodes a repeated entry once.
+    summaries: list[dict] = []
+    for sizes, index, fixed in enumerate_system_summaries(g, table_cap=cap):
+        keys = list(zip(index.tolist(), fixed.tolist()))
+        shared = {
+            (k, n): {"sizes": list(sizes), "nilpotency_index": k if k > 0 else None, "fixed_points": n}
+            for k, n in set(keys)
+        }
+        summaries.extend(map(shared.__getitem__, keys))
     count = len(summaries)
     report = {"count": count, "systems": summaries, "seed": args.seed}
     lines = itertools.chain(

@@ -313,7 +313,7 @@ class Fds:
         return (not bad, bad)
 
     def nilpotency_index(self) -> int | None:
-        """Least k with ``f^k`` constant, or None if no iterate is constant."""
+        """Least k >= 1 with ``f^k`` constant, or None if no iterate is constant."""
         index, _ = image_chains(self.successor_offsets[None, :])
         return int(index[0]) if index[0] > 0 else None
 
@@ -385,8 +385,9 @@ def image_chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     boolean ``B x S`` mask (flattened): scatter the successors of the live
     rows' states, then count the marked states per row.  A chain decreases
     strictly until it reaches the eventual image, so a row is done when its
-    image shrinks to one state (index ``m``) or stops shrinking (no constant
-    iterate, index -1).  Returns the index and fixed-point count arrays.
+    image shrinks to one state (index ``m``: the least k >= 1 with ``f^k``
+    constant) or stops shrinking (no constant iterate, index -1).  Returns
+    the index and fixed-point count arrays.
     """
     rows, size = succ.shape
     fixed = np.count_nonzero(succ == np.arange(size), axis=1)
@@ -557,21 +558,21 @@ def _sign_pattern(g: SignedDigraph, v: str) -> tuple[tuple[bool, bool], ...]:
 BLOCK_CELLS = 1 << 16
 
 
-def _table_blocks(per_component: list[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """The product of the per-component ``(m_i, size)`` candidate tables as
-    ``(B, n, size)`` blocks of at most ``BLOCK_CELLS`` cells (or one row),
-    rows in lexicographic order with the last component fastest."""
-    n = len(per_component)
-    total = math.prod(len(c) for c in per_component)
-    rows = max(1, BLOCK_CELLS // max(1, n * size))
+def _offset_blocks(parts: list[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """The sums ``parts[0][c_0] + ... + parts[n-1][c_{n-1}]`` over every choice
+    of one row of each ``(m_i, size)`` part, as ``(B, size)`` blocks of at
+    most ``BLOCK_CELLS // (n * size)`` rows (at least one), rows in
+    lexicographic order of the choices with the last component fastest."""
+    total = math.prod(len(part) for part in parts)
+    rows = max(1, BLOCK_CELLS // max(1, len(parts) * size))
     for start in range(0, total, rows):
         # Row r takes the mixed-radix digits of r, last component fastest.
         rest = np.arange(start, min(start + rows, total))
-        block = np.empty((len(rest), n, size), dtype=np.int64)
-        for i in reversed(range(n)):
-            rest, choice = np.divmod(rest, len(per_component[i]))
-            block[:, i] = per_component[i][choice]
-        yield block
+        succ = np.zeros((len(rest), size), dtype=np.int64)
+        for part in reversed(parts):
+            rest, choice = np.divmod(rest, len(part))
+            succ += part[choice]
+        yield succ
 
 
 def _sign_valid_tables(
@@ -609,12 +610,12 @@ def _local_table_systems(
 ) -> Iterator[tuple[IntervalProduct, np.ndarray]]:
     """Yield, domain by domain, every system whose interaction graph is ``g``.
 
-    Systems come as ``(domain, tables)`` blocks, ``tables`` of shape
-    ``(B, n, S)`` with one full table per component in each row (see
-    :func:`_table_blocks`).  Each component function is enumerated as a
-    local table over the intervals of the component's in-neighbors, with
-    its cells in lexicographic order, and kept when every in-neighbor axis
-    realizes exactly the signs of ``g`` (see :func:`_sign_valid_tables`).
+    Systems come as ``(domain, succ)`` blocks, ``succ`` the int64 ``(B, S)``
+    successor offsets of one system per row: the sums of one weighted local
+    table per component (see :func:`_offset_blocks`).  Each local table is
+    over the intervals of the component's in-neighbors, cells in
+    lexicographic order, and kept when every in-neighbor axis realizes
+    exactly the signs of ``g`` (see :func:`_sign_valid_tables`).
     Each distinct (width, in-neighbor widths, signs) scan runs once per
     call.  Raises :class:`ResourceCapError` before scanning the candidates
     of a component, or building the systems of a domain, would take the
@@ -628,7 +629,7 @@ def _local_table_systems(
     # The scans so far, keyed on their arguments: at most ``cap`` rows.
     seen: dict[tuple, np.ndarray] = {}
     for dom in domains:
-        per_component: list[np.ndarray] = []
+        parts: list[np.ndarray] = []
         for i, nbrs in enumerate(in_nbrs):
             local_shape = tuple(dom.shape[j] for j in nbrs)
             width = dom.shape[i]
@@ -639,20 +640,20 @@ def _local_table_systems(
             key = (width, local_shape, want[i])
             if key not in seen:
                 seen[key] = _sign_valid_tables(*key)
-            valid_tables = seen[key] + dom.intervals[i][0]
-            if not len(valid_tables):
+            valid = seen[key]
+            if not len(valid):
                 break
-            # Full tables: repeat each local table along the axes f_i ignores.
-            m = len(valid_tables)
+            # Add a zero cube to repeat each contribution along the axes f_i ignores.
+            m = len(valid)
             read = tuple(dom.shape[j] if j in nbrs else 1 for j in range(dom.n))
-            full = np.broadcast_to(valid_tables.reshape((m,) + read), (m,) + dom.shape)
-            per_component.append(full.reshape(m, dom.size))
+            part = (dom.weights[i] * valid).reshape((m,) + read) + np.zeros(dom.shape, np.int64)
+            parts.append(part.reshape(m, dom.size))
         else:
-            scanned += math.prod(len(c) for c in per_component)
+            scanned += math.prod(len(part) for part in parts)
             if scanned > cap:
                 raise _cap_error(cap)
-            for tables in _table_blocks(per_component, dom.size):
-                yield dom, tables
+            for succ in _offset_blocks(parts, dom.size):
+                yield dom, succ
 
 
 def _cap_error(cap: int) -> ResourceCapError:
@@ -681,22 +682,24 @@ def enumerate_degree_bounded_systems(
     deterministic.  Raises :class:`ResourceCapError` before the count of
     candidate local tables and systems would pass ``table_cap``.
     """
-    for dom, tables in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
-        for row in tables:
-            yield Fds(dom, row)
+    for dom, succ in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
+        # Peel each component's value off the offsets, as IntervalProduct.state does.
+        lows, highs, weights = dom.columns
+        for tables in lows + succ[:, None, :] // weights % (highs - lows + 1):
+            yield Fds(dom, tables)
 
 
 def enumerate_system_summaries(
     g: SignedDigraph, table_cap: int = DEFAULT_TABLE_CAP
-) -> Iterator[tuple[tuple[int, ...], int | None, int]]:
-    """Yield ``(interval sizes, nilpotency index, fixed-point count)`` for each
-    system of :func:`enumerate_degree_bounded_systems`, in the same order and
-    under the same cap, without building an :class:`Fds`: one
-    :func:`image_chains` call covers each block of systems."""
-    for dom, tables in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
-        index, fixed = image_chains(dom.offsets_of(tables))
-        for k, count in zip(index.tolist(), fixed.tolist()):
-            yield dom.shape, (k if k > 0 else None), count
+) -> Iterator[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+    """Yield ``(interval sizes, nilpotency indices, fixed-point counts)`` per
+    block of the systems of :func:`enumerate_degree_bounded_systems`, in the
+    same order and under the same cap, without building an :class:`Fds`:
+    the arrays are those of one :func:`image_chains` call on the block, so a
+    system's index is the least k >= 1 with ``f^k`` constant, or -1 if no
+    iterate is constant."""
+    for dom, succ in _local_table_systems(g, _degree_bounded_domains(g), table_cap):
+        yield (dom.shape, *image_chains(succ))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
 
 from sdgdyn import (
     NEGATIVE,
@@ -461,34 +461,48 @@ def reference_local_tables(g: SignedDigraph, v: str, cells: list, lo: int, hi: i
     ).reshape(-1, len(cells))
 
 
+def reference_full_tables(g: SignedDigraph, dom: IntervalProduct, i: int):
+    """The full tables on ``dom`` of every local table of component ``i``
+    that realizes the signs of ``g`` (see :func:`reference_local_tables`),
+    as an ``(m, dom.size)`` array: each state looks up its local cell by
+    its in-neighbor coordinates."""
+    v = g.vertices[i]
+    nbrs = sorted(g.index(j) for j in g.in_neighbors(v))
+    cells = list(product(*(range(dom.intervals[j][0], dom.intervals[j][1] + 1) for j in nbrs)))
+    valid = reference_local_tables(g, v, cells, *dom.intervals[i])
+    cell_of = {coords: c for c, coords in enumerate(cells)}
+    return valid[:, [cell_of[tuple(s[j] for j in nbrs)] for s in dom.states()]]
+
+
 def reference_local_table_systems(g: SignedDigraph, domains, cap: int):
     """The local-table enumerator of ``fds._local_table_systems`` written with
     ``itertools.product``: every candidate is a tuple of cell values, and
-    each state of the domain looks up its local cell by its in-neighbor
-    coordinates.  Same blocks, order and cap accounting."""
-    from sdgdyn import ResourceCapError
-    from sdgdyn.fds import _table_blocks
+    the systems of a domain are the product of the components' full tables
+    (:func:`reference_full_tables`), their successor offsets taken with
+    ``IntervalProduct.offsets_of``.  Same blocks, order and cap
+    accounting."""
+    import numpy as np
+
+    from sdgdyn import ResourceCapError, fds
 
     scanned = 0
     for dom in domains:
-        states = list(dom.states())
         per_component = []
         for i, v in enumerate(g.vertices):
-            nbrs = sorted(g.index(j) for j in g.in_neighbors(v))
-            cells = list(product(*(range(dom.intervals[j][0], dom.intervals[j][1] + 1) for j in nbrs)))
-            lo, hi = dom.intervals[i]
-            scanned += (hi - lo + 1) ** len(cells)
+            cells = math.prod(dom.shape[g.index(j)] for j in g.in_neighbors(v))
+            scanned += dom.shape[i] ** cells
             if scanned > cap:
                 raise ResourceCapError("cap")
-            valid = reference_local_tables(g, v, cells, lo, hi)
-            if not len(valid):
+            tables = reference_full_tables(g, dom, i)
+            if not len(tables):
                 break
-            cell_of = {coords: c for c, coords in enumerate(cells)}
-            expand = [cell_of[tuple(s[j] for j in nbrs)] for s in states]
-            per_component.append(valid[:, expand])
+            per_component.append(tables)
         else:
             scanned += math.prod(len(c) for c in per_component)
             if scanned > cap:
                 raise ResourceCapError("cap")
-            for tables in _table_blocks(per_component, dom.size):
-                yield dom, tables
+            rows = max(1, fds.BLOCK_CELLS // max(1, dom.n * dom.size))
+            systems = product(*per_component)
+            while block := list(islice(systems, rows)):
+                tables = np.array(block, dtype=np.int64).reshape(len(block), dom.n, dom.size)
+                yield dom, dom.offsets_of(tables)

@@ -372,11 +372,11 @@ def test_enumerate_cap_counts_systems_before_building_them(tmp_path, capsys, mon
     )
     built = []
 
-    def record(per_component, size):
-        built.append(math.prod(len(c) for c in per_component))
+    def record(parts, size):
+        built.append(math.prod(len(part) for part in parts))
         return iter(())
 
-    monkeypatch.setattr(fds, "_table_blocks", record)
+    monkeypatch.setattr(fds, "_offset_blocks", record)
     domain = IntervalProduct(((0, 2), (0, 2), (0, 1), (0, 1)))
     with pytest.raises(ResourceCapError):
         list(fds._local_table_systems(g, [domain], 20_000))
@@ -508,21 +508,27 @@ def test_a_broken_pipe_off_stdout_is_not_taken_for_a_closed_reader(monkeypatch):
         main(["enumerate", "--graph", "g.sdg"])
 
 
-@pytest.mark.parametrize("graph", ["multi-block", "lone vertex", "double loop"])
+@pytest.mark.parametrize("graph", ["multi-block", "lone vertex", "double loop", "empty graph"])
 def test_enumerate_report_bytes_match_the_per_system_summaries(graph, tmp_path, capsys):
-    from sdgdyn import SignedDigraph, enumerate_system_summaries
-    from test_fds import MULTI_BLOCK_GRAPH
+    from sdgdyn import SignedDigraph, enumerate_degree_bounded_systems
+    from test_fds import MULTI_BLOCK_GRAPH, flat_summaries
 
     g = {
         "multi-block": MULTI_BLOCK_GRAPH,
         "lone vertex": SignedDigraph.from_arcs([], vertices=["1"]),
         "double loop": SignedDigraph.from_arcs([("1", "1", "+"), ("1", "1", "-")]),
+        "empty graph": SignedDigraph((), frozenset()),
     }[graph]
     gpath = tmp_path / "g.sdg"
     gpath.write_text(format_sdg(g))
+    summaries = list(flat_summaries(g))
+    assert summaries == [
+        (f.domain.shape, f.nilpotency_index(), len(f.fixed_points()))
+        for f in enumerate_degree_bounded_systems(g)
+    ]
     systems = [
         {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
-        for sizes, index, fixed in enumerate_system_summaries(g)
+        for sizes, index, fixed in summaries
     ]
     report = {"count": len(systems), "systems": systems, "seed": 0}
     assert main(["enumerate", "--graph", str(gpath), "--json"]) == 0

@@ -567,6 +567,14 @@ MULTI_BLOCK_GRAPH = SignedDigraph.from_arcs(
 )
 
 
+def flat_summaries(g):
+    """The block summaries of ``g``, one ``(sizes, index, fixed points)`` per
+    system, with index -1 read as None."""
+    for sizes, index, fixed in enumerate_system_summaries(g):
+        for k, count in zip(index.tolist(), fixed.tolist()):
+            yield sizes, (k if k > 0 else None), count
+
+
 def _random_graphs(seed, count, max_systems=5_000):
     """Random connected graphs with n <= 3 and at most ``max_systems``
     degree-bounded systems."""
@@ -574,8 +582,7 @@ def _random_graphs(seed, count, max_systems=5_000):
     graphs = []
     while len(graphs) < count:
         g = helpers.random_connected_sdg(rng, 3)
-        systems = enumerate_system_summaries(g)
-        if sum(1 for _ in islice(systems, max_systems + 1)) <= max_systems:
+        if sum(1 for _ in islice(flat_summaries(g), max_systems + 1)) <= max_systems:
             graphs.append(g)
     return graphs
 
@@ -594,16 +601,16 @@ def test_batched_summaries_match_per_system_methods():
             index = f.nilpotency_index()
             assert index == helpers.unique_chain_index(f)
             expected.append((f.domain.shape, index, len(f.fixed_points())))
-        assert list(enumerate_system_summaries(g)) == expected
+        assert list(flat_summaries(g)) == expected
 
 
 def _blocks_until_cap(enumerator, g, domains, cap):
-    """The ``(domain, tables)`` blocks yielded before the cap trips, and
-    whether it tripped."""
+    """The ``(domain, successor offsets)`` blocks yielded before the cap
+    trips, and whether it tripped."""
     out = []
     try:
-        for dom, tables in enumerator(g, domains, cap):
-            out.append((dom, tables.tolist()))
+        for dom, succ in enumerator(g, domains, cap):
+            out.append((dom, succ.tolist()))
     except ResourceCapError:
         return out, True
     return out, False
@@ -637,15 +644,28 @@ def test_local_table_systems_match_product_reference():
     assert tripped_midway >= 8 and finished >= 20
 
 
+# A double loop on 1 and 1 -> 2 -> 1, on domains of shape (3, 2), one of
+# them shifted twice, and (2, 2), which no table survives.
+SHIFTED_GRAPH = SignedDigraph.from_arcs(
+    [("1", "1", "+"), ("1", "1", "-"), ("1", "2", "+"), ("2", "1", "+")]
+)
+SHIFTED_DOMAINS = [
+    IntervalProduct(((0, 2), (0, 1))),
+    IntervalProduct(((0, 1), (0, 1))),
+    IntervalProduct(((2, 4), (-1, 0))),
+    IntervalProduct(((5, 6), (1, 2))),
+    IntervalProduct(((1, 3), (5, 6))),
+]
+
+
 def test_local_table_systems_scan_each_distinct_key_once(monkeypatch):
-    # A double loop on 1 and 1 -> 2 -> 1.  The domains of shape (3, 2), one
-    # of them shifted twice, ask for the same two scans (729 and 8
+    # The domains of shape (3, 2) ask for the same two scans (729 and 8
     # candidates, 224 systems); those of shape (2, 2) for the same scan of
     # 16 candidates, which no table survives.  Each scan runs once per call
-    # and the caller adds each interval's low end, while a reused scan
-    # still counts against the cap, as the reference enumerator counts it:
-    # cap 2,000 stops before the third (3, 2) domain.
-    g = SignedDigraph.from_arcs([("1", "1", "+"), ("1", "1", "-"), ("1", "2", "+"), ("2", "1", "+")])
+    # (a scan counts values from the interval's low end, so a shifted
+    # domain gives the same successor offsets), while a reused scan still
+    # counts against the cap, as the reference enumerator counts it: cap
+    # 2,000 stops before the third (3, 2) domain.
     scans = []
     real = fds_mod._sign_valid_tables
 
@@ -654,13 +674,7 @@ def test_local_table_systems_scan_each_distinct_key_once(monkeypatch):
         return real(*key)
 
     monkeypatch.setattr(fds_mod, "_sign_valid_tables", record)
-    domains = [
-        IntervalProduct(((0, 2), (0, 1))),
-        IntervalProduct(((0, 1), (0, 1))),
-        IntervalProduct(((2, 4), (-1, 0))),
-        IntervalProduct(((5, 6), (1, 2))),
-        IntervalProduct(((1, 3), (5, 6))),
-    ]
+    g, domains = SHIFTED_GRAPH, SHIFTED_DOMAINS
     yielded = []
     for cap in (700, 1_000, 2_000, 3_000):
         scans.clear()
@@ -671,22 +685,46 @@ def test_local_table_systems_scan_each_distinct_key_once(monkeypatch):
     assert yielded == [0, 1, 2, 3] and not got[1] and len(scans) == 3
 
 
+def test_decoded_systems_round_trip_their_offsets(monkeypatch):
+    # enumerate_degree_bounded_systems decodes each block row into tables;
+    # on domains with nonzero lows, each system must map back to its row,
+    # stay inside its intervals and have g as its interaction graph.
+    g, domains = SHIFTED_GRAPH, SHIFTED_DOMAINS
+    monkeypatch.setattr(fds_mod, "_degree_bounded_domains", lambda graph: iter(domains))
+    rows = [
+        (dom, row)
+        for dom, succ in fds_mod._local_table_systems(g, domains, 10**6)
+        for row in succ.tolist()
+    ]
+    systems = list(enumerate_degree_bounded_systems(g))
+    assert len(systems) == len(rows) == 3 * 224
+    for f, (dom, row) in zip(systems, rows):
+        assert f.domain == dom and f.successor_offsets.tolist() == row
+        lows, highs, _ = dom.columns
+        assert ((lows <= f.tables) & (f.tables <= highs)).all()
+        assert f.interaction_graph(g.vertices) == g
+
+
 def test_local_table_candidates_span_several_row_blocks(monkeypatch):
     # The 3^9 candidates of component 1 on (3, 3, 3) are checked in five
     # blocks of 4,096 rows.  That domain has too many systems to build, so
-    # compare the survivors of every component handed to _table_blocks.
+    # compare the offset contributions of every component handed to
+    # _offset_blocks with the reference's full tables, times the weights.
     seen = []
 
-    def record(per_component, size):
-        seen.append([c.tolist() for c in per_component])
+    def record(parts, size):
+        seen.append([part.tolist() for part in parts])
         return iter(())
 
-    monkeypatch.setattr(fds_mod, "_table_blocks", record)
-    domains = [IntervalProduct(((0, 2),) * 3)]
-    for enumerator in (fds_mod._local_table_systems, helpers.reference_local_table_systems):
-        assert list(enumerator(WIDE_GRAPH, domains, 10**9)) == []
-    assert len(seen) == 2 and seen[0] == seen[1]
-    assert len(seen[0][0]) > 4096
+    monkeypatch.setattr(fds_mod, "_offset_blocks", record)
+    dom = IntervalProduct(((0, 2),) * 3)
+    assert list(fds_mod._local_table_systems(WIDE_GRAPH, [dom], 10**9)) == []
+    want = [
+        (w * helpers.reference_full_tables(WIDE_GRAPH, dom, i)).tolist()
+        for i, w in enumerate(dom.weights)
+    ]
+    assert seen == [want]
+    assert len(want[0]) > 4096
 
 
 def test_sign_valid_tables_match_the_pure_python_filter():
@@ -731,19 +769,20 @@ def test_sign_valid_tables_match_the_pure_python_filter():
     assert nonempty >= 20 and seen_widths == {2, 3, 4} and seen_lengths == {1, 2, 3}
 
 
-def test_table_blocks_follow_itertools_product(monkeypatch):
-    # Rows in lexicographic order of the component choices, last component
-    # fastest, in blocks of at most BLOCK_CELLS cells (or one row).
+def test_offset_blocks_follow_itertools_product(monkeypatch):
+    # Row sums of one row per part, in lexicographic order of the choices,
+    # last component fastest, in blocks of at most BLOCK_CELLS cells (or
+    # one row) counted as n * size per row.
     rng = np.random.default_rng(13)
     for cells in (1, 7, 40, 10**9):
         monkeypatch.setattr(fds_mod, "BLOCK_CELLS", cells)
         for n in range(4):
             size = int(rng.integers(1, 4))
-            per_component = [rng.integers(0, 9, (int(rng.integers(1, 4)), size)) for _ in range(n)]
-            blocks = list(fds_mod._table_blocks(per_component, size))
+            parts = [rng.integers(0, 9, (int(rng.integers(1, 4)), size)) for _ in range(n)]
+            blocks = list(fds_mod._offset_blocks(parts, size))
             rows = max(1, cells // max(1, n * size))
             assert all(len(b) == rows for b in blocks[:-1]) and 0 < len(blocks[-1]) <= rows
-            want = [[t.tolist() for t in combo] for combo in product(*per_component)]
+            want = [sum(combo, np.zeros(size, dtype=np.int64)).tolist() for combo in product(*parts)]
             assert np.concatenate(blocks).tolist() == want
 
 
