@@ -226,6 +226,8 @@ def cmd_synth_fixed_points(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.steps is not None and not args.sub:
+        raise PreconditionError("--steps requires --sub")
     g = load_sdg(args.graph)
     checks: list[tuple[str, bool]] = []
     report: dict = {"checks": [], "seed": args.seed}

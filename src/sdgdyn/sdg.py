@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 POSITIVE = "+"
 NEGATIVE = "-"
@@ -304,51 +304,35 @@ class ComponentStructure:
 
 def _strong_components(g: SignedDigraph) -> list[tuple[str, ...]]:
     """Strong components, each in vertex order, ordered by first vertex
-    (``[]`` for the empty graph)."""
-    # Iterative Tarjan.
-    index_of: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = 0
-
+    (``[]`` for the empty graph).  Kosaraju: a depth-first pass over the
+    out-neighbours gives the finishing order, then a search over the
+    in-neighbours from each vertex not yet placed, latest finished first,
+    collects its component."""
+    succ, seen, finished = g._under_succ, set(), []
     for root in g.vertices:
-        if root in index_of:
+        if root in seen:
             continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            recurse = False
-            succ = g._under_succ[v]
-            for k in range(pi, len(succ)):
-                w = succ[k]
-                if w not in index_of:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    recurse = True
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, rest = stack[-1]
+            for w in rest:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(succ[w])))
                     break
-                if w in on_stack:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if recurse:
-                continue
-            if lowlink[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            else:
+                stack.pop()
+                finished.append(v)
+    placed, sccs = set(), []
+    for root in reversed(finished):
+        if root not in placed:
+            placed.add(root)
+            sccs.append([root])
+            for v in sccs[-1]:  # the list grows while it is read
+                new = g._adjacency[v].in_neighbors - placed
+                placed |= new
+                sccs[-1] += new
     order = g._index.__getitem__
     comps = [tuple(sorted(c, key=order)) for c in sccs]
     return sorted(comps, key=lambda c: order(c[0]))
@@ -569,28 +553,40 @@ def find_disjoint_positive_cycles(
     return list(chosen) if search(0) else None
 
 
-def underlying_cycle_order(g: SignedDigraph) -> tuple[str, ...] | None:
-    """Vertex order when the underlying digraph is one cycle through all vertices."""
-    if g.n == 0:
-        return None
-    for v in g.vertices:
-        if len(g.out_neighbors(v)) != 1:
+def _cycle_order(g: SignedDigraph, vertices: Sequence[str]) -> tuple[str, ...] | None:
+    """``vertices`` in cycle order from ``vertices[0]`` when each has one
+    in-neighbour and one out-neighbour and the walk along the out-neighbours
+    covers them all, else None; ``vertices`` is a union of weak components
+    of ``g``, and the walk takes at most ``len(vertices)`` steps."""
+    order = list(vertices[:1])
+    for _ in vertices:
+        a = g._adjacency[order[-1]]
+        if len(a.in_neighbors) != 1 or len(a.out_neighbors) != 1:
             return None
-    order = [g.vertices[0]]
-    while True:
-        (nxt,) = g.out_neighbors(order[-1])
-        if nxt == order[0]:
-            break
-        if nxt in order:
-            return None
+        (nxt,) = a.out_neighbors
+        if nxt == order[0]:  # the first return: no vertex was repeated
+            return tuple(order) if len(order) == len(vertices) else None
         order.append(nxt)
-    return tuple(order) if len(order) == g.n else None
+    return None
+
+
+def underlying_cycle_order(g: SignedDigraph) -> tuple[str, ...] | None:
+    """Vertex order from the first vertex when the underlying digraph is one
+    cycle through all vertices, else None: one walk of at most ``n`` steps."""
+    return _cycle_order(g, g.vertices)
 
 
 def is_signed_cycle(g: SignedDigraph) -> bool:
     """True when the underlying digraph is a single all-covering cycle and no
     ordered pair carries both signs."""
-    return underlying_cycle_order(g) is not None and len(g.arcs) == g.n
+    return _is_signed_cycle(g, g.vertices)
+
+
+def _is_signed_cycle(g: SignedDigraph, vertices: Sequence[str]) -> bool:
+    """:func:`is_signed_cycle` of the subgraph on ``vertices``, a union of
+    weak components of ``g``, asked of ``g`` itself."""
+    order = _cycle_order(g, vertices)
+    return order is not None and sum(map(g.in_degree, order)) == len(order)
 
 
 # ---------------------------------------------------------------------------

@@ -38,13 +38,14 @@ from .sdg import (
     SdgParseError,
     SignedDigraph,
     SignedCycle,
+    _cycle_order,
+    _is_signed_cycle,
     _multi_source_distance,
     _strong_components,
     classify_vertices,
     component_structure,
     enumerate_cycles,
     find_disjoint_positive_cycles,
-    is_signed_cycle,
 )
 from .fds import (
     ConvergenceWitness,
@@ -163,11 +164,11 @@ def check_nilpotency_certificate(
         if rep not in comp:
             problems.append(f"representative {rep} outside its component")
 
-    stripped = g.without_arcs([a for a in g.arcs if a[1] in rep_set])
     for p in range(1, len(cert.layers)):
         prev = set(cert.layers[p - 1])
         for v in cert.layers[p]:
-            if not (stripped.in_neighbors(v) & prev):
+            # Layers ignore the arcs into representatives.
+            if not (g.in_neighbors(v) & prev) or v in rep_set:
                 problems.append(
                     f"vertex {v} in layer {p + 1} has no in-neighbor in layer {p}"
                 )
@@ -238,10 +239,8 @@ def _plan_cycle_with_parallels(
     """A component whose underlying digraph is one cycle carrying both signs
     on some step: each vertex steps to its top exactly when its predecessor
     holds the value the arc between them triggers on, starting after the
-    first vertex with parallel arcs."""
-    order = (comp[0],)
-    while len(order) < len(comp):
-        order += tuple(g.out_neighbors(order[-1]))
+    first vertex with parallel arcs, in the order of :func:`sdg._cycle_order`."""
+    order = _cycle_order(g, comp)
     parallel = {
         v
         for v, w in zip(order, order[1:] + order[:1])
@@ -264,7 +263,9 @@ def _plan_general(g: SignedDigraph, plan: _Plan) -> None:
     """Every vertex the cycle planner left, lone vertices included, in one
     pass over ``g``: representatives of the initial strong components,
     layers by distance from them once the arcs into them are removed, and
-    threshold rules."""
+    threshold rules.  The distances are taken on ``g`` itself: a shortest
+    path from the representatives never enters one of them again, so the
+    arcs into them change no distance."""
     todo = [v for v in g.vertices if v not in plan.depth]
     reps = set()
     for comp in component_structure(g).initial_components:
@@ -279,8 +280,7 @@ def _plan_general(g: SignedDigraph, plan: _Plan) -> None:
         plan.representatives.append((comp, rep))
         reps.add(rep)
 
-    stripped = g.without_arcs([a for a in g.arcs if a[1] in reps])
-    dist = _multi_source_distance(stripped, reps)
+    dist = _multi_source_distance(g, reps)
     isolated = classify_vertices(g)[2]
     for v in todo:
         plan.depth[v] = int(dist[v])
@@ -323,10 +323,9 @@ def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
         raise PreconditionError("cannot synthesize on the empty graph")
     plan = _Plan()
     for comp in g.weak_components():
-        # An underlying cycle: one in- and one out-neighbour per vertex.
-        if any(len(g.in_neighbors(v)) != 1 or len(g.out_neighbors(v)) != 1 for v in comp):
+        if _cycle_order(g, comp) is None:
             continue
-        if sum(g.in_degree(v) for v in comp) == len(comp):
+        if _is_signed_cycle(g, comp):
             raise PreconditionError(
                 f"component {comp} is a signed cycle; no nilpotent degree-bounded "
                 "system exists on it"
@@ -743,7 +742,7 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
         # vertex); those closed cycles are peeled off like the strongly
         # connected blocks.  Vertices outside the isolated set are lone here.
         for comp in block_graph.weak_components():
-            if comp[0] in iso_set and is_signed_cycle(block_graph.induced(comp)):
+            if comp[0] in iso_set and _is_signed_cycle(block_graph, comp):
                 closed.update(comp)
     mirrored: list[str] = []
     if not closed:
@@ -926,18 +925,17 @@ def construct_converging(
     plan = convergence_plan(g, subgraph)
     iso = plan.isolated
 
-    rest = subgraph.without_vertices(iso)
-    for v in rest.vertices:
-        if rest.in_degree(v) == 0 and g.in_degree(v) > 0:
+    for v in (v for v in subgraph.vertices if v not in iso):  # I has no arc in the subgraph
+        if subgraph.in_degree(v) == 0 and g.in_degree(v) > 0:
             raise PreconditionError(
                 f"vertex {v} is a source of the subgraph but not of the graph"
             )
-        if rest.out_degree(v) == 0 and g.out_degree(v) > 0:
+        if subgraph.out_degree(v) == 0 and g.out_degree(v) > 0:
             raise PreconditionError(
                 f"vertex {v} is a sink of the subgraph but not of the graph"
             )
     for comp in g.weak_components():
-        if set(comp) <= set(iso) and is_signed_cycle(g.induced(comp)):
+        if set(comp) <= set(iso) and _is_signed_cycle(g, comp):
             raise PreconditionError(
                 f"component {comp} is a signed cycle inside the isolated set"
             )

@@ -263,11 +263,14 @@ EXIT_CODES = [
     (None, "synth-fixed-points --graph {neg2} --cycles 0", 0),
     (None, "synth-fixed-points --graph {bad_sdg} --cycles 0", 2),
     (None, "synth-fixed-points --graph {neg2}", 3),
+    (None, "synth-fixed-points --graph {neg2} --cycles -1", 3),
     ("1", "synth-fixed-points --graph {neg2} --cycles 0", 4),
     (None, "verify --graph {eight} --fds {f}", 0),
     (None, "verify --graph {eight} --fds {constant}", 1),
     (None, "verify --graph {eight} --fds {bad_json}", 2),
     (None, "verify --graph {eight} --sub {h}", 3),
+    (None, "verify --graph {eight} --fds {f} --steps 2", 3),
+    (None, "verify --graph {conv} --fds {h} --sub {h} --steps -1", 3),
     ("1", "verify --graph {eight} --fds {f}", 4),
     (None, "enumerate --graph {path}", 0),
     (None, "enumerate --graph {path} --cap 0", 2),
@@ -276,6 +279,14 @@ EXIT_CODES = [
     (None, "export-dot --graph {eight}", 0),
     (None, "export-dot --graph {bad_sdg}", 2),
 ]
+
+# The message on stderr for the rows that must name their fault.
+EXIT_MESSAGES = {
+    "synth-fixed-points --graph {neg2} --cycles -1": "k must be positive",
+    "verify --graph {eight} --sub {h}": "--sub requires --fds",
+    "verify --graph {eight} --fds {f} --steps 2": "--steps requires --sub",
+    "verify --graph {conv} --fds {h} --sub {h} --steps -1": "step count must be nonnegative",
+}
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +334,7 @@ def test_exit_code_table(cli_bundle, cap, argv, code, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert got == code, err
     assert "Traceback" not in err
+    assert EXIT_MESSAGES.get(argv, "") in err
 
 
 def test_enumerate_cli(tmp_path, capsys):

@@ -396,6 +396,26 @@ def test_converges_toward_detects_disagreement():
     assert w.counterexample == (0,)
 
 
+@pytest.mark.parametrize(
+    "nested, image, agree, expected",
+    [
+        (True, True, True, []),
+        (False, True, True, ["subsystem domain is not contained in the system domain"]),
+        (True, False, True, ["f^3(X) is not contained in h(Y)"]),
+        (True, True, False, ["f and h disagree on Y (e.g. at (0, 1))"]),
+        (False, False, False, [
+            "subsystem domain is not contained in the system domain",
+            "f^3(X) is not contained in h(Y)",
+            "f and h disagree on Y (e.g. at (0, 1))",
+        ]),
+    ],
+)
+def test_convergence_witness_names_each_failure(nested, image, agree, expected):
+    w = fds_mod.ConvergenceWitness(3, nested, image, agree, None if agree else (0, 1))
+    assert w.failures() == expected
+    assert w.valid == (not expected)
+
+
 def test_converges_toward_componentwise_inclusion():
     # h couples its two components (image = equal pairs); a system whose
     # image holds mixed pairs still converges under the componentwise box.

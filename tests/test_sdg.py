@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 import time
@@ -360,6 +361,95 @@ def test_components_and_cycle_counts_match_networkx():
         )
         assert len(enumerate_cycles(g)) == expected
     assert _strong_components(SignedDigraph((), frozenset())) == []
+
+
+def _oracle_case(rng, n):
+    """A random graph on n vertices, listed in an order that is not the
+    name order: sparse random arcs with loops and parallel pairs, plus a few
+    planted rings (some signed cycles, some with a parallel step or a
+    chord), so weak components of every shape turn up."""
+    names = [f"v{k}" for k in range(n)]
+    rng.shuffle(names)
+    p = rng.choice([0.0, 0.02, 0.05, 0.15])
+    pairs = ((s, t, sign) for s in names for t in names for sign in sdg.SIGNS)
+    arcs = {arc for arc in pairs if rng.random() < p / 2}
+    free = [v for v in names if not any(v in a[:2] for a in arcs)]
+    rng.shuffle(free)
+    while free and rng.random() < 0.8:
+        ring, free = free[: rng.randint(1, 5)], free[5:]
+        for k, v in enumerate(ring):
+            arcs.add((v, ring[(k + 1) % len(ring)], rng.choice(sdg.SIGNS)))
+        kind = rng.randrange(3)
+        if kind == 1:  # both signs on one step
+            arcs |= {(ring[0], ring[1 % len(ring)], sign) for sign in sdg.SIGNS}
+        elif kind == 2:  # a chord, or a loop on a one-vertex ring
+            arcs.add((ring[0], ring[len(ring) // 2], POSITIVE))
+    return SignedDigraph.from_arcs(sorted(arcs), vertices=names)
+
+
+def _normalized(g, comps):
+    ordered = (tuple(sorted(c, key=g.index)) for c in comps)
+    return sorted(ordered, key=lambda c: g.index(c[0]))
+
+
+def test_graph_algorithms_match_networkx_at_size():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(43)
+    shapes = collections.Counter()
+    for trial in range(240):
+        g = _oracle_case(rng, 1 + trial % 40)
+        under = nx.DiGraph()
+        under.add_nodes_from(g.vertices)
+        under.add_edges_from((s, t) for s, t, _ in g.arcs)
+        assert _strong_components(g) == _normalized(g, nx.strongly_connected_components(under))
+        assert list(g.weak_components()) == _normalized(g, nx.weakly_connected_components(under))
+
+        # Distances from R with the arcs into R removed equal those in g:
+        # the equality the nilpotent planner's layers rely on.
+        reps = rng.sample(g.vertices, rng.randint(0, min(4, g.n)))
+        cut = under.copy()
+        cut.remove_edges_from([(s, t) for s, t in under.edges if t in reps])
+        want = dict.fromkeys(g.vertices, math.inf)
+        if reps:
+            want.update(nx.multi_source_dijkstra_path_length(cut, set(reps)))
+        assert sdg._multi_source_distance(g, reps) == want
+
+        ring = nx.is_strongly_connected(under) and under.number_of_edges() == g.n
+        assert (underlying_cycle_order(g) is not None) == ring
+        assert is_signed_cycle(g) == (ring and len(g.arcs) == g.n)
+
+        for comp in g.weak_components():
+            h = g.induced(comp)
+            d = under.subgraph(comp)
+            ring = nx.is_strongly_connected(d) and d.number_of_edges() == len(comp)
+            signed = ring and len(h.arcs) == len(comp)  # no pair with both signs
+            order = underlying_cycle_order(h)
+            assert (order is not None) == ring
+            if ring:
+                assert order[0] == comp[0] and sorted(order) == sorted(comp)
+                assert all(d.has_edge(v, w) for v, w in zip(order, order[1:] + order[:1]))
+            assert is_signed_cycle(h) == signed
+            shapes[ring, signed, len(comp) > 1] += 1
+    assert len(shapes) == 6, shapes  # every (ring, signed, more than one vertex)
+
+
+def test_graph_algorithms_on_five_thousand_vertices():
+    # Nothing recurses or rescans a list per step: a directed path and a
+    # directed cycle of 5,000 vertices go through every linear routine.
+    # (_shortest_cycle_length searches from every vertex, so it is left out.)
+    n = 5000
+    names = [f"v{k}" for k in range(n)]
+    path = SignedDigraph.from_arcs([(names[k], names[k + 1], POSITIVE) for k in range(n - 1)])
+    ring = SignedDigraph.from_arcs([(names[k], names[(k + 1) % n], NEGATIVE) for k in range(n)])
+    start = time.perf_counter()
+    assert _strong_components(path) == [(v,) for v in names]
+    assert _strong_components(ring) == [tuple(names)]
+    for g in (path, ring):
+        assert g.weak_components() == (tuple(names),)
+        assert sdg._multi_source_distance(g, [names[0]]) == {v: k for k, v in enumerate(names)}
+    assert underlying_cycle_order(path) is None and not is_signed_cycle(path)
+    assert underlying_cycle_order(ring) == tuple(names) and is_signed_cycle(ring)
+    assert time.perf_counter() - start < 5
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,39 @@ def test_certificate_problems_come_in_vertex_order():
     ]
 
 
+# a <-> b -> c: the representative a of the initial component {a, b} has
+# the in-neighbour b, and the layers are [a], [b], [c].
+LAYERED = SignedDigraph.from_arcs([("a", "b", "+"), ("b", "a", "+"), ("b", "c", "+")])
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        ({"layers": [["a"], ["b"]]}, "layers do not partition the vertex set"),
+        ({"layers": [["a", "b"], ["c"]]}, "first layer differs from the representative set"),
+        (
+            {"representatives": [[["a"], "a"]]},
+            "representative keys differ from the initial components",
+        ),
+        ({"representatives": [[["a", "b"], "c"]]}, "representative c outside its component"),
+        ({"layers": [["a"], ["c"], ["b"]]}, "vertex c in layer 2 has no in-neighbor in layer 1"),
+        # b, an in-neighbour of a in the graph, sits in the layer before a,
+        # but layers ignore the arcs into representatives.
+        ({"layers": [["b"], ["a", "c"]]}, "vertex a in layer 2 has no in-neighbor in layer 1"),
+        ({"xi": [0, 0, 7]}, "target state outside the domain"),
+        ("arity", "system arity differs from graph order"),
+    ],
+)
+def test_certificate_check_names_each_tampering(edit, expected):
+    f, cert = construct_nilpotent(LAYERED)
+    assert not check_nilpotency_certificate(LAYERED, f, cert)
+    if edit == "arity":
+        f = construct_nilpotent(helpers.double_loop_example())[0]
+    else:
+        cert = certificate_from_dict({**cert.to_dict(), **edit}, LAYERED)
+    assert expected in check_nilpotency_certificate(LAYERED, f, cert)
+
+
 # ---------------------------------------------------------------------------
 # the structure check
 # ---------------------------------------------------------------------------
@@ -570,6 +603,50 @@ def test_extend_rejects_bad_bases():
         extend_all(target2, base, h2)
 
 
+# The base 1 -> 2 with 3 isolated, and each target or argument that
+# extend_all must refuse.
+EXTEND_BASE = SignedDigraph.from_arcs([("1", "2", "+")], vertices=["1", "2", "3"])
+
+
+def _with_base_arcs(*arcs):
+    return SignedDigraph.from_arcs([("1", "2", "+"), *arcs], vertices=["1", "2", "3"])
+
+
+@pytest.mark.parametrize(
+    "target, system, kwargs, expected",
+    [
+        (
+            SignedDigraph.from_arcs([("1", "2", "+")]), None, {},
+            "base graph is not a spanning subgraph of the target",
+        ),
+        (
+            _with_base_arcs(), "constant", {},
+            "base system's interaction graph differs from the base graph",
+        ),
+        (
+            _with_base_arcs(("2", "1", "+")), None, {},
+            "target arc (2,1) runs from a base sink to a base source",
+        ),
+        (
+            _with_base_arcs(("1", "3", "+"), ("3", "2", "+")), None, {},
+            "target arc (1,3) enters a base-isolated non-sink vertex",
+        ),
+        (_with_base_arcs(), None, {"anchor": (0, 0, 1)}, "anchor state outside the base domain"),
+        (
+            _with_base_arcs(("1", "3", "+")), None, {"order": []},
+            "order must list each missing arc exactly once",
+        ),
+    ],
+)
+def test_extend_all_names_each_precondition(target, system, kwargs, expected):
+    h = helpers.random_system_on(random.Random(1), EXTEND_BASE)
+    if system == "constant":
+        h = constant_fds(h.domain, h.domain.lows)
+    with pytest.raises(PreconditionError) as info:
+        extend_all(target, EXTEND_BASE, h, **kwargs)
+    assert str(info.value) == expected
+
+
 # ---------------------------------------------------------------------------
 # convergence construction
 # ---------------------------------------------------------------------------
@@ -636,6 +713,67 @@ def test_construct_converging_checks_preconditions():
     )
     assert h.interaction_graph(g.vertices).arcs == sub.arcs
     with pytest.raises(PreconditionError):
+        construct_converging(g, sub, h)
+
+
+def _converging_case(arcs, keep):
+    g = SignedDigraph.from_arcs(arcs)
+    sub = g.spanning(keep)
+    return g, sub, helpers.random_system_on(random.Random(3), sub)
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("spanning", "subgraph is not a spanning subgraph of the graph"),
+        ("arity", "subsystem arity differs from the graph order"),
+        ("fit", "subsystem does not fit the subgraph: interaction graph differs"),
+        ("source", "vertex 2 is a source of the subgraph but not of the graph"),
+        ("sink", "vertex 2 is a sink of the subgraph but not of the graph"),
+        ("cycle", "component ('1', '2') is a signed cycle inside the isolated set"),
+    ],
+)
+def test_construct_converging_names_each_precondition(case, expected):
+    path = [("1", "2", "+"), ("2", "3", "+")]
+    g, sub, h = _converging_case(path, path[:1])
+    if case == "spanning":
+        sub = SignedDigraph.from_arcs(path[:1])
+    elif case == "arity":
+        h = constant_fds(IntervalProduct(((0, 0),)), (0,))
+    elif case == "fit":
+        h = constant_fds(h.domain, h.domain.lows)
+    elif case == "source":  # 1 is isolated in the subgraph, 2 becomes its source
+        g, sub, h = _converging_case(path, path[1:])
+    elif case == "cycle":  # the whole two-cycle is isolated in the subgraph
+        g, sub, h = _converging_case([("1", "2", "+"), ("2", "1", "-")], [])
+    with pytest.raises(PreconditionError) as info:
+        construct_converging(g, sub, h)
+    assert str(info.value).startswith(expected)
+
+
+def test_direct_path_result_is_degree_checked(monkeypatch):
+    # Both extension stages of the direct path add no arc here (the block
+    # 3 -> 4 is glued on whole), so extend_all checks nothing, and the
+    # final structure check is the only degree-bound check of the result:
+    # growing vertex 4's interval by a duplicated plane keeps every arc and
+    # must still be refused.
+    g = SignedDigraph.from_arcs([("1", "2", "+"), ("2", "1", "+"), ("3", "4", "+")])
+    cycle = next(c for c in enumerate_cycles(g) if c.vertex_set() == {"1", "2"})
+    sub, h = cycle_subsystem(g, [cycle])
+    plan = synthesis.convergence_plan(g, sub)
+    assert plan.isolated == ("3", "4") and not plan.closed
+    assert g.spanning(sub.arcs | plan.block_graph.arcs) == g
+    assert construct_converging(g, sub, h)[1].valid
+    glue = synthesis._glue
+
+    def widened(base, block, rows):
+        f = glue(base, block, rows)
+        return Fds(*synthesis._extended_tables(f.domain, f.tables, g.index("4"), 1))
+
+    monkeypatch.setattr(synthesis, "_glue", widened)
+    with pytest.raises(
+        InternalInvariantError, match=re.escape("degree bound violated at components (3,)")
+    ):
         construct_converging(g, sub, h)
 
 
