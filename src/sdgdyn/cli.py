@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -23,7 +22,7 @@ import numpy as np
 from . import fds as fds_mod
 from . import sdg as sdg_mod
 from . import synthesis as syn_mod
-from .fds import converges_toward, enumerate_system_summaries, load_fds, save_fds
+from .fds import converges_toward, load_fds, save_fds
 from .sdg import (
     InternalInvariantError,
     PreconditionError,
@@ -59,8 +58,7 @@ def dumps_indent2(obj, pad: str = "") -> str:
     keys, lists, tuples, scalars), where the value or a dict's value may be
     a 2-D int ``ndarray``, which stands for its ``tolist()``.  Arrays are
     rendered by :func:`fds.json_rows`, the rest by the C encoder: a list of
-    scalars is one encoder call, and an entry repeated within a list is
-    encoded once."""
+    scalars is one encoder call."""
     if not isinstance(obj, _CONTAINERS):
         return _dumps_rows(obj, pad) if isinstance(obj, np.ndarray) else _encode(obj)
     if not obj:
@@ -71,18 +69,14 @@ def dumps_indent2(obj, pad: str = "") -> str:
             f"{_encode(key)}: {dumps_indent2(value, inner)}" for key, value in obj.items()
         )
         return "{\n" + inner + body + "\n" + pad + "}"
-    # The first entry decides most lists at once (tables of ints, lists of
-    # summary dicts); the others are scanned by distinct type.
+    # A first entry that is a container decides the list at once; else the
+    # entries are scanned by distinct type.
     if not isinstance(obj[0], _CONTAINERS) and not any(
         issubclass(t, _CONTAINERS) for t in set(map(type, obj))
     ):
         body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(obj)[1:-1]
     else:
-        memo: dict[int, str] = {}
-        for x in obj:
-            if id(x) not in memo:
-                memo[id(x)] = dumps_indent2(x, inner)
-        body = (",\n" + inner).join(memo[id(x)] for x in obj)
+        body = (",\n" + inner).join(dumps_indent2(x, inner) for x in obj)
     return "[\n" + inner + body + "\n" + pad + "]"
 
 
@@ -290,27 +284,29 @@ def cmd_verify(args) -> int:
 def cmd_enumerate(args) -> int:
     g = load_sdg(args.graph)
     cap = _cap_from(args, fds_mod.DEFAULT_TABLE_CAP)
-    # One dict per distinct summary of a block: a report repeats a few of
-    # them many times, and the JSON writer encodes a repeated entry once.
-    summaries: list[dict] = []
-    for sizes, index, fixed in enumerate_system_summaries(g, table_cap=cap):
+    # Every cap trips in the count pass, before the first byte is written;
+    # then each block is written as soon as it is built, with one text per
+    # distinct summary of the block.
+    count, blocks = fds_mod._counted_summaries(g, cap)
+    if args.json:  # the bytes of json.dumps(report, indent=2) for the whole report
+        head, lead, sep = f'{{\n  "count": {count},\n  "systems": [', "\n    ", ",\n    "
+        tail = ("\n  ]" if count else "]") + f',\n  "seed": {args.seed}\n}}'
+
+        def render(sizes, index, fixed):
+            summary = {"sizes": sizes, "nilpotency_index": index, "fixed_points": fixed}
+            return dumps_indent2(summary, "    ")
+    else:
+        head, lead, sep, tail = f"degree-bounded systems: {count}", "\n", "\n", ""
+
+        def render(sizes, index, fixed):
+            return f"sizes={sizes} index={index} fixed_points={fixed}"
+    _write(head, end="")
+    for sizes, index, fixed in blocks:
         keys = list(zip(index.tolist(), fixed.tolist()))
-        shared = {
-            (k, n): {"sizes": list(sizes), "nilpotency_index": k if k > 0 else None, "fixed_points": n}
-            for k, n in set(keys)
-        }
-        summaries.extend(map(shared.__getitem__, keys))
-    count = len(summaries)
-    report = {"count": count, "systems": summaries, "seed": args.seed}
-    lines = itertools.chain(
-        [f"degree-bounded systems: {count}"],
-        (
-            f"sizes={s['sizes']} index={s['nilpotency_index']} "
-            f"fixed_points={s['fixed_points']}"
-            for s in summaries
-        ),
-    )
-    _emit(report, lines, args.json)
+        texts = {(k, n): render(list(sizes), k if k > 0 else None, n) for k, n in set(keys)}
+        _write(lead + sep.join(map(texts.__getitem__, keys)), end="")
+        lead = sep
+    _write(tail)
     return EXIT_OK
 
 

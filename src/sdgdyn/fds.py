@@ -553,8 +553,8 @@ def _sign_pattern(g: SignedDigraph, v: str) -> tuple[tuple[bool, bool], ...]:
     return tuple((u in plus, u in minus) for u in sorted(g.in_neighbors(v), key=g.index))
 
 
-# Cells (systems x components x states) in one block of tables, so that the
-# memory an enumeration holds does not grow with the number of systems.
+# Cells (systems x components x states) in one block of tables: an enumeration
+# holds its scans and one block, whatever the number of systems.
 BLOCK_CELLS = 1 << 16
 
 
@@ -605,22 +605,20 @@ def _sign_valid_tables(
     return np.concatenate(valid)
 
 
-def _local_table_systems(
+def _scanned_domains(
     g: SignedDigraph, domains: Iterable[IntervalProduct], cap: int
-) -> Iterator[tuple[IntervalProduct, np.ndarray]]:
-    """Yield, domain by domain, every system whose interaction graph is ``g``.
+) -> Iterator[tuple[IntervalProduct, list[np.ndarray]]]:
+    """Yield, domain by domain, the domains on which every component has a
+    local table that realizes exactly the signs of ``g`` along each
+    in-neighbor axis (see :func:`_sign_valid_tables`), with those tables of
+    component ``i`` as an ``(m_i, *read)`` view: axis ``j`` of ``read`` has
+    the length of interval ``j`` if ``f_i`` reads ``x_j``, else 1.
 
-    Systems come as ``(domain, succ)`` blocks, ``succ`` the int64 ``(B, S)``
-    successor offsets of one system per row: the sums of one weighted local
-    table per component (see :func:`_offset_blocks`).  Each local table is
-    over the intervals of the component's in-neighbors, cells in
-    lexicographic order, and kept when every in-neighbor axis realizes
-    exactly the signs of ``g`` (see :func:`_sign_valid_tables`).
     Each distinct (width, in-neighbor widths, signs) scan runs once per
     call.  Raises :class:`ResourceCapError` before scanning the candidates
-    of a component, or building the systems of a domain, would take the
-    total count of candidate tables and systems past ``cap``; a scan reused
-    from an earlier domain or component counts as a scan again.
+    of a component, or yielding a domain, would take the total count of
+    candidate tables and systems past ``cap``; a scan reused from an
+    earlier domain or component counts as a scan again.
     """
     verts = g.vertices
     in_nbrs = [sorted(g.index(j) for j in g.in_neighbors(v)) for v in verts]
@@ -629,31 +627,65 @@ def _local_table_systems(
     # The scans so far, keyed on their arguments: at most ``cap`` rows.
     seen: dict[tuple, np.ndarray] = {}
     for dom in domains:
-        parts: list[np.ndarray] = []
+        valid: list[np.ndarray] = []
         for i, nbrs in enumerate(in_nbrs):
             local_shape = tuple(dom.shape[j] for j in nbrs)
             width = dom.shape[i]
-            count = width ** math.prod(local_shape)
-            scanned += count
+            scanned += width ** math.prod(local_shape)
             if scanned > cap:
                 raise _cap_error(cap)
             key = (width, local_shape, want[i])
             if key not in seen:
                 seen[key] = _sign_valid_tables(*key)
-            valid = seen[key]
-            if not len(valid):
+            if not len(seen[key]):
                 break
-            # Add a zero cube to repeat each contribution along the axes f_i ignores.
-            m = len(valid)
             read = tuple(dom.shape[j] if j in nbrs else 1 for j in range(dom.n))
-            part = (dom.weights[i] * valid).reshape((m,) + read) + np.zeros(dom.shape, np.int64)
-            parts.append(part.reshape(m, dom.size))
+            valid.append(seen[key].reshape((-1,) + read))
         else:
-            scanned += math.prod(len(part) for part in parts)
+            scanned += math.prod(map(len, valid))
             if scanned > cap:
                 raise _cap_error(cap)
-            for succ in _offset_blocks(parts, dom.size):
-                yield dom, succ
+            yield dom, valid
+
+
+def _domain_systems(
+    scans: Iterable[tuple[IntervalProduct, list[np.ndarray]]]
+) -> Iterator[tuple[IntervalProduct, np.ndarray]]:
+    """The ``(domain, succ)`` blocks of :func:`_local_table_systems` for the
+    domains and tables of :func:`_scanned_domains`, one domain at a time."""
+    for dom, valid in scans:
+        # Add a zero cube to repeat each contribution along the axes f_i ignores.
+        parts = [
+            (w * tables + np.zeros(dom.shape, np.int64)).reshape(len(tables), dom.size)
+            for w, tables in zip(dom.weights, valid)
+        ]
+        for succ in _offset_blocks(parts, dom.size):
+            yield dom, succ
+
+
+def _local_table_systems(
+    g: SignedDigraph, domains: Iterable[IntervalProduct], cap: int
+) -> Iterator[tuple[IntervalProduct, np.ndarray]]:
+    """Yield, domain by domain, every system whose interaction graph is ``g``.
+
+    Systems come as ``(domain, succ)`` blocks, ``succ`` the int64 ``(B, S)``
+    successor offsets of one system per row: the sums of one weighted local
+    table per component (see :func:`_offset_blocks`), over the tables and
+    under the cap of :func:`_scanned_domains`.  The domains are scanned as
+    the blocks are asked for, so a domain's systems come out before the cap
+    trips on a later domain.
+    """
+    return _domain_systems(_scanned_domains(g, domains, cap))
+
+
+def _counted_summaries(g: SignedDigraph, cap: int) -> tuple[int, Iterator[tuple]]:
+    """The number of systems of :func:`enumerate_system_summaries`, and its
+    blocks.  Every domain is scanned, and the cap checked, before this
+    returns; the blocks are then built one domain at a time from those
+    scans, which the cap bounds."""
+    scans = list(_scanned_domains(g, _degree_bounded_domains(g), cap))
+    count = sum(math.prod(map(len, valid)) for _, valid in scans)
+    return count, ((dom.shape, *image_chains(succ)) for dom, succ in _domain_systems(scans))
 
 
 def _cap_error(cap: int) -> ResourceCapError:

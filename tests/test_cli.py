@@ -16,6 +16,13 @@ from sdgdyn.fds import fds_document, fds_to_dict
 import helpers
 
 
+# Two domains; caps from 26 to 130 (candidate tables plus systems) trip on
+# the second, after the first domain's systems were yielded.
+TWO_DOMAIN_GRAPH = sdgdyn.SignedDigraph.from_arcs(
+    [("1", "2", "+"), ("1", "3", "-"), ("2", "3", "+")]
+)
+
+
 @pytest.fixture()
 def eight_vertex_file(tmp_path):
     path = tmp_path / "example.sdg"
@@ -351,11 +358,9 @@ def test_enumerate_cli(tmp_path, capsys):
 
 
 def test_enumerate_cap_matches_library(tmp_path, capsys):
-    from sdgdyn import ResourceCapError, SignedDigraph, enumerate_degree_bounded_systems
+    from sdgdyn import ResourceCapError, enumerate_degree_bounded_systems
 
-    # Two domains; caps from 26 to 130 (candidate tables plus systems) trip
-    # on the second, after the first domain's systems were yielded.
-    g = SignedDigraph.from_arcs([("1", "2", "+"), ("1", "3", "-"), ("2", "3", "+")])
+    g = TWO_DOMAIN_GRAPH
     gpath = tmp_path / "g.sdg"
     gpath.write_text(format_sdg(g))
     raised = []
@@ -370,6 +375,112 @@ def test_enumerate_cap_matches_library(tmp_path, capsys):
         assert code == (4 if raised[-1] else 0), cap
     assert raised[0] and not raised[-1]
     assert main(["enumerate", "--graph", str(gpath)]) == 0
+
+
+def _until_cap(systems):
+    """The items of ``systems`` yielded before it raises ResourceCapError."""
+    got = []
+    with pytest.raises(sdgdyn.ResourceCapError):
+        for item in systems:
+            got.append(item)
+    return got
+
+
+def test_library_enumerators_yield_a_domain_before_a_later_domain_trips_the_cap():
+    from sdgdyn import enumerate_degree_bounded_systems, enumerate_system_summaries
+
+    # The count pass is the CLI's alone: the library stays lazy.
+    g = TWO_DOMAIN_GRAPH
+    first = [f for f in enumerate_degree_bounded_systems(g) if f.domain.shape == (2, 2, 2)]
+    summaries = [(f.domain.shape, f.nilpotency_index() or -1, len(f.fixed_points())) for f in first]
+    assert 0 < len(first) < len(list(enumerate_degree_bounded_systems(g)))
+    for cap in range(26, 131):
+        assert _until_cap(enumerate_degree_bounded_systems(g, table_cap=cap)) == first
+        got = [
+            (sizes, k, n)
+            for sizes, index, fixed in _until_cap(enumerate_system_summaries(g, table_cap=cap))
+            for k, n in zip(index.tolist(), fixed.tolist())
+        ]
+        assert got == summaries
+
+
+def _expected_reports(g):
+    """The ``enumerate`` stdout of ``g`` in JSON and in text form, built from
+    the per-system summaries."""
+    from test_fds import flat_summaries
+
+    systems = [
+        {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
+        for sizes, index, fixed in flat_summaries(g)
+    ]
+    report = {"count": len(systems), "systems": systems, "seed": 0}
+    lines = [f"degree-bounded systems: {len(systems)}"] + [
+        f"sizes={s['sizes']} index={s['nilpotency_index']} fixed_points={s['fixed_points']}"
+        for s in systems
+    ]
+    return json.dumps(report, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+def test_enumerate_writes_nothing_past_a_cap_and_the_whole_report_under_it(tmp_path, capsys):
+    from sdgdyn import enumerate_system_summaries
+    from sdgdyn.fds import DEFAULT_TABLE_CAP
+    from test_fds import _random_graphs
+
+    exits = set()
+    for g in [TWO_DOMAIN_GRAPH] + _random_graphs(12, 30):
+        gpath = tmp_path / "g.sdg"
+        gpath.write_text(format_sdg(g))
+        want_json, want_text = _expected_reports(g)
+        for cap in (1, 10, 100, 1_000, None):
+            try:
+                list(enumerate_system_summaries(g, cap or DEFAULT_TABLE_CAP))
+            except sdgdyn.ResourceCapError:
+                tripped = True
+            else:
+                tripped = False
+            argv = ["enumerate", "--graph", str(gpath)] + (["--cap", str(cap)] if cap else [])
+            for form, want in (([], want_text), (["--json"], want_json)):
+                code = main(argv + form)
+                out, err = capsys.readouterr()
+                exits.add(code)
+                assert code == (4 if tripped else 0), (g, cap, form)
+                if tripped:
+                    assert out == "" and f"exceeds cap of {cap} " in err
+                else:
+                    assert out == want and err == ""
+    assert exits == {0, 4}
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]])
+def test_enumerate_writes_each_block_as_soon_as_it_is_built(form, tmp_path, monkeypatch):
+    from sdgdyn import fds
+    from test_fds import MULTI_BLOCK_GRAPH
+
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text(format_sdg(MULTI_BLOCK_GRAPH))
+    events = []
+    offset_blocks = fds._offset_blocks
+
+    def recording(parts, size):
+        for block in offset_blocks(parts, size):
+            events.append(("block",))
+            yield block
+
+    class Stdout:
+        def write(self, text):
+            events.append(("write", text))
+            return len(text)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(fds, "_offset_blocks", recording)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(["enumerate", "--graph", str(gpath), *form]) == 0
+    monkeypatch.undo()
+    first_system = next(i for i, e in enumerate(events) if "sizes" in e[-1])
+    last_block = max(i for i, e in enumerate(events) if e == ("block",))
+    assert first_system < last_block
 
 
 def test_enumerate_cap_counts_systems_before_building_them(tmp_path, capsys, monkeypatch):
@@ -538,19 +649,11 @@ def test_enumerate_report_bytes_match_the_per_system_summaries(graph, tmp_path, 
         (f.domain.shape, f.nilpotency_index(), len(f.fixed_points()))
         for f in enumerate_degree_bounded_systems(g)
     ]
-    systems = [
-        {"sizes": list(sizes), "nilpotency_index": index, "fixed_points": fixed}
-        for sizes, index, fixed in summaries
-    ]
-    report = {"count": len(systems), "systems": systems, "seed": 0}
+    want_json, want_text = _expected_reports(g)
     assert main(["enumerate", "--graph", str(gpath), "--json"]) == 0
-    assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
-    lines = [f"degree-bounded systems: {len(systems)}"] + [
-        f"sizes={s['sizes']} index={s['nilpotency_index']} fixed_points={s['fixed_points']}"
-        for s in systems
-    ]
+    assert capsys.readouterr().out == want_json
     assert main(["enumerate", "--graph", str(gpath)]) == 0
-    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+    assert capsys.readouterr().out == want_text
 
 
 def test_synth_nilpotent_json_in_a_fresh_process(tmp_path):
