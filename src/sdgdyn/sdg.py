@@ -224,50 +224,18 @@ class SignedDigraph:
             raise PreconditionError(f"arcs not present: {sorted(unknown)}")
         return SignedDigraph(self.vertices, keep)
 
-    def induced(self, vertices: Iterable[str]) -> "SignedDigraph":
-        """Subgraph induced by a vertex subset, keeping the ambient order."""
-        want = set(vertices)
-        unknown = want - self._index.keys()
-        if unknown:
-            raise PreconditionError(f"unknown vertices: {sorted(unknown)}")
-        if len(want) == self.n:
-            return self
-        verts = tuple(v for v in self.vertices if v in want)
-        arcs = frozenset(a for a in self.arcs if a[0] in want and a[1] in want)
-        return SignedDigraph(verts, arcs)
-
-    def without_vertices(self, vertices: Iterable[str]) -> "SignedDigraph":
-        drop = set(vertices)
-        return self.induced(v for v in self.vertices if v not in drop)
-
     def is_spanning_subgraph_of(self, other: "SignedDigraph") -> bool:
         return self.vertices == other.vertices and self.arcs <= other.arcs
 
     def weak_components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components of the underlying undirected graph, ordered."""
-        return self._weak_components
+        return self._weak
 
     # Derived structure, computed once per graph (graphs are immutable).
 
     @cached_property
-    def _weak_components(self) -> tuple[tuple[str, ...], ...]:
-        seen: set[str] = set()
-        comps: list[tuple[str, ...]] = []
-        for root in self.vertices:
-            if root in seen:
-                continue
-            queue, comp = deque([root]), []
-            seen.add(root)
-            while queue:
-                v = queue.popleft()
-                comp.append(v)
-                a = self._adjacency[v]
-                for w in a.out_neighbors | a.in_neighbors:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comps.append(tuple(sorted(comp, key=self._index.__getitem__)))
-        return tuple(comps)
+    def _weak(self) -> tuple[tuple[str, ...], ...]:
+        return _weak_components(self, self.vertices)
 
     @cached_property
     def _classes(self) -> tuple[frozenset[str], frozenset[str], frozenset[str]]:
@@ -302,14 +270,36 @@ class ComponentStructure:
     lam: int
 
 
-def _strong_components(g: SignedDigraph) -> list[tuple[str, ...]]:
-    """Strong components, each in vertex order, ordered by first vertex
-    (``[]`` for the empty graph).  Kosaraju: a depth-first pass over the
-    out-neighbours gives the finishing order, then a search over the
-    in-neighbours from each vertex not yet placed, latest finished first,
-    collects its component."""
+def _weak_components(g: SignedDigraph, vertices: Iterable[str]) -> tuple[tuple[str, ...], ...]:
+    """Weak components of the subgraph on ``vertices``, asked of ``g`` itself:
+    a breadth-first search over the arcs with both ends in ``vertices``
+    from each vertex not yet reached, in vertex order.  Each component is in
+    vertex order, components by first vertex."""
+    inside, order = set(vertices), g._index.__getitem__
+    seen, comps = set(), []
+    for root in sorted(inside, key=order):
+        if root not in seen:
+            seen.add(root)
+            comp = [root]
+            for v in comp:  # the list grows while it is read
+                a = g._adjacency[v]
+                new = ((a.out_neighbors | a.in_neighbors) & inside) - seen
+                seen |= new
+                comp += new
+            comps.append(tuple(sorted(comp, key=order)))
+    return tuple(comps)
+
+
+def _strong_components(g: SignedDigraph, vertices: Iterable[str]) -> list[tuple[str, ...]]:
+    """Strong components of the subgraph on ``vertices``, asked of ``g``
+    itself, each in vertex order, ordered by first vertex (``[]`` for no
+    vertices).  Kosaraju over the arcs with both ends in ``vertices``: a
+    depth-first pass over the out-neighbours gives the finishing order, then
+    a search over the in-neighbours from each vertex not yet placed, latest
+    finished first, collects its component."""
+    inside, order = set(vertices), g._index.__getitem__
     succ, seen, finished = g._under_succ, set(), []
-    for root in g.vertices:
+    for root in sorted(inside, key=order):
         if root in seen:
             continue
         seen.add(root)
@@ -317,7 +307,7 @@ def _strong_components(g: SignedDigraph) -> list[tuple[str, ...]]:
         while stack:
             v, rest = stack[-1]
             for w in rest:
-                if w not in seen:
+                if w in inside and w not in seen:
                     seen.add(w)
                     stack.append((w, iter(succ[w])))
                     break
@@ -330,10 +320,9 @@ def _strong_components(g: SignedDigraph) -> list[tuple[str, ...]]:
             placed.add(root)
             sccs.append([root])
             for v in sccs[-1]:  # the list grows while it is read
-                new = g._adjacency[v].in_neighbors - placed
+                new = (g._adjacency[v].in_neighbors & inside) - placed
                 placed |= new
                 sccs[-1] += new
-    order = g._index.__getitem__
     comps = [tuple(sorted(c, key=order)) for c in sccs]
     return sorted(comps, key=lambda c: order(c[0]))
 
@@ -346,7 +335,7 @@ def component_structure(g: SignedDigraph) -> ComponentStructure:
 
 
 def _component_structure(g: SignedDigraph) -> ComponentStructure:
-    sccs = _strong_components(g)
+    sccs = _strong_components(g, g.vertices)
     initial = [c for c in sccs if all(g.in_neighbors(v) <= set(c) for v in c)]
     basic = all(len(c) == 1 and c[0] not in g.out_neighbors(c[0]) for c in initial)
 
@@ -488,24 +477,31 @@ def enumerate_cycles(g: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Sig
 
 def _shortest_cycle_length(g: SignedDigraph) -> float:
     """Vertices on a shortest directed cycle of ``g`` (one for a loop), or
-    ``math.inf`` when it has none: a breadth-first search from each vertex,
-    stopped at the depth where a cycle back to it would be no shorter than
-    the best one found."""
+    ``math.inf`` when it has none.  Every cycle lies in one strong component.
+    A component where each vertex has one out-neighbour inside it is one
+    cycle through all its vertices; in any other, a breadth-first search
+    from each vertex stays inside the component and stops at the depth where
+    a cycle back to it would be no shorter than the best one found."""
     best = math.inf
-    succ = g._under_succ
-    for v in g.vertices:
-        frontier, seen, depth = [v], {v}, 0
-        while frontier and depth + 1 < best:
-            depth += 1
-            reached = []
-            for u in frontier:
-                for w in succ[u]:
-                    if w == v:
-                        best = depth
-                    elif w not in seen:
-                        seen.add(w)
-                        reached.append(w)
-            frontier = reached
+    for comp in _strong_components(g, g.vertices):
+        inside = set(comp)
+        succ = {v: [w for w in g._under_succ[v] if w in inside] for v in comp}
+        if all(len(ws) == 1 for ws in succ.values()):
+            best = min(best, len(comp))
+            continue
+        for v in comp:
+            frontier, seen, depth = [v], {v}, 0
+            while frontier and depth + 1 < best:
+                depth += 1
+                reached = []
+                for u in frontier:
+                    for w in succ[u]:
+                        if w == v:
+                            best = depth
+                        elif w not in seen:
+                            seen.add(w)
+                            reached.append(w)
+                frontier = reached
     return best
 
 

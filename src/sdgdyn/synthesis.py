@@ -42,6 +42,7 @@ from .sdg import (
     _is_signed_cycle,
     _multi_source_distance,
     _strong_components,
+    _weak_components,
     classify_vertices,
     component_structure,
     enumerate_cycles,
@@ -690,7 +691,7 @@ def extend_all(
 def _component_qualifies(g: SignedDigraph, iso: set[str], comp: Sequence[str]) -> bool:
     """One of: not strongly connected, has an arc leaving the isolated set,
     or receives no arc from outside the isolated set."""
-    strongly_connected = len(_strong_components(g.induced(comp))) == 1
+    strongly_connected = len(_strong_components(g, comp)) == 1
     leaving = any(g.out_neighbors(v) - iso for v in comp)
     entering = any(g.in_neighbors(v) - iso for v in comp)
     return (not strongly_connected) or leaving or (not entering)
@@ -729,7 +730,7 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
     iso_set = classify_vertices(sub)[2] - classify_vertices(g)[2]
     iso = [v for v in g.vertices if v in iso_set]
     closed: set[str] = set()
-    for c in g.induced(iso).weak_components():
+    for c in _weak_components(g, iso):
         if not _component_qualifies(g, iso_set, c):
             closed.update(c)
     property_p = not closed
@@ -793,7 +794,7 @@ def _inward_arc_order(
         vertices=heads + [v for v in iso if v not in heads],
     )
     order_in_dag: dict[str, int] = {}
-    sccs = _strong_components(internal)
+    sccs = _strong_components(internal, internal.vertices)
     # Rank heads by a topological pass over the condensation, least
     # component first among those ready.
     member = {v: k for k, c in enumerate(sccs) for v in c}

@@ -50,6 +50,18 @@ def double_loop_example() -> SignedDigraph:
     return SignedDigraph.from_arcs([("1", "1", "+"), ("1", "1", "-")])
 
 
+def induced(g: SignedDigraph, vertices) -> SignedDigraph:
+    """Subgraph of ``g`` induced by a vertex subset, in ``g``'s vertex order."""
+    keep = set(vertices)
+    arcs = frozenset(a for a in g.arcs if a[0] in keep and a[1] in keep)
+    return SignedDigraph(tuple(v for v in g.vertices if v in keep), arcs)
+
+
+def without_vertices(g: SignedDigraph, vertices) -> SignedDigraph:
+    drop = set(vertices)
+    return induced(g, (v for v in g.vertices if v not in drop))
+
+
 # ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------
@@ -123,7 +135,7 @@ def random_subsystem_triple(
             if sub.in_degree(v) == 0 == sub.out_degree(v)
             and (g.in_degree(v) > 0 or g.out_degree(v) > 0)
         }
-        rest = sub.without_vertices(iso)
+        rest = without_vertices(sub, iso)
         ok = True
         for v in rest.vertices:
             if rest.in_degree(v) == 0 and g.in_degree(v) > 0:
@@ -135,7 +147,7 @@ def random_subsystem_triple(
         if not ok:
             continue
         for comp in g.weak_components():
-            if set(comp) <= iso and is_signed_cycle(g.induced(comp)):
+            if set(comp) <= iso and is_signed_cycle(induced(g, comp)):
                 ok = False
                 break
         if not ok:
@@ -200,7 +212,7 @@ def _canonical_system_on(graph: SignedDigraph) -> Fds | None:
 
     cycle_comps = []
     for comp in graph.weak_components():
-        sub = graph.induced(comp)
+        sub = induced(graph, comp)
         if is_signed_cycle(sub):
             cycle_comps.append(comp)
     if not cycle_comps:
@@ -212,7 +224,7 @@ def _canonical_system_on(graph: SignedDigraph) -> Fds | None:
     intervals: dict[str, tuple[int, int]] = {}
     values: dict[str, tuple] = {}  # vertex -> (kind, payload)
     for comp in graph.weak_components():
-        sub = graph.induced(comp)
+        sub = induced(graph, comp)
         if is_signed_cycle(sub):
             cyc = enumerate_cycles(sub)[0]
             pred = {dst: (src, sign) for (src, dst, sign) in cyc.arcs()}

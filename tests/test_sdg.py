@@ -147,7 +147,6 @@ def test_adjacency_queries_match_a_scan_of_the_arcs():
             assert ask(g) == ask(g) == ask(twin)
         if g.n:
             assert component_structure(g) == component_structure(g) == component_structure(twin)
-        assert g.induced(g.vertices) == g
 
         # Weak components by label propagation: each vertex takes the least
         # vertex index of its component.
@@ -346,7 +345,7 @@ def test_components_and_cycle_counts_match_networkx():
         # first vertex, also when the vertex order is not the name order.
         for h in (g, SignedDigraph(g.vertices[::-1], g.arcs)):
             ordered = (sorted(c, key=h.index) for c in nx.strongly_connected_components(under))
-            assert _strong_components(h) == sorted(map(tuple, ordered), key=lambda c: h.index(c[0]))
+            assert _strong_components(h, h.vertices) == sorted(map(tuple, ordered), key=lambda c: h.index(c[0]))
         # Initial components: the nodes of the condensation without inputs.
         dag = nx.condensation(under)
         assert {frozenset(c) for c in cs.initial_components} == {
@@ -360,7 +359,7 @@ def test_components_and_cycle_counts_match_networkx():
             for c in nx.simple_cycles(under)
         )
         assert len(enumerate_cycles(g)) == expected
-    assert _strong_components(SignedDigraph((), frozenset())) == []
+    assert _strong_components(SignedDigraph((), frozenset()), ()) == []
 
 
 def _oracle_case(rng, n):
@@ -401,8 +400,16 @@ def test_graph_algorithms_match_networkx_at_size():
         under = nx.DiGraph()
         under.add_nodes_from(g.vertices)
         under.add_edges_from((s, t) for s, t, _ in g.arcs)
-        assert _strong_components(g) == _normalized(g, nx.strongly_connected_components(under))
+        assert _strong_components(g, g.vertices) == _normalized(g, nx.strongly_connected_components(under))
         assert list(g.weak_components()) == _normalized(g, nx.weakly_connected_components(under))
+
+        # The subset forms follow only the arcs inside the subset, whatever
+        # order the subset is given in.
+        pick = random.Random(trial)
+        for subset in ([], g.vertices[::-1], pick.sample(g.vertices, pick.randint(0, g.n))):
+            d = under.subgraph(subset)
+            assert _strong_components(g, subset) == _normalized(g, nx.strongly_connected_components(d))
+            assert list(sdg._weak_components(g, subset)) == _normalized(g, nx.weakly_connected_components(d))
 
         # Distances from R with the arcs into R removed equal those in g:
         # the equality the nilpotent planner's layers rely on.
@@ -418,17 +425,18 @@ def test_graph_algorithms_match_networkx_at_size():
         assert (underlying_cycle_order(g) is not None) == ring
         assert is_signed_cycle(g) == (ring and len(g.arcs) == g.n)
 
+        # Per weak component, asked of g itself as the library asks it.
         for comp in g.weak_components():
-            h = g.induced(comp)
             d = under.subgraph(comp)
             ring = nx.is_strongly_connected(d) and d.number_of_edges() == len(comp)
-            signed = ring and len(h.arcs) == len(comp)  # no pair with both signs
-            order = underlying_cycle_order(h)
+            arcs = sum(1 for s, t, _ in g.arcs if s in comp and t in comp)
+            signed = ring and arcs == len(comp)  # no pair with both signs
+            order = sdg._cycle_order(g, comp)
             assert (order is not None) == ring
             if ring:
                 assert order[0] == comp[0] and sorted(order) == sorted(comp)
                 assert all(d.has_edge(v, w) for v, w in zip(order, order[1:] + order[:1]))
-            assert is_signed_cycle(h) == signed
+            assert sdg._is_signed_cycle(g, comp) == signed
             shapes[ring, signed, len(comp) > 1] += 1
     assert len(shapes) == 6, shapes  # every (ring, signed, more than one vertex)
 
@@ -436,14 +444,15 @@ def test_graph_algorithms_match_networkx_at_size():
 def test_graph_algorithms_on_five_thousand_vertices():
     # Nothing recurses or rescans a list per step: a directed path and a
     # directed cycle of 5,000 vertices go through every linear routine.
-    # (_shortest_cycle_length searches from every vertex, so it is left out.)
     n = 5000
     names = [f"v{k}" for k in range(n)]
     path = SignedDigraph.from_arcs([(names[k], names[k + 1], POSITIVE) for k in range(n - 1)])
     ring = SignedDigraph.from_arcs([(names[k], names[(k + 1) % n], NEGATIVE) for k in range(n)])
     start = time.perf_counter()
-    assert _strong_components(path) == [(v,) for v in names]
-    assert _strong_components(ring) == [tuple(names)]
+    assert _strong_components(path, names) == [(v,) for v in names]
+    assert _strong_components(ring, names) == [tuple(names)]
+    assert sdg._shortest_cycle_length(path) == math.inf
+    assert sdg._shortest_cycle_length(ring) == n
     for g in (path, ring):
         assert g.weak_components() == (tuple(names),)
         assert sdg._multi_source_distance(g, [names[0]]) == {v: k for k, v in enumerate(names)}
@@ -623,16 +632,12 @@ def test_graph_edit_operations():
     arcless = g.without_arcs(g.arcs)
     assert arcless.vertices == g.vertices and not arcless.arcs
 
-    assert g.induced([]).n == 0
-
     reps = {"1", "4", "6"}
     stripped = g.without_arcs([a for a in g.arcs if a[1] in reps])
     cs = component_structure(stripped)
     assert set(cs.initial_components) == {("1",), ("4",), ("6",)}
     assert cs.is_basic
 
-    with pytest.raises(PreconditionError):
-        g.induced(["nope"])
     with pytest.raises(PreconditionError):
         g.without_arcs([("1", "1", "+")])
 

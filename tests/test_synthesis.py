@@ -166,7 +166,7 @@ def test_construct_nilpotent_output_is_pinned():
     seen = collections.Counter()
 
     def count(g):
-        comps = [g.induced(c) for c in g.weak_components()]
+        comps = [helpers.induced(g, c) for c in g.weak_components()]
         seen["lone vertex, disconnected"] += len(comps) > 1 and bool(classify_vertices(g)[2])
         seen["cycle carrying both signs"] += any(
             underlying_cycle_order(c) is not None and not is_signed_cycle(c) for c in comps
@@ -380,9 +380,9 @@ def test_graph_structure_is_derived_once_per_graph(monkeypatch):
     runs = []
     strong_components = sdg._strong_components
 
-    def counting(g):
+    def counting(g, vertices):
         runs.append(g)
-        return strong_components(g)
+        return strong_components(g, vertices)
 
     monkeypatch.setattr(sdg, "_strong_components", counting)
     monkeypatch.setattr(synthesis, "_strong_components", counting)
@@ -403,9 +403,9 @@ def test_nilpotent_planner_derives_strong_components_once(monkeypatch):
     runs = []
     strong_components = sdg._strong_components
 
-    def counting(g):
+    def counting(g, vertices):
         runs.append(g)
-        return strong_components(g)
+        return strong_components(g, vertices)
 
     monkeypatch.setattr(sdg, "_strong_components", counting)
     monkeypatch.setattr(synthesis, "_strong_components", counting)
@@ -1088,7 +1088,7 @@ def test_component_qualifies_matches_an_arc_scan():
     for _ in range(300):
         g = helpers.random_connected_sdg(rng, 6)
         iso = set(rng.sample(g.vertices, rng.randint(1, g.n)))
-        for comp in g.induced(iso).weak_components():
+        for comp in helpers.induced(g, iso).weak_components():
             inner = [(s, t) for s, t, _ in g.arcs if s in comp and t in comp]
             reach = {v: {v} for v in comp}
             for _ in comp:
@@ -1104,6 +1104,25 @@ def test_component_qualifies_matches_an_arc_scan():
             seen["not entering"] += not entering
             seen["fails"] += not want
     assert min(seen.values()) >= 10, seen
+
+
+def test_convergence_plan_builds_only_its_block_graph(monkeypatch):
+    # The isolated set and its components are asked of the graph itself, so
+    # a plan builds one graph, its block graph, whatever the components.
+    from sdgdyn import convergence_plan, sdg
+
+    rng = random.Random(47)
+    triples = [t for t in (helpers.random_subsystem_triple(rng, 6) for _ in range(80)) if t]
+    built = []
+    init = SignedDigraph.__post_init__
+    monkeypatch.setattr(SignedDigraph, "__post_init__", lambda self: built.append(self) or init(self))
+    components = 0
+    for g, sub, _ in triples:
+        built.clear()
+        plan = convergence_plan(g, sub)
+        assert len(built) == 1 and built[0] is plan.block_graph
+        components += len(sdg._weak_components(g, plan.isolated))
+    assert len(triples) >= 60 and components >= 30, (len(triples), components)
 
 
 def test_converging_rebuilds_nilpotent_bound():
