@@ -15,6 +15,7 @@ import functools
 import json
 import os
 import sys
+from collections import Counter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +32,6 @@ from .sdg import (
     SdgParseError,
     classify_vertices,
     component_structure,
-    enumerate_cycles,
     load_sdg,
     to_dot,
 )
@@ -130,8 +130,8 @@ def cmd_analyze(args) -> int:
     cs = component_structure(g)
     sources, sinks, isolated = classify_vertices(g)
     cap = _cap_from(args, sdg_mod.DEFAULT_CYCLE_CAP)
-    cycles = enumerate_cycles(g, cap=cap)
-    pos = sum(1 for c in cycles if c.sign == sdg_mod.POSITIVE)
+    signs = Counter(c.sign for c in sdg_mod._capped(sdg_mod._signed_cycles(g), cap))
+    pos, neg = signs[sdg_mod.POSITIVE], signs[sdg_mod.NEGATIVE]
     report = {
         "vertices": list(g.vertices),
         "arcs": [list(a) for a in g.sorted_arcs()],
@@ -143,7 +143,7 @@ def cmd_analyze(args) -> int:
         "sources": sorted(sources, key=g.index),
         "sinks": sorted(sinks, key=g.index),
         "isolated": sorted(isolated, key=g.index),
-        "cycles": {"total": len(cycles), "positive": pos, "negative": len(cycles) - pos},
+        "cycles": {"total": pos + neg, "positive": pos, "negative": neg},
         "seed": args.seed,
     }
     lines = [
@@ -158,7 +158,7 @@ def cmd_analyze(args) -> int:
         f"sources: {' '.join(report['sources']) or '-'}",
         f"sinks: {' '.join(report['sinks']) or '-'}",
         f"isolated: {' '.join(report['isolated']) or '-'}",
-        f"cycles: {len(cycles)} ({pos} positive, {len(cycles) - pos} negative)",
+        f"cycles: {pos + neg} ({pos} positive, {neg} negative)",
     ]
     _emit(report, lines, args.json)
     return EXIT_OK

@@ -17,7 +17,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import count, product
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 POSITIVE = "+"
@@ -426,33 +426,45 @@ class SignedCycle:
         return frozenset(self.vertices)
 
 
-def _simple_cycles_underlying(g: SignedDigraph) -> Iterator[tuple[str, ...]]:
-    # Each simple cycle is produced once, rotated so its smallest-index vertex
-    # comes first: roots are scanned in index order and the search never
-    # descends below the current root.
-    idx = g.index
-    succ = g._under_succ
-    for root in g.vertices:
-        r = idx(root)
-        path = [root]
-        on_path = {root}
-        iters = [iter(succ[root])]
+def _signed_cycles(g: SignedDigraph, first: int = 0, used=frozenset()) -> Iterator[SignedCycle]:
+    """The simple cycles off ``used`` whose root, the smallest-index vertex,
+    is at index ``first`` or later, one descriptor per sign pattern, yielded
+    as found: roots in index order, a depth-first search that never descends
+    below the root, successors in vertex order, patterns in ``product`` order."""
+    idx, succ = g._index, g._under_succ
+    for r in range(first, g.n):
+        root = g.vertices[r]
+        if root in used:
+            continue
+        path, on_path, iters = [root], {root}, [iter(succ[root])]
         while iters:
-            advanced = False
             for w in iters[-1]:
                 if w == root:
-                    yield tuple(path)
-                    continue
-                if idx(w) <= r or w in on_path:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                iters.append(iter(succ[w]))
-                advanced = True
-                break
-            if not advanced:
+                    cyc = tuple(path)
+                    steps = [
+                        [s for s, into in zip(SIGNS, (g.in_plus(b), g.in_minus(b))) if a in into]
+                        for a, b in zip(cyc, cyc[1:] + cyc[:1])
+                    ]
+                    for signs in product(*steps):
+                        yield SignedCycle(cyc, signs)
+                elif idx[w] > r and w not in on_path and w not in used:
+                    path.append(w)
+                    on_path.add(w)
+                    iters.append(iter(succ[w]))
+                    break
+            else:
                 iters.pop()
                 on_path.discard(path.pop())
+
+
+def _capped(cycles: Iterable[SignedCycle], cap: int, seen=None) -> Iterator[SignedCycle]:
+    """``cycles`` passed through; raises :class:`ResourceCapError` at the one
+    past ``cap``.  Searches that share one budget pass one ``count()`` as ``seen``."""
+    seen = count() if seen is None else seen
+    for c in cycles:
+        if next(seen) >= cap:
+            raise ResourceCapError(f"more than {cap} cycles")
+        yield c
 
 
 def enumerate_cycles(g: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[SignedCycle]:
@@ -462,17 +474,7 @@ def enumerate_cycles(g: SignedDigraph, cap: int = DEFAULT_CYCLE_CAP) -> list[Sig
     signs appears once per combination.  Deterministic order; raises
     :class:`ResourceCapError` past ``cap`` descriptors.
     """
-    out: list[SignedCycle] = []
-    for cyc in _simple_cycles_underlying(g):
-        step_opts = [
-            [s for s, into in zip(SIGNS, (g.in_plus(w), g.in_minus(w))) if u in into]
-            for u, w in zip(cyc, cyc[1:] + cyc[:1])
-        ]
-        for combo in product(*step_opts):
-            out.append(SignedCycle(cyc, tuple(combo)))
-            if len(out) > cap:
-                raise ResourceCapError(f"more than {cap} cycles")
-    return out
+    return list(_capped(_signed_cycles(g), cap))
 
 
 def _shortest_cycle_length(g: SignedDigraph) -> float:
@@ -510,43 +512,38 @@ def find_disjoint_positive_cycles(
 ) -> list[SignedCycle] | None:
     """Exact search for ``k`` vertex-disjoint positive cycles.
 
-    Returns the first family in the deterministic search order, or ``None``
-    when no such family exists (the backtracking is exhaustive).  When ``k``
-    cycles of the shortest length already need more than ``n`` vertices it
-    returns ``None`` before enumerating any cycle, so the cap cannot raise.
+    Returns the first family in the order of :func:`enumerate_cycles`, or
+    ``None`` when no such family exists (the backtracking is exhaustive).
+    Each level searches the cycles rooted after the last chosen root on the
+    free vertices, trying one positive pattern per cycle, and ends when the
+    cycles still wanted, of the shortest cycle length each, need more than
+    the free vertices.  ``cap`` bounds the descriptors the whole search visits.
     """
     if k <= 0:
         raise PreconditionError("k must be positive")
-    if k * _shortest_cycle_length(g) > g.n:
-        return None  # k disjoint cycles would need more than n vertices
-    positives = [c for c in enumerate_cycles(g, cap=cap) if c.sign == POSITIVE]
-
-    # shortest[i]: the fewest vertices of any cycle in positives[i:].
-    shortest = [math.inf] * (len(positives) + 1)
-    for i in range(len(positives) - 1, -1, -1):
-        shortest[i] = min(shortest[i + 1], len(positives[i].vertices))
+    girth, seen = _shortest_cycle_length(g), count()
     chosen: list[SignedCycle] = []
     used: set[str] = set()
 
-    def search(start: int) -> bool:
+    def search(first: int) -> bool:
         if len(chosen) == k:
             return True
-        if (k - len(chosen)) * shortest[start] > g.n - len(used):
+        if (k - len(chosen)) * girth > g.n - len(used):
             return False  # the cycles still wanted need more than the free vertices
-        for pos in range(start, len(positives)):
-            c = positives[pos]
-            vs = c.vertex_set()
-            if vs & used:
+        tried = None
+        for c in _capped(_signed_cycles(g, first, frozenset(used)), cap, seen):
+            if c.sign != POSITIVE or c.vertices == tried:
                 continue
+            tried = c.vertices
             chosen.append(c)
-            used.update(vs)
-            if search(pos + 1):
+            used.update(tried)
+            if search(g._index[tried[0]] + 1):
                 return True
             chosen.pop()
-            used.difference_update(vs)
+            used.difference_update(tried)
         return False
 
-    return list(chosen) if search(0) else None
+    return chosen if search(0) else None
 
 
 def _cycle_order(g: SignedDigraph, vertices: Sequence[str]) -> tuple[str, ...] | None:

@@ -30,6 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .sdg import (
+    DEFAULT_CYCLE_CAP,
     NEGATIVE,
     POSITIVE,
     Arc,
@@ -38,14 +39,15 @@ from .sdg import (
     SdgParseError,
     SignedDigraph,
     SignedCycle,
+    _capped,
     _cycle_order,
     _is_signed_cycle,
     _multi_source_distance,
+    _signed_cycles,
     _strong_components,
     _weak_components,
     classify_vertices,
     component_structure,
-    enumerate_cycles,
     find_disjoint_positive_cycles,
 )
 from .fds import (
@@ -1003,9 +1005,8 @@ def construct_no_fixed_point(g: SignedDigraph) -> Fds:
     that has no fixed point."""
     if g.n == 0 or len(g.weak_components()) != 1:
         raise PreconditionError("graph must be nonempty and connected")
-    negative = next(
-        (c for c in enumerate_cycles(g) if c.sign == NEGATIVE), None
-    )
+    cycles = _capped(_signed_cycles(g), DEFAULT_CYCLE_CAP)
+    negative = next((c for c in cycles if c.sign == NEGATIVE), None)
     if negative is None:
         raise PreconditionError("graph has no negative cycle")
     f = _converge_on_cycles(g, [negative])

@@ -72,9 +72,10 @@ def random_connected_sdg(
     n_max: int = 7,
     extra_arcs: int | None = None,
     loops: bool = True,
+    n_min: int = 1,
 ) -> SignedDigraph:
     """Random weakly connected signed digraph with first-seen vertex order."""
-    n = rng.randint(1, n_max)
+    n = rng.randint(n_min, n_max)
     names = [str(i + 1) for i in range(n)]
     arcs: set[tuple[str, str, str]] = set()
     for k in range(1, n):
@@ -330,6 +331,43 @@ def oracle_cycles(g: SignedDigraph, max_len: int | None = None):
                 for combo in product(*opts):
                     found.add((perm, combo))
     return found
+
+
+def reference_disjoint_positive_cycles(g: SignedDigraph, k: int):
+    """``sdg.find_disjoint_positive_cycles`` as an enumerate-then-search:
+    the full list of positive descriptors from ``enumerate_cycles``, then a
+    backtracking over it in list order, cut when the cycles still wanted, at
+    the shortest length left in the list each, need more than the free
+    vertices."""
+    from sdgdyn import enumerate_cycles
+    from sdgdyn.sdg import _shortest_cycle_length
+
+    if k * _shortest_cycle_length(g) > g.n:
+        return None
+    positives = [c for c in enumerate_cycles(g) if c.sign == POSITIVE]
+    shortest = [math.inf] * (len(positives) + 1)  # over positives[i:]
+    for i in range(len(positives) - 1, -1, -1):
+        shortest[i] = min(shortest[i + 1], len(positives[i].vertices))
+    chosen, used = [], set()
+
+    def search(start: int) -> bool:
+        if len(chosen) == k:
+            return True
+        if (k - len(chosen)) * shortest[start] > g.n - len(used):
+            return False
+        for pos in range(start, len(positives)):
+            vs = positives[pos].vertex_set()
+            if vs & used:
+                continue
+            chosen.append(positives[pos])
+            used.update(vs)
+            if search(pos + 1):
+                return True
+            chosen.pop()
+            used.difference_update(vs)
+        return False
+
+    return chosen if search(0) else None
 
 
 def rendering_systems(seed: int = 11) -> list[Fds]:

@@ -54,6 +54,26 @@ def test_analyze_json(eight_vertex_file, capsys):
     )
 
 
+def test_analyze_cycle_cap_trips_one_past_the_count(eight_vertex_file, capsys):
+    # Six descriptors, counted as the search yields them: a cap of five
+    # trips on the sixth, a cap of six prints what no cap prints.
+    analyze = ["analyze", "--graph", eight_vertex_file]
+    for form in ([], ["--json"]):
+        assert main([*analyze, "--cap", "5", *form]) == 4
+        assert capsys.readouterr() == ("", "error: more than 5 cycles\n")
+        assert main([*analyze, "--cap", "6", *form]) == 0
+        capped = capsys.readouterr()
+        assert main([*analyze, *form]) == 0
+        assert capsys.readouterr() == capped
+        if not form:
+            assert capped.out == (
+                "vertices: 8\narcs: 15\nlambda: 3\nbeta: 1\nstrong components: 4\n"
+                "initial components: {1,2,3} {4,5} {6}\nbasic: no\nsources: 6\nsinks: -\n"
+                "isolated: -\ncycles: 6 (3 positive, 3 negative)\n"
+            )
+    assert json.loads(capped.out)["cycles"] == {"total": 6, "positive": 3, "negative": 3}
+
+
 def test_synth_nilpotent_double_loop(double_loop_file, tmp_path, capsys):
     out = tmp_path / "loops.fds.json"
     code = main(

@@ -567,35 +567,24 @@ def test_find_disjoint_positive_cycles_matches_bruteforce():
             assert find_disjoint_positive_cycles(g, k) == expect
 
 
-def test_find_disjoint_positive_cycles_counts_cycle_lengths(monkeypatch):
-    # On the complete loopless all-positive digraph on 8 vertices, five
-    # disjoint cycles of two or more vertices would need ten vertices, so
-    # the search ends at once.  Its 16,064 cycles are enumerated outside
-    # the timed call.
-    names = [str(v) for v in range(8)]
-    g = SignedDigraph.from_arcs([(a, b, "+") for a in names for b in names if a != b])
-    cycles = enumerate_cycles(g)
-    monkeypatch.setattr(sdg, "enumerate_cycles", lambda graph, cap: cycles)
-    start = time.perf_counter()
-    assert find_disjoint_positive_cycles(g, 5) is None
-    assert time.perf_counter() - start < 0.1
-    four = find_disjoint_positive_cycles(g, 4)
-    assert sorted(v for c in four for v in c.vertices) == names
-
-
 def test_disjoint_cycle_search_is_bounded_by_the_shortest_cycle():
     # Five disjoint cycles of two or more vertices need ten vertices, so on
-    # the complete loopless all-positive digraph on 8 vertices the search
-    # returns None before it enumerates any of its 16,064 cycles, even past
-    # the cycle cap; four such cycles fit, and finding them needs the cycles.
+    # the complete loopless all-positive digraph on 8 vertices (16,064
+    # cycles) the search returns None before it visits any cycle, even past
+    # the cycle cap.  Four 2-cycles fit: the search visits their four
+    # descriptors, one per level, so a cap of 3 trips on the shared budget.
     names = [str(v) for v in range(8)]
     g = SignedDigraph.from_arcs([(a, b, "+") for a in names for b in names if a != b])
     start = time.perf_counter()
     assert find_disjoint_positive_cycles(g, 5) is None
     assert time.perf_counter() - start < 0.02
     assert find_disjoint_positive_cycles(g, 5, cap=10) is None
-    with pytest.raises(ResourceCapError):
-        find_disjoint_positive_cycles(g, 4, cap=10)
+    start = time.perf_counter()
+    four = find_disjoint_positive_cycles(g, 4, cap=4)
+    assert time.perf_counter() - start < 0.02
+    assert [c.vertices for c in four] == [("0", "1"), ("2", "3"), ("4", "5"), ("6", "7")]
+    with pytest.raises(ResourceCapError, match="more than 3 cycles"):
+        find_disjoint_positive_cycles(g, 4, cap=3)
 
     # The bound reads the shortest cycle, which one enumeration also gives.
     rng = random.Random(37)
@@ -606,6 +595,50 @@ def test_disjoint_cycle_search_is_bounded_by_the_shortest_cycle():
         assert sdg._shortest_cycle_length(g) == want
         lengths.add(want)
     assert {1, 2, 3, math.inf} <= lengths, lengths
+
+
+def test_disjoint_cycle_search_matches_the_enumerate_then_search_reference():
+    # The search goes root by root over the free vertices; the reference
+    # lists every positive descriptor first and backtracks over the list.
+    rng = random.Random(43)
+    found = collections.Counter()
+    for _ in range(3000):
+        g = helpers.random_connected_sdg(rng, 9, loops=rng.random() < 0.5)
+        for k in (1, 2, 3, 4):
+            got = find_disjoint_positive_cycles(g, k)
+            assert got == helpers.reference_disjoint_positive_cycles(g, k), (g, k)
+            found[k] += got is not None
+    assert min(found.values()) > 0, found
+
+    # Dense graphs: the lazy search wins in total, though it can lose on a
+    # graph with no family, where it searches the free vertices again at
+    # each level.
+    rng = random.Random(47)
+    total, reference, worst = 0.0, 0.0, 0.0
+    for _ in range(30):
+        n = rng.choice((8, 9))
+        g = helpers.random_connected_sdg(rng, n, extra_arcs=rng.randint(3 * n, 5 * n), n_min=n)
+        for k in (1, 2, 3, 4):
+            start = time.perf_counter()
+            got = find_disjoint_positive_cycles(g, k)
+            middle = time.perf_counter()
+            assert got == helpers.reference_disjoint_positive_cycles(g, k)
+            end = time.perf_counter()
+            total, reference = total + middle - start, reference + end - middle
+            worst = max(worst, (middle - start) / (end - middle))
+    print(f"dense sample: reference {reference:.3f} s, search {total:.3f} s, worst ratio {worst:.1f}")
+    assert total < reference
+
+
+def test_disjoint_cycle_search_finds_a_perfect_two_cycle_family():
+    # k = n/2 on the complete loopless all-positive digraph, with millions
+    # of cycles at n = 14: the 2-cycles (0,1), (2,3), ... come first at
+    # each level, so the search visits one descriptor per level.
+    for n in (10, 12, 14):
+        names = [str(v) for v in range(n)]
+        g = SignedDigraph.from_arcs([(a, b, "+") for a in names for b in names if a != b])
+        family = find_disjoint_positive_cycles(g, n // 2)
+        assert [c.vertices for c in family] == [tuple(names[i : i + 2]) for i in range(0, n, 2)]
 
 
 def test_eight_vertex_example_disjoint_positive_pair():

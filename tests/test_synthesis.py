@@ -12,6 +12,7 @@ from sdgdyn import (
     NEGATIVE,
     POSITIVE,
     PreconditionError,
+    ResourceCapError,
     SdgError,
     SignedDigraph,
     check_extension_postconditions,
@@ -1343,6 +1344,31 @@ def test_no_fixed_point_requires_negative_cycle():
     g = SignedDigraph.from_arcs([("1", "2", "+"), ("2", "1", "+")])
     with pytest.raises(PreconditionError):
         construct_no_fixed_point(g)
+
+
+def test_no_fixed_point_takes_the_first_negative_cycle_within_the_cap(monkeypatch):
+    monkeypatch.setattr(synthesis, "DEFAULT_CYCLE_CAP", 2)
+    # Three descriptors: (1,2) ++, (1,2) +- and (2,3) ++; the second is negative.
+    early = SignedDigraph.from_arcs(
+        [("1", "2", "+"), ("2", "1", "+"), ("2", "1", "-"), ("2", "3", "+"), ("3", "2", "+")]
+    )
+    assert len(enumerate_cycles(early)) == 3
+    assert construct_no_fixed_point(early).fixed_points() == []
+    # (1,2) ++ and (2,3) ++ come before the negative (3,4) +-.
+    late = SignedDigraph.from_arcs(
+        [("1", "2", "+"), ("2", "1", "+"), ("2", "3", "+"), ("3", "2", "+"),
+         ("3", "4", "+"), ("4", "3", "-")]
+    )
+    with pytest.raises(ResourceCapError, match="more than 2 cycles"):
+        construct_no_fixed_point(late)
+    monkeypatch.setattr(synthesis, "DEFAULT_CYCLE_CAP", 3)
+    assert construct_no_fixed_point(late).fixed_points() == []
+    # The same three cycles, all positive: no cap trip, no negative cycle.
+    positive = SignedDigraph.from_arcs(
+        [arc for arc in late.sorted_arcs() if arc != ("4", "3", "-")] + [("4", "3", "+")]
+    )
+    with pytest.raises(PreconditionError, match="no negative cycle"):
+        construct_no_fixed_point(positive)
 
 
 def test_two_to_k_fixed_points():
