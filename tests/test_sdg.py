@@ -567,6 +567,20 @@ def test_find_disjoint_positive_cycles_matches_bruteforce():
             assert find_disjoint_positive_cycles(g, k) == expect
 
 
+def test_find_disjoint_positive_cycles_counts_cycle_lengths():
+    # On the complete loopless all-positive digraph on 8 vertices, five
+    # disjoint cycles of two or more vertices would need ten vertices, so
+    # the search ends at once, without visiting any of its 16,064 cycles.
+    # Four fit, and together they cover every vertex.
+    names = [str(v) for v in range(8)]
+    g = SignedDigraph.from_arcs([(a, b, "+") for a in names for b in names if a != b])
+    start = time.perf_counter()
+    assert find_disjoint_positive_cycles(g, 5) is None
+    assert time.perf_counter() - start < 0.1
+    four = find_disjoint_positive_cycles(g, 4)
+    assert sorted(v for c in four for v in c.vertices) == names
+
+
 def test_disjoint_cycle_search_is_bounded_by_the_shortest_cycle():
     # Five disjoint cycles of two or more vertices need ten vertices, so on
     # the complete loopless all-positive digraph on 8 vertices (16,064
