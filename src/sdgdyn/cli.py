@@ -4,8 +4,8 @@ Subcommands: analyze, synth-nilpotent, synth-converge, synth-fixed-points,
 verify, enumerate, export-dot.  Reports are line oriented; ``--json``
 switches to a single JSON document on stdout.  Exit status: 0 when all
 requested checks pass, 1 on failed checks (or when the reader closes
-stdout), 2 on parse errors, 3 on precondition violations, 4 on resource
-caps.
+stdout), 2 on parse errors and on files that cannot be read or written,
+3 on precondition violations, 4 on resource caps.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import os
 import sys
 from collections import Counter
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import fds as fds_mod
 from . import sdg as sdg_mod
@@ -49,45 +47,6 @@ def _cert_path(out: str) -> str:
     return out + ".cert.json"
 
 
-_encode = json.JSONEncoder().encode
-_CONTAINERS = (dict, list, tuple)
-
-
-def dumps_indent2(obj, pad: str = "") -> str:
-    """Exactly ``json.dumps(obj, indent=2)`` for a JSON value (dicts with str
-    keys, lists, tuples, scalars), where the value or a dict's value may be
-    a 2-D int ``ndarray``, which stands for its ``tolist()``.  Arrays are
-    rendered by :func:`fds.json_rows`, the rest by the C encoder: a list of
-    scalars is one encoder call."""
-    if not isinstance(obj, _CONTAINERS):
-        return _dumps_rows(obj, pad) if isinstance(obj, np.ndarray) else _encode(obj)
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        body = (",\n" + inner).join(
-            f"{_encode(key)}: {dumps_indent2(value, inner)}" for key, value in obj.items()
-        )
-        return "{\n" + inner + body + "\n" + pad + "}"
-    # A first entry that is a container decides the list at once; else the
-    # entries are scanned by distinct type.
-    if not isinstance(obj[0], _CONTAINERS) and not any(
-        issubclass(t, _CONTAINERS) for t in set(map(type, obj))
-    ):
-        body = json.JSONEncoder(separators=(",\n" + inner, ": ")).encode(obj)[1:-1]
-    else:
-        body = (",\n" + inner).join(dumps_indent2(x, inner) for x in obj)
-    return "[\n" + inner + body + "\n" + pad + "]"
-
-
-def _dumps_rows(rows: np.ndarray, pad: str) -> str:
-    if not rows.size:
-        return dumps_indent2(rows.tolist(), pad)
-    inner, entry = pad + "  ", pad + "    "
-    body = fds_mod.json_rows(rows, ",\n" + entry, f"\n{inner}],\n{inner}[\n{entry}")
-    return f"[\n{inner}[\n{entry}{body}\n{inner}]\n{pad}]"
-
-
 class _StdoutClosed(Exception):
     """The reader closed stdout before the whole output was written."""
 
@@ -107,11 +66,9 @@ def _write(text: str, end: str = "\n") -> None:
         raise _StdoutClosed from None
 
 
-def _emit(report: dict | None, lines: Iterable[str], as_json: bool) -> None:
-    """Print the JSON report under --json, else the text lines; callers
-    skip building the form that is not printed (``report`` may then be
-    None, ``lines`` a lazy iterable)."""
-    _write(dumps_indent2(report) if as_json else "\n".join(lines))
+def _emit(report: dict, lines: Iterable[str], as_json: bool) -> None:
+    """Print the JSON report under --json, else the text lines."""
+    _write(json.dumps(report, indent=2) if as_json else "\n".join(lines))
 
 
 def _cap_from(args, default: int) -> int:
@@ -170,19 +127,22 @@ def _write_synth_output(args, f, cert=None, extra=None, verdict="") -> None:
         save_fds(f, out)
         if cert is not None:
             syn_mod.save_certificate(cert, _cert_path(out))
-    report = None
-    if args.json:
+    if args.json:  # streamed, so that the report text is never held whole
         report = {"system": fds_mod.fds_document(f), "verdict": verdict, "seed": args.seed}
         if cert is not None:
             report["certificate"] = cert.to_dict()
         if extra:
             report.update(extra)
-    lines = [verdict]
-    if out:
-        lines.append(f"wrote {out}")
-        if cert is not None:
-            lines.append(f"wrote {_cert_path(out)}")
-    _emit(report, lines, args.json)
+        for piece in fds_mod.json_pieces(report, f.tables, indent=2):
+            _write(piece, end="")
+        _write("")
+    else:
+        lines = [verdict]
+        if out:
+            lines.append(f"wrote {out}")
+            if cert is not None:
+                lines.append(f"wrote {_cert_path(out)}")
+        _write("\n".join(lines))
 
 
 def cmd_synth_nilpotent(args) -> int:
@@ -291,10 +251,11 @@ def cmd_enumerate(args) -> int:
     if args.json:  # the bytes of json.dumps(report, indent=2) for the whole report
         head, lead, sep = f'{{\n  "count": {count},\n  "systems": [', "\n    ", ",\n    "
         tail = ("\n  ]" if count else "]") + f',\n  "seed": {args.seed}\n}}'
+        encode = json.JSONEncoder(indent=2).encode  # json.dumps(..., indent=2), built once
 
         def render(sizes, index, fixed):
             summary = {"sizes": sizes, "nilpotency_index": index, "fixed_points": fixed}
-            return dumps_indent2(summary, "    ")
+            return encode(summary).replace("\n", "\n    ")
     else:
         head, lead, sep, tail = f"degree-bounded systems: {count}", "\n", "\n", ""
 
@@ -374,7 +335,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SdgParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        if exc.filename is None:  # no file to name, e.g. a broken pipe: a fault
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except PreconditionError as exc:

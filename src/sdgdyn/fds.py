@@ -742,12 +742,12 @@ FDS_VERSION = "fds.v1"
 
 
 def fds_document(f: Fds) -> dict:
-    """The ``fds v1`` document of ``f`` with ``tables`` left as the ``(n, S)``
-    array, for writers that render it with :func:`json_rows`."""
+    """The ``fds v1`` document of ``f`` with ``tables`` left as None, the
+    placeholder that :func:`json_pieces` fills with ``f.tables``."""
     return {
         "version": FDS_VERSION,
         "intervals": [[lo, hi] for lo, hi in f.domain.intervals],
-        "tables": f.tables,
+        "tables": None,
     }
 
 
@@ -784,6 +784,28 @@ def json_rows(rows: np.ndarray, sep: str, row_sep: str) -> str:
     )
     chars = chars[chars != 0]
     return chars[: len(chars) - len(row_sep)].tobytes().decode("ascii")
+
+
+def json_pieces(doc: dict, tables: np.ndarray, indent: int | None = None) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=indent)`` in pieces, where the
+    one ``"tables": None`` entry of ``doc`` stands for ``tables.tolist()``:
+    the text before that null, the tables by :func:`json_rows` in blocks of
+    at most ``BLOCK_CELLS`` cells (at least one row), indented as the line
+    of the entry, then the text after it.  No string can spell the entry:
+    vertex names hold no spaces, and JSON escapes the quotes of a string."""
+    head, _, tail = json.dumps(doc, indent=indent).partition('"tables": null')
+    yield head + '"tables": '
+    if indent is None:
+        lead, sep, row_sep, end = "[[", ", ", "], [", "]]"
+    else:
+        pad = head[head.rfind("\n") + 1 :]
+        inner, entry = pad + " " * indent, pad + " " * (2 * indent)
+        lead, sep = f"[\n{inner}[\n{entry}", ",\n" + entry
+        row_sep, end = f"\n{inner}],\n{inner}[\n{entry}", f"\n{inner}]\n{pad}]"
+    rows = max(1, BLOCK_CELLS // tables.shape[1])
+    for start in range(0, len(tables), rows):
+        yield (row_sep if start else lead) + json_rows(tables[start : start + rows], sep, row_sep)
+    yield (end if len(tables) else "[]") + tail
 
 
 def json_int(value) -> int:
@@ -827,18 +849,12 @@ def _fds_from_dict(data: dict, booleans: bool) -> Fds:
 
 
 def save_fds(f: Fds, path: str) -> None:
-    """Write ``json.dumps(fds_to_dict(f)) + "\\n"`` to ``path``: the header by
-    ``json.dumps``, then the tables by :func:`json_rows`, in blocks of rows
-    of at most ``BLOCK_CELLS`` cells (at least one row), so that the memory
-    the text takes is bounded whatever the table size."""
-    head = json.dumps({**fds_document(f), "tables": []})[:-2]  # ends in '"tables": ['
-    rows = max(1, BLOCK_CELLS // f.domain.size)
+    """Write ``json.dumps(fds_to_dict(f)) + "\\n"`` to ``path``, piece by
+    piece, so that the memory the text takes is bounded whatever the table
+    size."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        for start in range(0, f.n, rows):
-            fh.write("], [" if start else "[")
-            fh.write(json_rows(f.tables[start : start + rows], ", ", "], ["))
-        fh.write("]]}\n" if f.n else "]}\n")
+        fh.writelines(json_pieces(fds_document(f), f.tables))
+        fh.write("\n")
 
 
 def _read_json(path: str) -> tuple[str, object]:

@@ -637,7 +637,11 @@ def format_sdg(g: SignedDigraph) -> str:
 
 def load_sdg(path: str) -> SignedDigraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_sdg(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SdgParseError(f"{path}: not UTF-8 text: {exc}") from None
+    return parse_sdg(text)
 
 
 def save_sdg(g: SignedDigraph, path: str) -> None:

@@ -1,17 +1,16 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import sdgdyn
 from sdgdyn import format_sdg, load_fds, save_fds
-from sdgdyn.cli import dumps_indent2, main
-from sdgdyn.fds import fds_document, fds_to_dict
+from sdgdyn.cli import main
+from sdgdyn.fds import BLOCK_CELLS, fds_document, fds_to_dict, json_pieces
 
 import helpers
 
@@ -749,31 +748,112 @@ except InternalInvariantError as exc:
     assert "extra arcs [('1', '2', '-'), ('2', '2', '+')]" in proc.stdout
 
 
-def test_dumps_indent2_renders_tables_like_stdlib():
+def test_system_json_renders_tables_like_stdlib():
     for f in helpers.rendering_systems():
         report = {"system": fds_document(f), "verdict": "ok", "seed": 0}
         want = {**report, "system": fds_to_dict(f)}
         # compared outside the assert, so that a failure is not a diff of
         # megabytes of text
-        same = dumps_indent2(report) == json.dumps(want, indent=2)
-        same_top = dumps_indent2(f.tables) == json.dumps(f.tables.tolist(), indent=2)
-        assert same and same_top, f.domain
+        same_file = "".join(json_pieces(fds_document(f), f.tables)) == json.dumps(fds_to_dict(f))
+        same_report = "".join(json_pieces(report, f.tables, indent=2)) == json.dumps(want, indent=2)
+        assert same_file and same_report, f.domain
 
 
-_json_text = st.text(st.sampled_from('"\\,[]\n{}:') | st.characters(), max_size=8)
-_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _json_text
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.lists(inner, max_size=5)
-    | st.lists(inner, max_size=5).map(tuple)
-    | st.dictionaries(_json_text, inner, max_size=5),
-    max_leaves=30,
-)
+def test_a_synth_report_reaches_stdout_one_block_at_a_time(monkeypatch):
+    import argparse
+
+    import sdgdyn.cli as cli
+
+    f = helpers.rendering_systems()[-1]  # tables of several blocks
+    pieces = []
+    monkeypatch.setattr(cli, "_write", lambda text, end="\n": pieces.append(text + end))
+    cli._write_synth_output(argparse.Namespace(out=None, json=True, seed=0), f, verdict="ok")
+    want = {"system": fds_to_dict(f), "verdict": "ok", "seed": 0}
+    same = "".join(pieces) == json.dumps(want, indent=2) + "\n"
+    # a block's text: its rows as a list at the depth of the report's tables
+    rows = max(1, BLOCK_CELLS // f.domain.size)
+    block = max(
+        len(json.dumps(f.tables[r : r + rows].tolist(), indent=2).replace("\n", "\n    "))
+        for r in range(0, f.n, rows)
+    )
+    assert same and len(pieces) > 1
+    assert max(map(len, pieces)) <= block
 
 
-@settings(max_examples=300, deadline=None)
-@given(_json_values, _json_values)
-def test_dumps_indent2_matches_stdlib(value, other):
-    # ``value`` also appears several times in one list and at two depths
-    for doc in (value, [value, other, value, [value, {"k": value}], value]):
-        assert dumps_indent2(doc) == json.dumps(doc, indent=2)
+def test_synth_json_into_a_closed_pipe_exits_1_without_a_traceback(tmp_path):
+    # The eight-vertex system's report is about 150 KB, far past the 64 KiB
+    # a pipe holds, so the writer is still blocked on it when the reader goes.
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text(format_sdg(helpers.eight_vertex_example()))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdgdyn.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sdgdyn.cli", "synth-nilpotent", "--graph", str(gpath), "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first == b"{\n"
+    assert proc.returncode == 1 and err == b"", err.decode()
+
+
+# Every run of EXIT_CODES that prints a report (export-dot prints DOT text).
+JSON_RUNS = [
+    argv for cap, argv, code in EXIT_CODES
+    if cap is None and code in (0, 1) and not argv.startswith("export-dot")
+]
+
+
+@pytest.mark.parametrize("argv", JSON_RUNS)
+def test_json_reports_are_the_bytes_of_stdlib_indent2(cli_bundle, argv, monkeypatch, capsys):
+    monkeypatch.delenv("SDG_CAP", raising=False)
+    main([word.format(**cli_bundle) for word in argv.split()] + ["--json"])
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# Every file argument of every subcommand, given a directory ({dir}) or, for
+# a file that is read, bytes that are not UTF-8 ({binary}); {cert} and
+# {f_cert} are files whose certificate path is a directory.
+FILE_FAULTS = [
+    "analyze --graph {dir}",
+    "analyze --graph {binary}",
+    "synth-nilpotent --graph {dir}",
+    "synth-nilpotent --graph {binary}",
+    "synth-nilpotent --graph {eight} --out {dir}",
+    "synth-nilpotent --graph {eight} --out {cert}",
+    "synth-converge --graph {dir} --sub {h}",
+    "synth-converge --graph {binary} --sub {h}",
+    "synth-converge --graph {conv} --sub {dir}",
+    "synth-converge --graph {conv} --sub {binary}",
+    "synth-converge --graph {conv} --sub {h} --out {dir}",
+    "synth-fixed-points --graph {dir} --cycles 0",
+    "synth-fixed-points --graph {binary} --cycles 0",
+    "synth-fixed-points --graph {neg2} --cycles 0 --out {dir}",
+    "verify --graph {dir}",
+    "verify --graph {binary}",
+    "verify --graph {eight} --fds {dir}",
+    "verify --graph {eight} --fds {binary}",
+    "verify --graph {eight} --fds {f_cert}",
+    "verify --graph {conv} --fds {h} --sub {dir} --steps 1",
+    "verify --graph {conv} --fds {h} --sub {binary} --steps 1",
+    "enumerate --graph {dir}",
+    "enumerate --graph {binary}",
+    "export-dot --graph {dir}",
+    "export-dot --graph {binary}",
+    "export-dot --graph {eight} --out {dir}",
+]
+
+
+@pytest.mark.parametrize("argv", FILE_FAULTS)
+def test_unreadable_and_unwritable_files_exit_2(cli_bundle, argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SDG_CAP", raising=False)
+    files = dict(cli_bundle, dir=str(tmp_path), binary=str(tmp_path / "binary"),
+                 cert=str(tmp_path / "c.json"), f_cert=str(tmp_path / "f.json"))
+    (tmp_path / "binary").write_bytes(b"sdg v1\nvertex \xff\n")
+    (tmp_path / "c.cert.json").mkdir()
+    (tmp_path / "f.cert.json").mkdir()
+    shutil.copy(cli_bundle["f"], files["f_cert"])
+    assert main([word.format(**files) for word in argv.split()]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
