@@ -124,9 +124,9 @@ def cmd_analyze(args) -> int:
 def _write_synth_output(args, f, cert=None, extra=None, verdict="") -> None:
     out = args.out
     if out:
-        save_fds(f, out)
-        if cert is not None:
+        if cert is not None:  # first, so that no system file stands without it
             syn_mod.save_certificate(cert, _cert_path(out))
+        save_fds(f, out)
     if args.json:  # streamed, so that the report text is never held whole
         report = {"system": fds_mod.fds_document(f), "verdict": verdict, "seed": args.seed}
         if cert is not None:

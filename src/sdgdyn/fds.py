@@ -158,16 +158,22 @@ class IntervalProduct:
             for (lo, hi), (olo, ohi) in zip(self.intervals, other.intervals)
         )
 
-    def offsets_in(self, other: "IntervalProduct") -> np.ndarray:
-        """Offsets of this domain's states inside a larger domain, in this
-        domain's offset order: an outer sum of one offset range per axis,
-        which builds no coordinate grid."""
-        if not self.subset_of(other):
-            raise PreconditionError("domain is not contained in the target domain")
-        offsets = np.zeros((), dtype=np.int64)
-        for (lo, hi), olo, w in zip(self.intervals, other.lows, other.weights):
-            offsets = np.add.outer(offsets, np.arange((lo - olo) * w, (hi - olo + 1) * w, w))
-        return offsets.ravel()
+
+def clipped_tables(
+    tables: np.ndarray, source: IntervalProduct, dom: IntervalProduct
+) -> np.ndarray:
+    """The rows of ``tables``, which are over ``source``, read on ``dom``:
+    each state of ``dom`` takes the entry at its clip onto ``source``, with
+    one ``take`` per axis whose interval differs.  A sub-box of ``source``
+    is a restriction, a one-point interval pins an axis, and a wider
+    interval repeats the end plane outward.  When ``dom`` is ``source`` the
+    result is a view of ``tables``."""
+    cube = tables.reshape((len(tables),) + source.shape)
+    for axis, ((lo, hi), (slo, shi)) in enumerate(zip(dom.intervals, source.intervals)):
+        if (lo, hi) != (slo, shi):
+            index = [min(max(x, slo), shi) - slo for x in range(lo, hi + 1)]
+            cube = cube.take(index, axis=axis + 1)
+    return cube.reshape(len(tables), dom.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,13 +320,20 @@ class Fds:
 
     def nilpotency_index(self) -> int | None:
         """Least k >= 1 with ``f^k`` constant, or None if no iterate is constant."""
+        return self._nilpotency_index
+
+    @cached_property
+    def _nilpotency_index(self) -> int | None:
         index, _ = image_chains(self.successor_offsets[None, :])
         return int(index[0]) if index[0] > 0 else None
 
     def fixed_points(self) -> list[State]:
-        """All states with ``f(x) = x``, sorted by offset."""
-        offs = np.nonzero(self.successor_offsets == np.arange(self.domain.size))[0]
-        return [self.domain.state(int(o)) for o in offs]
+        """All states with ``f(x) = x``, sorted by offset (a new list on each call)."""
+        return [self.domain.state(o) for o in self._fixed_offsets]
+
+    @cached_property
+    def _fixed_offsets(self) -> list[int]:
+        return np.flatnonzero(self.successor_offsets == np.arange(self.domain.size)).tolist()
 
     # -- transformations ------------------------------------------------------
 
@@ -524,9 +537,8 @@ def converges_toward(f: Fds, h: Fds, k: int) -> ConvergenceWitness:
             fk_in_h = False
             break
 
-    # Agreement on Y: offsets in X of f(y) and of h(y).
-    h_succ_x = X.offsets_of(h.tables)
-    mism = np.nonzero(f.successor_offsets[h.domain.offsets_in(X)] != h_succ_x)[0]
+    # Agreement on Y: f read on Y against h, state by state.
+    mism = np.flatnonzero((clipped_tables(f.tables, X, h.domain) != h.tables).any(axis=0))
     counter = h.domain.state(int(mism[0])) if mism.size else None
     return ConvergenceWitness(k, True, fk_in_h, not mism.size, counter)
 

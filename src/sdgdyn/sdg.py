@@ -143,28 +143,6 @@ class SignedDigraph:
             for v in self.vertices
         }
 
-    def _with_arc(self, arc: Arc) -> "SignedDigraph":
-        """This graph plus ``arc``, which it lacks: the vertex index is shared
-        and the adjacency is a copy of this graph's with the entries of the
-        arc's two ends replaced, so no arc is indexed again."""
-        if arc in self.arcs:
-            raise PreconditionError(f"arc {arc} already present")
-        src, dst, sign = arc
-        g = SignedDigraph(self.vertices, self.arcs | {arc})
-        adj = dict(self._adjacency)
-        a = adj[src]
-        adj[src] = a._replace(out_neighbors=a.out_neighbors | {dst}, out_degree=a.out_degree + 1)
-        b = adj[dst]  # for a loop, the tail's entry just replaced
-        adj[dst] = b._replace(
-            in_plus=b.in_plus | {src} if sign == POSITIVE else b.in_plus,
-            in_minus=b.in_minus | {src} if sign == NEGATIVE else b.in_minus,
-            in_neighbors=b.in_neighbors | {src},
-            in_degree=b.in_degree + 1,
-        )
-        g.__dict__["_index"] = self._index
-        g.__dict__["_adjacency"] = adj
-        return g
-
     def _adj(self, v: str) -> _Adjacency:
         try:
             return self._adjacency[v]

@@ -54,6 +54,7 @@ from .fds import (
     ConvergenceWitness,
     Fds,
     IntervalProduct,
+    clipped_tables,
     converges_toward,
     json_int,
     load_json,
@@ -433,18 +434,14 @@ def check_extension_postconditions(
         if verts[k] not in a_set:
             problems.append(f"image of component {k} leaves the base image")
 
-    # offsets_in raises PreconditionError unless Y lies inside X.
-    deviates = F[:, Y.offsets_in(X)] != H
+    if not Y.subset_of(X):
+        raise PreconditionError("domain is not contained in the target domain")
+    deviates = clipped_tables(F, X, Y) != H
     if not Y.contains(state.anchor):
         raise PreconditionError("anchor state outside the base domain")
-    # The anchored states: the sub-box of Y where the vertices that gained
-    # outputs sit at the anchor, one index per pinned axis of the Y cube.
-    at = tuple(
-        a - lo if v in b_set else slice(None)
-        for v, a, (lo, _) in zip(verts, state.anchor, Y.intervals)
-    )
-    anchored = deviates.reshape((len(verts),) + Y.shape)[(slice(None),) + at]
-    first = np.flatnonzero(anchored.reshape(len(verts), -1).any(axis=1))
+    # The anchored states: Y with each vertex that gained outputs pinned at the anchor.
+    pinned = [(a, a) if v in b_set else iv for v, a, iv in zip(verts, state.anchor, Y.intervals)]
+    first = np.flatnonzero(clipped_tables(deviates, Y, IntervalProduct(tuple(pinned))).any(axis=1))
     if first.size:
         problems.append(
             f"component {first[0]} deviates from the base on anchored states"
@@ -491,23 +488,20 @@ def _extended_tables(
     value: int = 0,
 ) -> tuple[IntervalProduct, np.ndarray]:
     """``tables`` on ``dom`` with the plane at the ``direction`` end of
-    ``axis`` duplicated outward (when ``grow``), and component ``head`` (if
-    any) set to ``value`` on that end plane."""
-    n = len(tables)
-    cube = tables.reshape((n,) + dom.shape)
-    before = (slice(None),) * (axis + 1)
+    ``axis`` repeated outward by :func:`clipped_tables` (when ``grow``), and
+    component ``head`` (if any) set to ``value`` on that end plane."""
     if grow:
         lo, hi = dom.intervals[axis]
         intervals = list(dom.intervals)
         intervals[axis] = (lo, hi + 1) if direction > 0 else (lo - 1, hi)
-        dom = IntervalProduct(tuple(intervals))
-        pad = cube[before + (slice(-1, None) if direction > 0 else slice(1),)]
-        cube = np.concatenate([cube, pad] if direction > 0 else [pad, cube], axis=axis + 1)
+        grown = IntervalProduct(tuple(intervals))
+        dom, tables = grown, clipped_tables(tables, dom, grown)
     else:
-        cube = cube.copy()
+        tables = tables.copy()
     if head is not None:
-        cube[(head,) + before[1:] + (-1 if direction > 0 else 0,)] = value
-    return dom, cube.reshape(n, -1)
+        cube = tables.reshape((len(tables),) + dom.shape)
+        cube[(head,) + (slice(None),) * axis + (-1 if direction > 0 else 0,)] = value
+    return dom, tables
 
 
 def extend_by_arc(
@@ -610,7 +604,8 @@ def extend_by_arc(
         dom, tables = _extended_tables(dom, tables, ii, value - lo)
     dom, tables = _extended_tables(dom, tables, ji, direction, grow, ii, value)
 
-    return ExtensionState(cur._with_arc(arc), Fds(dom, tables), state.anchor)
+    graph = SignedDigraph(cur.vertices, cur.arcs | {arc})
+    return ExtensionState(graph, Fds(dom, tables), state.anchor)
 
 
 def extend_all(
@@ -857,14 +852,9 @@ def _glue(base: Fds, block: Fds, rows: Sequence[int]) -> Fds:
         (min(lo, blo), max(hi, bhi))
         for (lo, hi), (blo, bhi) in zip(base.domain.intervals, block.domain.intervals)
     ))
-    grids = dom.coordinate_grids
-
-    def read(f: Fds) -> np.ndarray:
-        lows, highs, _ = f.domain.columns
-        return f.tables[:, f.domain.offsets_of(np.clip(grids, lows, highs))]
-
     take = np.isin(np.arange(dom.n), rows)[:, None]
-    return Fds(dom, np.where(take, read(block), read(base)))
+    parts = [clipped_tables(f.tables, f.domain, dom) for f in (block, base)]
+    return Fds(dom, np.where(take, *parts))
 
 
 def _pipeline_direct(

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -729,12 +730,12 @@ def test_extension_result_is_checked_without_debug_checks():
     # The structure check of an extension's result is not a debug check:
     # under -O a step that writes a wrong row still raises, naming its arcs.
     script = """
-from sdgdyn import InternalInvariantError, extend_all, synthesis
+from sdgdyn import InternalInvariantError, SignedDigraph, extend_all, synthesis
 import test_synthesis as t
 base, h = t._two_step_base()
 synthesis._extended_tables = t._mutate_written_plane(t._set_row_cell)
 try:
-    extend_all(base._with_arc(("1", "3", "-")), base, h)
+    extend_all(SignedDigraph(base.vertices, base.arcs | {("1", "3", "-")}), base, h)
 except InternalInvariantError as exc:
     print(__debug__, exc)
 """
@@ -857,3 +858,46 @@ def test_unreadable_and_unwritable_files_exit_2(cli_bundle, argv, tmp_path, monk
     assert main([word.format(**files) for word in argv.split()]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def test_unwritable_certificate_leaves_no_system_file(eight_vertex_file, tmp_path, capsys):
+    # The certificate is written before the system file, so a later verify
+    # never finds the system without the certificate that goes with it.
+    out = tmp_path / "c.json"
+    (tmp_path / "c.cert.json").mkdir()
+    assert main(["synth-nilpotent", "--graph", eight_vertex_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_each_command_computes_a_verdict_once(eight_vertex_file, tmp_path, monkeypatch, capsys):
+    # The certificate check and the verdict line share one image chain, and
+    # the construction and the verdict line share one fixed-point search.
+    from sdgdyn import fds as fds_mod
+
+    chains = []
+    image_chains = fds_mod.image_chains
+    monkeypatch.setattr(
+        fds_mod, "image_chains", lambda succ: chains.append(len(succ)) or image_chains(succ)
+    )
+    searches = []
+    fixed_offsets = fds_mod.Fds._fixed_offsets.func
+    counted = functools.cached_property(lambda f: searches.append(f) or fixed_offsets(f))
+    counted.__set_name__(fds_mod.Fds, "_fixed_offsets")
+    monkeypatch.setattr(fds_mod.Fds, "_fixed_offsets", counted)
+
+    out = str(tmp_path / "f.json")
+    assert main(["synth-nilpotent", "--graph", eight_vertex_file, "--out", out]) == 0
+    assert chains == [1]
+    assert main(["verify", "--graph", eight_vertex_file, "--fds", out]) == 0
+    assert chains == [1, 1] and len(searches) == 1
+    assert "PASS: certificate verifies" in capsys.readouterr().out
+
+    g = sdgdyn.SignedDigraph.from_arcs([("1", "2", "+"), ("2", "1", "+"), ("1", "3", "+")])
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text(format_sdg(g))
+    assert main(["synth-fixed-points", "--graph", str(gpath), "--cycles", "1"]) == 0
+    assert "2 fixed points" in capsys.readouterr().out
+    assert len(searches) == 2

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import random
@@ -113,23 +114,47 @@ def test_offset_state_roundtrip(spec):
         assert dom.offset(dom.state(off)) == off
 
 
-def test_offsets_in_matches_the_coordinate_grid():
+def test_clipped_tables_read_each_state_at_its_clip():
+    # Random pairs of domains, mixed axis by axis: equal intervals,
+    # sub-boxes, wider hulls, pinned points and shifted intervals that lie
+    # partly or wholly outside the source.
     rng = random.Random(8)
-    for _ in range(200):
+    seen = collections.Counter()
+    for _ in range(300):
         n = rng.randint(0, 4)
-        outer = [(rng.randint(-3, 3), rng.randint(0, 3)) for _ in range(n)]
-        big = IntervalProduct(tuple((lo, lo + w) for lo, w in outer))
-        small = []
-        for lo, hi in big.intervals:
-            a = rng.randint(lo, hi)
-            small.append((a, a if rng.random() < 0.3 else rng.randint(a, hi)))
-        box = IntervalProduct(tuple(small))
-        got = box.offsets_in(big)
-        assert got.dtype == np.int64
-        assert got.tolist() == big.offsets_of(box.coordinate_grids).tolist()
-        assert got.tolist() == [big.offset(s) for s in box.states()]
-    with pytest.raises(PreconditionError):
-        IntervalProduct(((0, 2),)).offsets_in(IntervalProduct(((1, 2),)))
+        source = IntervalProduct(
+            tuple((lo, lo + rng.randint(0, 3)) for lo in (rng.randint(-3, 3) for _ in range(n)))
+        )
+        dom = []
+        for lo, hi in source.intervals:
+            kind = rng.choice(["same", "sub", "wider", "pin", "shifted"])
+            seen[kind] += 1
+            if kind == "sub":
+                a = rng.randint(lo, hi)
+                dom.append((a, rng.randint(a, hi)))
+            elif kind == "wider":
+                dom.append((lo - rng.randint(0, 2), hi + rng.randint(0, 2)))
+            elif kind == "pin":
+                a = rng.randint(lo - 2, hi + 2)
+                dom.append((a, a))
+            elif kind == "shifted":
+                a = rng.randint(lo - 4, hi + 4)
+                dom.append((a, a + rng.randint(0, 3)))
+            else:
+                dom.append((lo, hi))
+        dom = IntervalProduct(tuple(dom))
+        tables = np.array(
+            [[rng.randint(-9, 9) for _ in range(source.size)] for _ in range(rng.randint(0, 3))],
+            dtype=np.int64,
+        ).reshape(-1, source.size)
+        got = fds_mod.clipped_tables(tables, source, dom)
+        assert got.shape == (len(tables), dom.size)
+        clip = [
+            source.offset([min(max(x, lo), hi) for x, (lo, hi) in zip(s, source.intervals)])
+            for s in dom.states()
+        ]
+        assert got.tolist() == tables[:, clip].tolist()
+    assert min(seen.values()) >= 100, seen
 
 
 # ---------------------------------------------------------------------------

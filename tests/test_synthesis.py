@@ -529,6 +529,17 @@ def test_extension_postconditions_name_each_broken_guarantee(edits, expected):
     assert _tampered_extension_state(edits) == expected
 
 
+def test_extension_postconditions_require_the_base_domain_inside():
+    # Y = [0,1]^2 is not inside X = [0,1] x [1,2]: no restriction of f to Y.
+    base = SignedDigraph.from_arcs([("1", "1", "+"), ("1", "2", "+")])
+    h = Fds(IntervalProduct(((0, 1), (0, 1))), ([0, 0, 1, 1], [0, 0, 0, 0]))
+    X = IntervalProduct(((0, 1), (1, 2)))
+    f = Fds(X, ([x1 for x1, _ in X.states()], [1] * X.size))
+    state = ExtensionState(base, f, (0, 0))
+    with pytest.raises(PreconditionError, match="^domain is not contained in the target domain$"):
+        check_extension_postconditions(state, base, h)
+
+
 def test_extend_by_arc_case3_two_level_step():
     # Base: 1 -> 2, 3 -> 4; adding (3, 1, +) hits a non-isolated source head
     # whose constant sits at its interval bottom: a two-level step appears.
@@ -976,7 +987,7 @@ def test_step_check_rejects_a_bad_plane(monkeypatch, arc, extended, named):
     # A faulty step is caught by extend_all's one check of its result, which
     # names the arcs that the faulty plane lost or added.
     base, h = _two_step_base()
-    target = base._with_arc(arc)
+    target = SignedDigraph(base.vertices, base.arcs | {arc})
     assert _structure_problems(extend_all(target, base, h), target) == []
     monkeypatch.setattr(synthesis, "_extended_tables", extended)
     with pytest.raises(InternalInvariantError, match=re.escape(named)) as caught:
