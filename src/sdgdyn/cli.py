@@ -245,26 +245,26 @@ def cmd_enumerate(args) -> int:
     g = load_sdg(args.graph)
     cap = _cap_from(args, fds_mod.DEFAULT_TABLE_CAP)
     # Every cap trips in the count pass, before the first byte is written;
-    # then each block is written as soon as it is built, with one text per
-    # distinct summary of the block.
+    # then each block is written as soon as it is built: its sizes rendered
+    # once, then one text per distinct (index, fixed) of the block.
     count, blocks = fds_mod._counted_summaries(g, cap)
     if args.json:  # the bytes of json.dumps(report, indent=2) for the whole report
         head, lead, sep = f'{{\n  "count": {count},\n  "systems": [', "\n    ", ",\n    "
         tail = ("\n  ]" if count else "]") + f',\n  "seed": {args.seed}\n}}'
-        encode = json.JSONEncoder(indent=2).encode  # json.dumps(..., indent=2), built once
+        null, item = "null", (
+            '{\n      "sizes": %s,\n      "nilpotency_index": %s,\n      "fixed_points": %s\n    }'
+        )
 
-        def render(sizes, index, fixed):
-            summary = {"sizes": sizes, "nilpotency_index": index, "fixed_points": fixed}
-            return encode(summary).replace("\n", "\n    ")
+        def sizes_text(sizes):  # json.dumps(sizes, indent=2) at the depth of an entry's sizes
+            return json.dumps(sizes, indent=2).replace("\n", "\n      ")
     else:
         head, lead, sep, tail = f"degree-bounded systems: {count}", "\n", "\n", ""
-
-        def render(sizes, index, fixed):
-            return f"sizes={sizes} index={index} fixed_points={fixed}"
+        null, item, sizes_text = None, "sizes=%s index=%s fixed_points=%s", str
     _write(head, end="")
     for sizes, index, fixed in blocks:
+        text = sizes_text(list(sizes))
         keys = list(zip(index.tolist(), fixed.tolist()))
-        texts = {(k, n): render(list(sizes), k if k > 0 else None, n) for k, n in set(keys)}
+        texts = {(k, n): item % (text, k if k > 0 else null, n) for k, n in set(keys)}
         _write(lead + sep.join(map(texts.__getitem__, keys)), end="")
         lead = sep
     _write(tail)
