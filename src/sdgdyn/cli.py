@@ -71,22 +71,11 @@ def _emit(report: dict, lines: Iterable[str], as_json: bool) -> None:
     _write(json.dumps(report, indent=2) if as_json else "\n".join(lines))
 
 
-def _cap_from(args, default: int) -> int:
-    """The --cap value, else SDG_CAP, else ``default``; a cap below 1 is a
-    parse error."""
-    if args.cap is None:
-        cap = fds_mod.env_cap()
-        return default if cap is None else cap
-    if args.cap < 1:
-        raise SdgParseError(f"--cap must be at least 1, got {args.cap}")
-    return args.cap
-
-
 def cmd_analyze(args) -> int:
     g = load_sdg(args.graph)
     cs = component_structure(g)
     sources, sinks, isolated = classify_vertices(g)
-    cap = _cap_from(args, sdg_mod.DEFAULT_CYCLE_CAP)
+    cap = fds_mod.env_cap(sdg_mod.DEFAULT_CYCLE_CAP, args.cap)
     signs = Counter(c.sign for c in sdg_mod._capped(sdg_mod._signed_cycles(g), cap))
     pos, neg = signs[sdg_mod.POSITIVE], signs[sdg_mod.NEGATIVE]
     report = {
@@ -243,7 +232,7 @@ def cmd_verify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     g = load_sdg(args.graph)
-    cap = _cap_from(args, fds_mod.DEFAULT_TABLE_CAP)
+    cap = fds_mod.env_cap(fds_mod.DEFAULT_TABLE_CAP, args.cap)
     # Every cap trips in the count pass, before the first byte is written;
     # then each block is written as soon as it is built: its sizes rendered
     # once, then one text per distinct (index, fixed) of the block.

@@ -39,14 +39,20 @@ _INT64 = np.iinfo(np.int64)
 State = tuple[int, ...]
 
 
-def env_cap() -> int | None:
-    """The integer in the SDG_CAP env var, or None when it is unset.
+def env_cap(default: int, given: int | None = None) -> int:
+    """The one resolver of every cap: ``given`` (a ``--cap`` value) when it
+    is not None, else the integer in the SDG_CAP env var, else ``default``.
 
-    A value that is not an integer of at least 1 raises :class:`SdgParseError`.
+    A cap below 1, or an SDG_CAP that is not an integer, raises
+    :class:`SdgParseError`.
     """
+    if given is not None:
+        if given < 1:
+            raise SdgParseError(f"--cap must be at least 1, got {given}")
+        return given
     raw = os.environ.get("SDG_CAP")
     if raw is None:
-        return None
+        return default
     try:
         cap = int(raw)
     except ValueError:
@@ -54,12 +60,6 @@ def env_cap() -> int | None:
     if cap < 1:
         raise SdgParseError(f"SDG_CAP must be at least 1, got {cap}")
     return cap
-
-
-def state_cap() -> int:
-    """Largest allowed state-space size; the SDG_CAP env var overrides it."""
-    cap = env_cap()
-    return DEFAULT_STATE_CAP if cap is None else cap
 
 
 @dataclass(frozen=True)
@@ -74,10 +74,11 @@ class IntervalProduct:
         for lo, hi in norm:
             if lo > hi:
                 raise PreconditionError(f"empty interval [{lo},{hi}]")
-        if self.size > state_cap():
-            raise ResourceCapError(
-                f"state space of size {self.size} exceeds cap {state_cap()}"
-            )
+            if lo < _INT64.min or hi > _INT64.max:
+                raise PreconditionError(f"interval [{lo},{hi}] leaves the 64-bit integers")
+        cap = env_cap(DEFAULT_STATE_CAP)
+        if self.size > cap:
+            raise ResourceCapError(f"state space of size {self.size} exceeds cap {cap}")
 
     @property
     def n(self) -> int:
@@ -341,11 +342,9 @@ class Fds:
         """Conjugate by a per-component shift ``x_i -> x_i + d_i``."""
         if len(deltas) != self.n:
             raise PreconditionError("need one delta per component")
+        deltas = [int(d) for d in deltas]  # Python ints: an end past int64 cannot wrap
         dom = IntervalProduct(
-            tuple(
-                (lo + d, hi + d)
-                for (lo, hi), d in zip(self.domain.intervals, deltas)
-            )
+            tuple((lo + d, hi + d) for (lo, hi), d in zip(self.domain.intervals, deltas))
         )
         return Fds(dom, self.tables + np.array(deltas, dtype=np.int64)[:, None])
 
@@ -839,8 +838,6 @@ def _fds_from_dict(data: dict, booleans: bool) -> Fds:
         raise SdgParseError(f"expected a {FDS_VERSION!r} document")
     try:
         intervals = tuple((json_int(lo), json_int(hi)) for lo, hi in data["intervals"])
-        if not all(_INT64.min <= end <= _INT64.max for pair in intervals for end in pair):
-            raise ValueError("interval ends must be 64-bit integers")
         # One array for all tables: its dtype is integral when every entry
         # is an integer, and also when booleans are mixed in with integers
         # (as 0 and 1), so the rows are searched for booleans too, unless

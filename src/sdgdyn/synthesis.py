@@ -17,7 +17,8 @@ Three construction families live here:
   are the fixed-point-count applications.
 
 Every construction re-verifies its own output (interaction graph equality,
-degree bounds, and the claimed dynamic property) before returning it.
+degree bounds, and the claimed dynamic property) before returning it, and
+raises through :func:`_self_check`, naming every problem it finds.
 """
 
 from __future__ import annotations
@@ -95,30 +96,32 @@ class NilpotencyCertificate:
         }
 
 
-def _json_name(value) -> str:
-    """``value`` if it is a JSON string, the only form of a vertex name."""
-    if type(value) is not str:
-        raise TypeError(f"expected a vertex name, got {value!r}")
-    return value
-
-
 def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertificate:
     """Rebuild a certificate from its JSON form.
 
     Representatives are read as a list of ``[component, representative]``
     pairs, or in the older form of a map from comma-joined components.
+    Every vertex name must be a JSON string naming a vertex of ``graph``.
     """
+
+    def name(value) -> str:
+        if type(value) is not str:
+            raise TypeError(f"expected a vertex name, got {value!r}")
+        if value not in graph.vertices:
+            raise ValueError(f"unknown vertex {value!r}")
+        return value
+
     try:
         pairs = data["representatives"]
         if isinstance(pairs, dict):
             pairs = [(key.split(","), rep) for key, rep in pairs.items()]
         reps = tuple(
             sorted(
-                ((tuple(map(_json_name, comp)), _json_name(rep)) for comp, rep in pairs),
+                ((tuple(map(name, comp)), name(rep)) for comp, rep in pairs),
                 key=lambda item: graph.index(item[0][0]),
             )
         )
-        layers = tuple(tuple(map(_json_name, layer)) for layer in data["layers"])
+        layers = tuple(tuple(map(name, layer)) for layer in data["layers"])
         target = tuple(json_int(x) for x in data["xi"])
         lam = json_int(data["lambda"])
         beta = json_int(data["beta"])
@@ -129,14 +132,27 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
 
 def _structure_problems(f: Fds, g: SignedDigraph) -> list[str]:
     """Why ``f`` is not a degree-bounded system whose interaction graph is
-    exactly ``g`` (empty when it is); ``f`` has one component per vertex."""
-    problems = []
+    exactly ``g`` (empty when it is): the arcs of ``g`` that ``f`` does not
+    realize, the arcs ``f`` realizes that ``g`` lacks, each in
+    :meth:`SignedDigraph.sorted_arcs` order, and the components at which
+    the degree bound fails.  ``f`` has one component per vertex."""
     match, bad = f.structure_fit(g)
+    problems = []
     if not match:
-        problems.append("interaction graph differs from the input graph")
+        arcs = f.interaction_arcs(g.vertices)
+        for label, diff in (("missing", g.arcs - arcs), ("extra", arcs - g.arcs)):
+            if diff:
+                problems.append(f"{label} arcs {SignedDigraph(g.vertices, diff).sorted_arcs()}")
     if bad:
         problems.append(f"degree bound violated at components {bad}")
     return problems
+
+
+def _self_check(what: str, problems: list[str]) -> None:
+    """The one raise of every construction's self-check: an
+    :class:`InternalInvariantError` naming each problem of the result, if any."""
+    if problems:
+        raise InternalInvariantError(f"{what} failed self-check: " + "; ".join(problems))
 
 
 def check_nilpotency_certificate(
@@ -361,11 +377,7 @@ def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
         ),
         target=tuple(plan.xi[v] for v in g.vertices),
     )
-    problems = check_nilpotency_certificate(g, f, cert)
-    if problems:
-        raise InternalInvariantError(
-            "nilpotent construction failed self-check: " + "; ".join(problems)
-        )
+    _self_check("nilpotent construction", check_nilpotency_certificate(g, f, cert))
     return f, cert
 
 
@@ -625,10 +637,10 @@ def extend_all(
     (source index, target index, ``+`` before ``-``) order unless an
     explicit order is supplied; ``future_arcs`` are arcs that later
     invocations will add, used only to steer interval growth.  A result
-    that adds an arc is checked once: :func:`_structure_problems` against
-    ``target`` always, and the four guarantees of
-    :func:`check_extension_postconditions` in debug mode; a failure raises
-    :class:`InternalInvariantError`, naming the missing and extra arcs.
+    that adds an arc is checked once, by :func:`_structure_problems`
+    against ``target`` and the four guarantees of
+    :func:`check_extension_postconditions`; a failure raises
+    :class:`InternalInvariantError` naming every problem.
     """
     if not base_graph.is_spanning_subgraph_of(target):
         raise PreconditionError("base graph is not a spanning subgraph of the target")
@@ -665,18 +677,9 @@ def extend_all(
     for pos, arc in enumerate(seq):
         state = extend_by_arc(state, arc, base_system, upcoming=pending[pos + 1 :])
     if seq:
-        f = state.system
-        problems = _structure_problems(f, target)
-        arcs = f.interaction_arcs(target.vertices)
-        for label, diff in (("missing", target.arcs - arcs), ("extra", arcs - target.arcs)):
-            if diff:
-                problems.append(
-                    f"{label} arcs {SignedDigraph(target.vertices, diff).sorted_arcs()}"
-                )
-        if __debug__:
-            problems += check_extension_postconditions(state, base_graph, base_system)
-        if problems:
-            raise InternalInvariantError("extension failed self-check: " + "; ".join(problems))
+        problems = _structure_problems(state.system, target)
+        problems += check_extension_postconditions(state, base_graph, base_system)
+        _self_check("extension", problems)
     return state.system
 
 
@@ -841,7 +844,8 @@ def _placed_block(
     lows, highs, _ = block.domain.columns
     target = np.array(cert.target)
     target[flip] = lows[flip, 0] + highs[flip, 0] - target[flip]
-    return block.mirror(flip).translate(np.subtract(xi, target))
+    # Python ints, so that a shift past the 64-bit integers cannot wrap
+    return block.mirror(flip).translate([x - t for x, t in zip(xi, target.tolist())])
 
 
 def _glue(base: Fds, block: Fds, rows: Sequence[int]) -> Fds:
@@ -940,13 +944,8 @@ def construct_converging(
     else:
         f = extend_all(g, subgraph, h)
 
-    problems = _structure_problems(f, g)
     witness = converges_toward(f, h, len(iso) + 1)
-    problems += witness.failures()
-    if problems:
-        raise InternalInvariantError(
-            "converging construction failed self-check: " + "; ".join(problems)
-        )
+    _self_check("converging construction", _structure_problems(f, g) + witness.failures())
     return f, witness
 
 
@@ -979,15 +978,21 @@ def cycle_subsystem(
     return sub, Fds(dom, tables)
 
 
-def _converge_on_cycles(g: SignedDigraph, cycles: Sequence[SignedCycle]) -> Fds:
-    """A system on ``g`` converging toward the cycle subsystem of ``cycles``."""
+def _fixed_point_system(g: SignedDigraph, cycles: Sequence[SignedCycle], wanted: int) -> Fds:
+    """A system on ``g`` converging toward the cycle subsystem of ``cycles``,
+    checked to have ``wanted`` fixed points.  When ``g`` is exactly the
+    cycles the cycle subsystem is the result, and its structure is checked
+    here; otherwise :func:`construct_converging` has checked it."""
     sub, h = cycle_subsystem(g, cycles)
     if sub.arcs != g.arcs:
-        return construct_converging(g, sub, h)[0]
-    problems = _structure_problems(h, g)
-    if problems:
-        raise InternalInvariantError("cycle subsystem failed self-check: " + "; ".join(problems))
-    return h
+        f, problems = construct_converging(g, sub, h)[0], []
+    else:
+        f, problems = h, _structure_problems(h, g)
+    count = len(f.fixed_points())
+    if count != wanted:
+        problems.append(f"{count} fixed points, wanted {wanted}")
+    _self_check("fixed-point construction", problems)
+    return f
 
 
 def construct_no_fixed_point(g: SignedDigraph) -> Fds:
@@ -999,11 +1004,7 @@ def construct_no_fixed_point(g: SignedDigraph) -> Fds:
     negative = next((c for c in cycles if c.sign == NEGATIVE), None)
     if negative is None:
         raise PreconditionError("graph has no negative cycle")
-    f = _converge_on_cycles(g, [negative])
-    fixed = f.fixed_points()
-    if fixed:
-        raise InternalInvariantError(f"construction left fixed points: {fixed}")
-    return f
+    return _fixed_point_system(g, [negative], 0)
 
 
 def construct_2k_fixed_points(g: SignedDigraph, k: int) -> Fds:
@@ -1014,13 +1015,7 @@ def construct_2k_fixed_points(g: SignedDigraph, k: int) -> Fds:
     cycles = find_disjoint_positive_cycles(g, k)
     if cycles is None:
         raise PreconditionError(f"graph has no {k} vertex-disjoint positive cycles")
-    f = _converge_on_cycles(g, cycles)
-    fixed = f.fixed_points()
-    if len(fixed) != 2**k:
-        raise InternalInvariantError(
-            f"construction has {len(fixed)} fixed points, wanted {2 ** k}"
-        )
-    return f
+    return _fixed_point_system(g, cycles, 2**k)
 
 
 # ---------------------------------------------------------------------------

@@ -581,6 +581,61 @@ def test_certificate_in_the_map_form_still_verifies(eight_vertex_file, tmp_path,
     assert "PASS: certificate verifies" in capsys.readouterr().out
 
 
+def test_certificate_naming_an_unknown_vertex_is_malformed(tmp_path, capsys):
+    # A name outside the graph, in the last layer, in a representative or
+    # in the first layer, makes the certificate malformed: exit 2 before
+    # any check line.
+    gpath = tmp_path / "g.sdg"
+    gpath.write_text("sdg v1\narc 1 2 +\narc 2 3 -\narc 3 1 +\narc 1 3 +\n")
+    out, cert = tmp_path / "f.json", tmp_path / "f.cert.json"
+    assert main(["synth-nilpotent", "--graph", str(gpath), "--out", str(out)]) == 0
+    valid = cert.read_text()
+    for edit in (
+        lambda doc: doc["layers"][-1].append("zzz"),
+        lambda doc: doc["representatives"].append([["zzz"], "zzz"]),
+        lambda doc: doc["layers"][0].append("zzz"),
+    ):
+        doc = json.loads(valid)
+        edit(doc)
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--graph", str(gpath), "--fds", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: malformed certificate: unknown vertex 'zzz'\n")
+
+
+def test_interval_ends_past_int64_are_a_precondition(tmp_path, capsys):
+    # Ends at the top of the 64-bit integers: the nilpotent block is
+    # translated past them (first graph), or an extension step grows the
+    # tail's interval past them (second graph).  Each run exits 3 with one
+    # error line, and no warning (warnings are errors here); a system file
+    # with such an end is a parse error.
+    from sdgdyn import Fds, IntervalProduct
+
+    top = 2**63 - 1
+    one = IntervalProduct(((top, top), (0, 0)))
+    dom = IntervalProduct(((top - 1, top), (0, 1), (0, 1), (0, 1)))
+    states = list(dom.states())
+    two = [[top - 1] * 16, [int(x[0] == top) for x in states], [x[3] for x in states], [0] * 16]
+    gpath, hpath = tmp_path / "g.sdg", tmp_path / "h.json"
+    for graph, h, lo in (
+        ("arc 1 2 +\n", Fds(one, [[top], [0]]), top),
+        ("vertex 1\nvertex 2\nvertex 3\nvertex 4\narc 1 2 +\narc 4 3 +\narc 1 3 +\n",
+         Fds(dom, two), top - 1),
+    ):
+        gpath.write_text("sdg v1\n" + graph)
+        save_fds(h, str(hpath))
+        capsys.readouterr()
+        assert main(["synth-converge", "--graph", str(gpath), "--sub", str(hpath)]) == 3
+        captured = capsys.readouterr()
+        want = f"error: interval [{lo},{top + 1}] leaves the 64-bit integers\n"
+        assert (captured.out, captured.err) == ("", want)
+
+    hpath.write_text(json.dumps({"version": "fds.v1", "intervals": [[top + 1] * 2], "tables": [[0]]}))
+    assert main(["verify", "--graph", str(gpath), "--fds", str(hpath)]) == 2
+    assert capsys.readouterr().err == f"error: interval [{top + 1},{top + 1}] leaves the 64-bit integers\n"
+
+
 def test_repeated_main_calls_share_no_state(tmp_path, capsys):
     from sdgdyn import SignedDigraph, enumerate_degree_bounded_systems
 
@@ -694,8 +749,9 @@ def test_synth_nilpotent_json_in_a_fresh_process(tmp_path):
 
 
 def test_synthesis_output_is_the_same_without_debug_checks(tmp_path):
-    # Under -O the extension postcondition check does not run; a converging
-    # and a fixed-point synthesis must write the same bytes.
+    # -O removes asserts and the code under `if __debug__:`; the library
+    # has neither, so a converging and a fixed-point synthesis write the
+    # same bytes with and without it.
     from sdgdyn import SignedDigraph, cycle_subsystem
 
     g, cycle = __import__("test_synthesis").fig_case1_instance()
@@ -727,17 +783,20 @@ def test_synthesis_output_is_the_same_without_debug_checks(tmp_path):
 
 
 def test_extension_result_is_checked_without_debug_checks():
-    # The structure check of an extension's result is not a debug check:
-    # under -O a step that writes a wrong row still raises, naming its arcs.
+    # No part of an extension's self-check is a debug check: under -O a
+    # step that writes a wrong row still raises, naming its arcs, and a
+    # step made on the anchor plane also names the postcondition it breaks.
     script = """
 from sdgdyn import InternalInvariantError, SignedDigraph, extend_all, synthesis
 import test_synthesis as t
-base, h = t._two_step_base()
-synthesis._extended_tables = t._mutate_written_plane(t._set_row_cell)
-try:
-    extend_all(SignedDigraph(base.vertices, base.arcs | {("1", "3", "-")}), base, h)
-except InternalInvariantError as exc:
-    print(__debug__, exc)
+for arc, extended in ((("1", "3", "-"), t._mutate_written_plane(t._set_row_cell)),
+                      (("2", "3", "-"), t._flip_direction)):
+    base, h = t._two_step_base()
+    synthesis._extended_tables = extended
+    try:
+        extend_all(SignedDigraph(base.vertices, base.arcs | {arc}), base, h)
+    except InternalInvariantError as exc:
+        print(__debug__, exc)
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(sdgdyn.__file__)))
     path = os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])
@@ -745,8 +804,11 @@ except InternalInvariantError as exc:
         [sys.executable, "-O", "-c", script], capture_output=True, text=True,
         check=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
-    assert proc.stdout.startswith("False extension failed self-check: "), proc.stdout
-    assert "extra arcs [('1', '2', '-'), ('2', '2', '+')]" in proc.stdout
+    assert proc.stdout.splitlines() == [
+        "False extension failed self-check: extra arcs [('1', '2', '-'), ('2', '2', '+')]",
+        "False extension failed self-check: missing arcs [('2', '3', '-')]; "
+        "extra arcs [('2', '3', '+')]; component 2 deviates from the base on anchored states",
+    ], proc.stdout
 
 
 def test_system_json_renders_tables_like_stdlib():

@@ -1,7 +1,9 @@
 import collections
 import json
 import math
+import os
 import random
+import re
 from itertools import islice, product
 
 import numpy as np
@@ -104,6 +106,45 @@ def test_state_cap_guard(monkeypatch):
         IntervalProduct(((0, 10),))
     monkeypatch.delenv("SDG_CAP")
     IntervalProduct(((0, 10),))  # fine without the tight cap
+
+
+def test_one_cap_resolver(monkeypatch):
+    # The --cap value, else SDG_CAP, else the default; the state-space
+    # check reads SDG_CAP once, also when its cap trips.
+    monkeypatch.delenv("SDG_CAP", raising=False)
+    assert (fds_mod.env_cap(7), fds_mod.env_cap(7, 3)) == (7, 3)
+    monkeypatch.setenv("SDG_CAP", "5")
+    assert (fds_mod.env_cap(7), fds_mod.env_cap(7, 3)) == (5, 3)
+    for given_cap, raw, message in (
+        (0, "5", "--cap must be at least 1, got 0"),
+        (None, "abc", "SDG_CAP must be an integer, got 'abc'"),
+        (None, "-5", "SDG_CAP must be at least 1, got -5"),
+    ):
+        monkeypatch.setenv("SDG_CAP", raw)
+        with pytest.raises(SdgParseError, match=re.escape(message)):
+            fds_mod.env_cap(7, given_cap)
+    monkeypatch.setenv("SDG_CAP", "5")
+    reads = []
+    get = os.environ.get
+    monkeypatch.setattr(os.environ, "get", lambda key, *rest: reads.append(key) or get(key, *rest))
+    with pytest.raises(ResourceCapError, match="state space of size 6 exceeds cap 5"):
+        IntervalProduct(((0, 5),))
+    assert reads == ["SDG_CAP"]
+
+
+def test_interval_ends_stay_in_the_64_bit_integers():
+    top, bottom = 2**63 - 1, -(2**63)
+    IntervalProduct(((bottom, bottom + 1), (top - 1, top)))  # the extreme ends are fine
+    # checked before the state-space cap, which (0, 2**64) would also trip
+    for lo, hi in ((top, top + 1), (bottom - 1, bottom), (0, 2**64)):
+        with pytest.raises(PreconditionError, match=re.escape(f"interval [{lo},{hi}] leaves")):
+            IntervalProduct(((0, 0), (lo, hi)))
+    # translate adds its deltas as Python ints, so an end past the top is
+    # that precondition, not a wrapped end
+    f = constant_fds(IntervalProduct(((top - 1, top),)), (top,))
+    with pytest.raises(PreconditionError, match=re.escape(f"interval [{top},{top + 1}] leaves")):
+        f.translate([np.int64(1)])
+    assert f.translate([np.int64(-1)]).domain.intervals == ((top - 2, top - 1),)
 
 
 @settings(max_examples=60, deadline=None)

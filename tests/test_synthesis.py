@@ -274,14 +274,12 @@ def test_certificate_check_names_each_tampering(edit, expected):
 # the structure check
 # ---------------------------------------------------------------------------
 
-ARCS_DIFFER = "interaction graph differs from the input graph"
-
-
 def _oracle_structure(f, g):
-    """Whether ``f``'s interaction graph is ``g``, and the components that
-    break the degree bound, from the brute-force interaction arcs and the
-    bound as stated: ``|X_i| = 2`` at a sink with in-arcs, otherwise
-    ``|X_i| <= out-degree + 1``."""
+    """The arcs of ``g`` that ``f`` does not realize and the arcs ``f``
+    realizes that ``g`` lacks, each sorted by tail index, head index, then
+    ``+`` before ``-``, and the components that break the degree bound, from
+    the brute-force interaction arcs and the bound as stated: ``|X_i| = 2``
+    at a sink with in-arcs, otherwise ``|X_i| <= out-degree + 1``."""
     arcs = helpers.brute_force_interaction_arcs(f, g.vertices)
     bad = []
     for i, (v, size) in enumerate(zip(g.vertices, f.domain.shape)):
@@ -289,7 +287,12 @@ def _oracle_structure(f, g):
         din = sum(1 for _, t, _ in arcs if t == v)
         if not (size == 2 if dout == 0 and din > 0 else size <= dout + 1):
             bad.append(i)
-    return arcs == g.arcs, tuple(bad)
+    rank = {v: k for k, v in enumerate(g.vertices)}
+
+    def ordered(diff):
+        return sorted(diff, key=lambda a: (rank[a[0]], rank[a[1]], a[2] == NEGATIVE))
+
+    return ordered(g.arcs - arcs), ordered(arcs - g.arcs), tuple(bad)
 
 
 def _widened(f, i, extra):
@@ -353,11 +356,14 @@ def test_structure_check_matches_a_brute_force_oracle(tmp_path, capsys):
         if drawn is None:
             continue
         f, g = drawn
-        same, bad = _oracle_structure(f, g)
-        want = [ARCS_DIFFER] * (not same)
+        missing, extra, bad = _oracle_structure(f, g)
+        same = not missing and not extra
+        want = [f"missing arcs {missing}"] * bool(missing) + [f"extra arcs {extra}"] * bool(extra)
         want += [f"degree bound violated at components {bad}"] * bool(bad)
         assert _structure_problems(f, g) == want, (case, g, f.domain)
         assert (same, bool(bad)) == (case in ("match", "degree"), case.startswith("degree"))
+        if case in ("missing arc", "extra arc", "flipped sign"):
+            assert (bool(missing), bool(extra)) == (case != "extra arc", case != "missing arc")
         seen[case] += 1
 
         # verify prints one PASS/FAIL line per check, in the same terms
@@ -739,7 +745,7 @@ def _converging_case(arcs, keep):
     [
         ("spanning", "subgraph is not a spanning subgraph of the graph"),
         ("arity", "subsystem arity differs from the graph order"),
-        ("fit", "subsystem does not fit the subgraph: interaction graph differs"),
+        ("fit", "subsystem does not fit the subgraph: missing arcs [('1', '2', '+')]"),
         ("source", "vertex 2 is a source of the subgraph but not of the graph"),
         ("sink", "vertex 2 is a sink of the subgraph but not of the graph"),
         ("cycle", "component ('1', '2') is a signed cycle inside the isolated set"),
@@ -990,9 +996,8 @@ def test_step_check_rejects_a_bad_plane(monkeypatch, arc, extended, named):
     target = SignedDigraph(base.vertices, base.arcs | {arc})
     assert _structure_problems(extend_all(target, base, h), target) == []
     monkeypatch.setattr(synthesis, "_extended_tables", extended)
-    with pytest.raises(InternalInvariantError, match=re.escape(named)) as caught:
+    with pytest.raises(InternalInvariantError, match=re.escape(named)):
         extend_all(target, base, h)
-    assert "interaction graph differs from the input graph" in str(caught.value)
 
 
 def test_extend_all_checks_the_whole_system_once(monkeypatch):
@@ -1053,23 +1058,27 @@ def test_every_extension_result_runs_the_kernel_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "arcs, build, row, read, negate",
+    "arcs, build, row, read, negate, named",
     [
         # f1 = 1 - x1: a negative loop 1 -> 1 for the arc 3 -> 1 -, and still
         # no fixed point.
         pytest.param(
             [("1", "2", "+"), ("2", "3", "+"), ("3", "1", "-")], construct_no_fixed_point,
-            0, 0, True, id="no-fixed-point",
+            0, 0, True, "missing arcs [('3', '1', '-')]; extra arcs [('1', '1', '-')]",
+            id="no-fixed-point",
         ),
         # f2 = x2: a positive loop 2 -> 2 for the arc 1 -> 2 +, and still two
         # fixed points.
         pytest.param(
             [("1", "2", "+"), ("2", "1", "+")], lambda g: construct_2k_fixed_points(g, 1),
-            1, 1, False, id="two-fixed-points",
+            1, 1, False, "missing arcs [('1', '2', '+')]; extra arcs [('2', '2', '+')]",
+            id="two-fixed-points",
         ),
     ],
 )
-def test_single_cycle_results_are_structure_checked(monkeypatch, arcs, build, row, read, negate):
+def test_single_cycle_results_are_structure_checked(
+    monkeypatch, arcs, build, row, read, negate, named
+):
     # When the graph is exactly the chosen cycles, the cycle subsystem is
     # the result: its structure is checked once, and a wrong table raises
     # although its fixed-point count is the one asked for.
@@ -1087,8 +1096,9 @@ def test_single_cycle_results_are_structure_checked(monkeypatch, arcs, build, ro
         return sub, Fds(h.domain, tables)
 
     monkeypatch.setattr(synthesis, "cycle_subsystem", wrong)
-    with pytest.raises(InternalInvariantError, match="cycle subsystem failed self-check"):
+    with pytest.raises(InternalInvariantError) as caught:
         build(g)
+    assert str(caught.value) == "fixed-point construction failed self-check: " + named
 
 
 def test_component_qualifies_matches_an_arc_scan():
