@@ -168,6 +168,11 @@ def cmd_synth_fixed_points(args) -> int:
     return EXIT_OK
 
 
+def _check(label: str, problems: Sequence[str]) -> tuple[str, bool]:
+    """A check's label, naming its problems if it has any, and whether it passed."""
+    return label + (f" ({'; '.join(problems)})" if problems else ""), not problems
+
+
 def cmd_verify(args) -> int:
     if args.steps is not None and not args.sub:
         raise PreconditionError("--steps requires --sub")
@@ -179,9 +184,7 @@ def cmd_verify(args) -> int:
     if f is not None:
         match, bad = f.structure_fit(g)
         checks.append(("interaction graph matches", match))
-        checks.append(
-            ("degree bounds hold" + (f" (violations at {list(bad)})" if bad else ""), not bad)
-        )
+        checks.append(_check("degree bounds hold", [f"violations at {list(bad)}"] if bad else []))
         index = f.nilpotency_index()
         report["nilpotency_index"] = index
         report["fixed_points"] = len(f.fixed_points())
@@ -189,29 +192,16 @@ def cmd_verify(args) -> int:
         if os.path.exists(cert_file):
             cert = syn_mod.load_certificate(cert_file, g)
             problems = syn_mod.check_nilpotency_certificate(g, f, cert)
-            checks.append(
-                (
-                    "certificate verifies"
-                    + (f" ({'; '.join(problems)})" if problems else ""),
-                    not problems,
-                )
-            )
+            checks.append(_check("certificate verifies", problems))
 
     if args.sub:
         if f is None:
             raise PreconditionError("--sub requires --fds")
         if args.steps is None:
             raise PreconditionError("--sub requires --steps")
-        h = load_fds(args.sub)
-        steps = args.steps
-        witness = converges_toward(f, h, steps)
-        checks.append(
-            (
-                f"converges toward subsystem in {steps} steps"
-                + (f" ({'; '.join(witness.failures())})" if not witness.valid else ""),
-                witness.valid,
-            )
-        )
+        witness = converges_toward(f, load_fds(args.sub), args.steps)
+        label = f"converges toward subsystem in {args.steps} steps"
+        checks.append(_check(label, witness.failures()))
 
     if not checks:
         checks.append(("graph file well-formed", True))

@@ -90,10 +90,7 @@ class IntervalProduct:
 
     @cached_property
     def size(self) -> int:
-        out = 1
-        for lo, hi in self.intervals:
-            out *= hi - lo + 1
-        return out
+        return math.prod(self.shape)
 
     @cached_property
     def lows(self) -> tuple[int, ...]:
@@ -475,6 +472,8 @@ class ConvergenceWitness:
 
     Valid iff ``Y <= X``, ``f^k(X) <= h(Y)`` and ``f`` agrees with ``h`` on
     every state of ``Y``; ``h(Y) <= Y`` holds for every system on ``Y``.
+    When ``Y`` is not inside ``X`` the other two conditions are not checked
+    and read None.
     The inclusion of images is componentwise: every coordinate of every
     ``f^k`` value must be a value ``h`` takes at that coordinate, i.e.
     ``f^k(X)`` lies in the box ``h_1(Y) x ... x h_n(Y)``.  (Requiring
@@ -487,8 +486,8 @@ class ConvergenceWitness:
 
     steps: int
     domains_nested: bool
-    fk_image_in_h_image: bool
-    agreement: bool
+    fk_image_in_h_image: bool | None
+    agreement: bool | None
     counterexample: State | None = None
 
     @property
@@ -499,9 +498,9 @@ class ConvergenceWitness:
         out = []
         if not self.domains_nested:
             out.append("subsystem domain is not contained in the system domain")
-        if not self.fk_image_in_h_image:
+        if self.fk_image_in_h_image is False:
             out.append(f"f^{self.steps}(X) is not contained in h(Y)")
-        if not self.agreement:
+        if self.agreement is False:
             out.append(f"f and h disagree on Y (e.g. at {self.counterexample})")
         return out
 
@@ -513,7 +512,7 @@ def converges_toward(f: Fds, h: Fds, k: int) -> ConvergenceWitness:
     if k < 0:
         raise PreconditionError("step count must be nonnegative")
     if not h.domain.subset_of(f.domain):
-        return ConvergenceWitness(k, False, False, False)
+        return ConvergenceWitness(k, False, None, None)
 
     # f^k(X) as sorted offsets within X.
     fk = np.arange(f.domain.size)
@@ -875,11 +874,6 @@ def _read_json(path: str) -> tuple[str, object]:
             return text, json.loads(text)
         except ValueError as exc:
             raise SdgParseError(f"{path}: malformed JSON: {exc}") from None
-
-
-def load_json(path: str):
-    """Parse a JSON file; malformed JSON raises :class:`SdgParseError`."""
-    return _read_json(path)[1]
 
 
 def load_fds(path: str) -> Fds:

@@ -23,7 +23,6 @@ raises through :func:`_self_check`, naming every problem it finds.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from typing import Sequence
@@ -55,10 +54,10 @@ from .fds import (
     ConvergenceWitness,
     Fds,
     IntervalProduct,
+    _read_json,
     clipped_tables,
     converges_toward,
     json_int,
-    load_json,
     value_masks,
 )
 
@@ -100,8 +99,10 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
     """Rebuild a certificate from its JSON form.
 
     Representatives are read as a list of ``[component, representative]``
-    pairs, or in the older form of a map from comma-joined components.
-    Every vertex name must be a JSON string naming a vertex of ``graph``.
+    pairs, or in the older form of a map from comma-joined components: a
+    key that joins an initial strong component names it, and any other key
+    is split on commas.  Every vertex name must be a JSON string naming a
+    vertex of ``graph``.
     """
 
     def name(value) -> str:
@@ -114,7 +115,8 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
     try:
         pairs = data["representatives"]
         if isinstance(pairs, dict):
-            pairs = [(key.split(","), rep) for key, rep in pairs.items()]
+            joined = {",".join(c): c for c in component_structure(graph).initial_components}
+            pairs = [(joined.get(key) or key.split(","), rep) for key, rep in pairs.items()]
         reps = tuple(
             sorted(
                 ((tuple(map(name, comp)), name(rep)) for comp, rep in pairs),
@@ -172,7 +174,7 @@ def check_nilpotency_certificate(
         problems.append(f"beta mismatch: certificate {cert.beta}, graph {cs.beta}")
 
     flat = [v for layer in cert.layers for v in layer]
-    if sorted(flat) != sorted(g.vertices) or len(flat) != len(set(flat)):
+    if sorted(flat) != sorted(g.vertices):
         problems.append("layers do not partition the vertex set")
     rep_set = {rep for _, rep in cert.representatives}
     if cert.layers and set(cert.layers[0]) != rep_set:
@@ -206,13 +208,11 @@ def check_nilpotency_certificate(
     if not f.domain.contains(cert.target):
         problems.append("target state outside the domain")
         return problems
-    # A one-state domain is constant from f^0 on; otherwise f^index(X) is
-    # one state, which is also f^index of the target.
+    # f^index(X) is one state, which is also f^index of the target.
     steps = cert.lam + cert.beta
-    if f.domain.size > 1:
-        index = f.nilpotency_index()
-        if index is None or index > steps or f.iterate(cert.target, index) != cert.target:
-            problems.append(f"iterates do not collapse to the target within {steps} steps")
+    index = f.nilpotency_index()
+    if index is None or index > steps or f.iterate(cert.target, index) != cert.target:
+        problems.append(f"iterates do not collapse to the target within {steps} steps")
     return problems
 
 
@@ -222,14 +222,9 @@ def check_nilpotency_certificate(
 
 
 def _eligible_representatives(sub: SignedDigraph, comp: Sequence[str]) -> list[str]:
-    out = []
-    for v in comp:
-        if sub.in_degree(v) == 0:
-            out.append(v)
-            continue
-        if all(len(sub.out_neighbors(j)) >= 2 for j in sub.in_neighbors(v)):
-            out.append(v)
-    return out
+    """The vertices of ``comp`` whose every in-neighbour has at least two
+    out-neighbours."""
+    return [v for v in comp if all(len(sub.out_neighbors(j)) >= 2 for j in sub.in_neighbors(v))]
 
 
 class _Plan:
@@ -733,11 +728,10 @@ def convergence_plan(g: SignedDigraph, sub: SignedDigraph) -> ConvergencePlan:
     for c in _weak_components(g, iso):
         if not _component_qualifies(g, iso_set, c):
             closed.update(c)
-    property_p = not closed
     no_leaving = {u for u in iso if g.out_neighbors(u) <= iso_set}
     block_arcs = (a for a in g.arcs if a[0] in no_leaving and a[1] in iso_set)
     block_graph = SignedDigraph(g.vertices, frozenset(block_arcs))
-    if property_p:
+    if not closed:  # property P holds
         # Components that keep only their internal no-leaving arcs may still
         # collapse to signed cycles (e.g. a loop fed from a leaving-arc
         # vertex); those closed cycles are peeled off like the strongly
@@ -789,41 +783,30 @@ def _inward_arc_order(
     Cyclic added-arc structures fall back to index order inside a group.
     """
     heads = sorted({a[1] for a in arcs}, key=g.index)
+    iso_set = set(iso)
     internal = SignedDigraph.from_arcs(
-        {(a[0], a[1], a[2]) for a in arcs if a[0] in set(iso) and a[1] in set(iso)},
+        {a for a in arcs if a[0] in iso_set and a[1] in iso_set},
         vertices=heads + [v for v in iso if v not in heads],
     )
-    order_in_dag: dict[str, int] = {}
     sccs = _strong_components(internal, internal.vertices)
-    # Rank heads by a topological pass over the condensation, least
-    # component first among those ready.
     member = {v: k for k, c in enumerate(sccs) for v in c}
-    indeg = {k: 0 for k in range(len(sccs))}
-    succ: dict[int, set[int]] = {k: set() for k in range(len(sccs))}
-    for (s, t, _) in internal.arcs:
-        if member[s] != member[t] and member[t] not in succ[member[s]]:
-            succ[member[s]].add(member[t])
-            indeg[member[t]] += 1
-    frontier = [k for k, d in indeg.items() if d == 0]
-    rank = 0
-    while frontier:
-        k = heapq.heappop(frontier)
-        for v in sccs[k]:
-            order_in_dag[v] = rank
-        rank += 1
-        for w in succ[k]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                heapq.heappush(frontier, w)
+    preds: dict[int, set[int]] = {k: set() for k in range(len(sccs))}
+    for s, t, _ in internal.arcs:
+        if member[s] != member[t]:
+            preds[member[t]].add(member[s])
+    # Rank the components of the condensation: each time, the least one
+    # whose predecessors are all ranked.
+    rank: dict[int, int] = {}
+    while len(rank) < len(sccs):
+        rank[min(k for k in preds if k not in rank and preds[k] <= rank.keys())] = len(rank)
 
     def key(a: Arc):
-        head_rank = order_in_dag.get(a[1], len(sccs))
         preferred = NEGATIVE if a[1] in mirrored else POSITIVE
         # Inside a cyclic group, a head kept at its interval top (negative
         # orientation) must receive its arc while the tail still grows
         # upward, so such heads go first.
         return (
-            head_rank,
+            rank[member[a[1]]],
             a[1] not in mirrored,
             g.index(a[1]),
             a[2] != preferred,
@@ -841,11 +824,11 @@ def _placed_block(
     that its target is ``xi``."""
     block, cert = construct_nilpotent(q)
     flip = [q.index(v) for v in mirrored]
-    lows, highs, _ = block.domain.columns
-    target = np.array(cert.target)
-    target[flip] = lows[flip, 0] + highs[flip, 0] - target[flip]
-    # Python ints, so that a shift past the 64-bit integers cannot wrap
-    return block.mirror(flip).translate([x - t for x, t in zip(xi, target.tolist())])
+    target = [
+        lo + hi - t if i in flip else t
+        for i, (t, (lo, hi)) in enumerate(zip(cert.target, block.domain.intervals))
+    ]
+    return block.mirror(flip).translate([x - t for x, t in zip(xi, target)])
 
 
 def _glue(base: Fds, block: Fds, rows: Sequence[int]) -> Fds:
@@ -1029,4 +1012,4 @@ def save_certificate(cert: NilpotencyCertificate, path: str) -> None:
 
 
 def load_certificate(path: str, graph: SignedDigraph) -> NilpotencyCertificate:
-    return certificate_from_dict(load_json(path), graph)
+    return certificate_from_dict(_read_json(path)[1], graph)

@@ -494,6 +494,54 @@ def brute_force_convergence(f: Fds, h: Fds, k: int):
     return inside, counter is None, counter
 
 
+def reference_inward_arc_order(g: SignedDigraph, arcs, mirrored, iso) -> list:
+    """The order of the arcs entering the isolated set ``iso`` by Kahn's
+    algorithm over the strong components of the arcs inside it, a min-heap
+    of component indices as its frontier: the ranking that
+    ``synthesis._inward_arc_order`` states as "the least ready component"."""
+    import heapq
+
+    from sdgdyn.sdg import _strong_components
+
+    heads = sorted({a[1] for a in arcs}, key=g.index)
+    internal = SignedDigraph.from_arcs(
+        {a for a in arcs if a[0] in iso and a[1] in iso},
+        vertices=heads + [v for v in iso if v not in heads],
+    )
+    sccs = _strong_components(internal, internal.vertices)
+    member = {v: k for k, c in enumerate(sccs) for v in c}
+    indeg = {k: 0 for k in range(len(sccs))}
+    succ: dict[int, set[int]] = {k: set() for k in range(len(sccs))}
+    for s, t, _ in internal.arcs:
+        if member[s] != member[t] and member[t] not in succ[member[s]]:
+            succ[member[s]].add(member[t])
+            indeg[member[t]] += 1
+    frontier = [k for k, d in indeg.items() if d == 0]
+    order_in_dag: dict[str, int] = {}
+    rank = 0
+    while frontier:
+        k = heapq.heappop(frontier)
+        for v in sccs[k]:
+            order_in_dag[v] = rank
+        rank += 1
+        for w in succ[k]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(frontier, w)
+
+    def key(a):
+        preferred = NEGATIVE if a[1] in mirrored else POSITIVE
+        return (
+            order_in_dag.get(a[1], len(sccs)),
+            a[1] not in mirrored,
+            g.index(a[1]),
+            a[2] != preferred,
+            g.index(a[0]),
+        )
+
+    return sorted(arcs, key=key)
+
+
 def reference_local_tables(g: SignedDigraph, v: str, cells: list, lo: int, hi: int):
     """Every local table of ``v`` with values in ``[lo, hi]`` over ``cells``
     (in-neighbor coordinate tuples) that realizes the signs of the arcs into

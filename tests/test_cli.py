@@ -102,6 +102,30 @@ def test_synth_then_verify_roundtrip(eight_vertex_file, tmp_path, capsys):
     assert "nilpotency index: 4" in text
 
 
+def test_verify_with_the_graph_alone_checks_the_graph_file(eight_vertex_file, capsys):
+    assert main(["verify", "--graph", eight_vertex_file]) == 0
+    assert capsys.readouterr() == ("PASS: graph file well-formed\n", "")
+
+
+def test_verify_names_only_the_checks_it_ran(tmp_path, capsys):
+    # A subsystem whose domain is not inside the system's: the nesting
+    # fails, and the image and agreement checks are never run.
+    gpath, fpath, hpath = tmp_path / "g.sdg", tmp_path / "f.json", tmp_path / "h.json"
+    gpath.write_text("sdg v1\narc 1 2 +\narc 2 1 -\n")
+    fpath.write_text(json.dumps({"version": "fds.v1", "intervals": [[0, 1], [0, 1]],
+                                 "tables": [[1, 0, 1, 0], [0, 0, 1, 1]]}))
+    hpath.write_text(json.dumps({"version": "fds.v1", "intervals": [[0, 2], [0, 1]],
+                                 "tables": [[0] * 6, [0] * 6]}))
+    argv = ["verify", "--graph", str(gpath), "--fds", str(fpath), "--sub", str(hpath), "--steps", "1"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out == (
+        "PASS: interaction graph matches\nPASS: degree bounds hold\n"
+        "FAIL: converges toward subsystem in 1 steps "
+        "(subsystem domain is not contained in the system domain)\n"
+        "nilpotency index: None\nfixed points: 0\n"
+    )
+
+
 def test_verify_detects_corruption(eight_vertex_file, tmp_path, capsys):
     out = tmp_path / "f.json"
     main(["synth-nilpotent", "--graph", eight_vertex_file, "--out", str(out)])
@@ -292,11 +316,13 @@ EXIT_CODES = [
     (None, "synth-fixed-points --graph {neg2}", 3),
     (None, "synth-fixed-points --graph {neg2} --cycles -1", 3),
     ("1", "synth-fixed-points --graph {neg2} --cycles 0", 4),
+    (None, "verify --graph {eight}", 0),
     (None, "verify --graph {eight} --fds {f}", 0),
     (None, "verify --graph {eight} --fds {constant}", 1),
     (None, "verify --graph {eight} --fds {bad_json}", 2),
     (None, "verify --graph {eight} --sub {h}", 3),
     (None, "verify --graph {eight} --fds {f} --steps 2", 3),
+    (None, "verify --graph {conv} --fds {h} --sub {h}", 3),
     (None, "verify --graph {conv} --fds {h} --sub {h} --steps -1", 3),
     ("1", "verify --graph {eight} --fds {f}", 4),
     (None, "enumerate --graph {path}", 0),
@@ -312,6 +338,7 @@ EXIT_MESSAGES = {
     "synth-fixed-points --graph {neg2} --cycles -1": "k must be positive",
     "verify --graph {eight} --sub {h}": "--sub requires --fds",
     "verify --graph {eight} --fds {f} --steps 2": "--steps requires --sub",
+    "verify --graph {conv} --fds {h} --sub {h}": "--sub requires --steps",
     "verify --graph {conv} --fds {h} --sub {h} --steps -1": "step count must be nonnegative",
 }
 
@@ -579,6 +606,28 @@ def test_certificate_in_the_map_form_still_verifies(eight_vertex_file, tmp_path,
     capsys.readouterr()
     assert main(["verify", "--graph", eight_vertex_file, "--fds", str(out)]) == 0
     assert "PASS: certificate verifies" in capsys.readouterr().out
+
+
+def test_certificate_in_the_map_form_names_a_vertex_with_a_comma(tmp_path, capsys):
+    # A map key that joins an initial component names it, commas and all;
+    # a key that joins none is split on commas, and its names checked.
+    gpath = tmp_path / "comma.sdg"
+    gpath.write_text("sdg v1\nvertex a,b\nvertex c\narc a,b c +\narc c a,b -\narc c c +\n")
+    out, cert = tmp_path / "f.json", tmp_path / "f.cert.json"
+    assert main(["synth-nilpotent", "--graph", str(gpath), "--out", str(out)]) == 0
+    doc = json.loads(cert.read_text())
+    for representatives, code, err in (
+        ({"a,b,c": "a,b"}, 0, ""),
+        ({"c,a,b": "a,b"}, 2, "error: malformed certificate: unknown vertex 'a'\n"),
+    ):
+        doc["representatives"] = representatives
+        cert.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--graph", str(gpath), "--fds", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == err
+        if not code:
+            assert "PASS: certificate verifies" in captured.out
 
 
 def test_certificate_naming_an_unknown_vertex_is_malformed(tmp_path, capsys):

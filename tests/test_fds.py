@@ -22,6 +22,7 @@ from sdgdyn import (
     enumerate_degree_bounded_systems,
     enumerate_system_summaries,
     fds_from_dict,
+    from_component_functions,
     fds_to_dict,
     load_fds,
     random_fds,
@@ -440,6 +441,16 @@ def test_fixed_points():
 # ---------------------------------------------------------------------------
 
 
+def test_from_component_functions_evaluates_each_function_on_the_grids():
+    dom = IntervalProduct(((0, 1), (-1, 1)))
+    f = from_component_functions(dom, [lambda x: 1 - x[0], lambda x: np.minimum(x[0], x[1])])
+    states = list(dom.states())
+    assert f.tables.dtype == np.int64
+    assert f.tables.tolist() == [[1 - a for a, _ in states], [min(a, b) for a, b in states]]
+    with pytest.raises(PreconditionError, match="table 1 leaves interval"):
+        from_component_functions(dom, [lambda x: x[0], lambda x: x[1] + 1])
+
+
 def test_converges_toward_trivial_one_point():
     f = constant_fds(IntervalProduct(((0, 0),)), (0,))
     w = converges_toward(f, f, 0)
@@ -452,6 +463,17 @@ def test_converges_toward_checks_domains():
     assert not converges_toward(f, h, 1).valid  # h's domain not inside f's
     with pytest.raises(PreconditionError):
         converges_toward(f, constant_fds(IntervalProduct(((0, 0), (0, 0))), (0, 0)), 1)
+
+
+def test_converges_toward_checks_nothing_past_a_failed_nesting():
+    # Y is not inside X: the image and agreement conditions are not checked,
+    # so only the nesting is named.
+    f = table_system([(0, 1), (0, 1)], [[1, 0, 1, 0], [0, 0, 1, 1]])
+    h = table_system([(0, 2), (0, 1)], [[0] * 6, [0] * 6])
+    w = converges_toward(f, h, 1)
+    assert w == fds_mod.ConvergenceWitness(1, False, None, None)
+    assert w.failures() == ["subsystem domain is not contained in the system domain"]
+    assert not w.valid
 
 
 def test_converges_toward_detects_disagreement():
@@ -474,10 +496,11 @@ def test_converges_toward_detects_disagreement():
             "f^3(X) is not contained in h(Y)",
             "f and h disagree on Y (e.g. at (0, 1))",
         ]),
+        (False, None, None, ["subsystem domain is not contained in the system domain"]),
     ],
 )
 def test_convergence_witness_names_each_failure(nested, image, agree, expected):
-    w = fds_mod.ConvergenceWitness(3, nested, image, agree, None if agree else (0, 1))
+    w = fds_mod.ConvergenceWitness(3, nested, image, agree, (0, 1) if agree is False else None)
     assert w.failures() == expected
     assert w.valid == (not expected)
 

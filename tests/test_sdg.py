@@ -21,7 +21,9 @@ from sdgdyn import (
     find_disjoint_positive_cycles,
     format_sdg,
     is_signed_cycle,
+    load_sdg,
     parse_sdg,
+    save_sdg,
     to_dot,
     underlying_cycle_order,
 )
@@ -65,6 +67,14 @@ def test_parse_and_format_roundtrip():
     g = parse_sdg(text)
     assert g.vertices == ("x", "y")
     assert parse_sdg(format_sdg(g)) == g
+
+
+def test_save_sdg_writes_the_formatted_text(tmp_path):
+    g = parse_sdg("sdg v1\nvertex z\narc x y +\narc y x -\narc x x +\n")
+    path = tmp_path / "g.sdg"
+    save_sdg(g, str(path))
+    assert path.read_text(encoding="utf-8") == format_sdg(g)
+    assert load_sdg(str(path)) == g
 
 
 def test_parse_rejects_bad_input():

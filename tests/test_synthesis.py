@@ -1238,6 +1238,36 @@ def test_converging_orders_inputs_before_outputs():
     assert sorted(f.fixed_points()) == sorted(h.fixed_points())
 
 
+def test_inward_arc_order_is_the_heap_ranking():
+    # Arcs into a seeded isolated set, with cycles among its vertices: the
+    # least-ready-component rule gives the order of Kahn's algorithm with a
+    # min-heap frontier (the reference), also where that ranking puts a
+    # component before one of lower index.
+    from sdgdyn.sdg import _strong_components
+
+    rng = random.Random(28)
+    cyclic = reordered = 0
+    for _ in range(300):
+        n = rng.randint(3, 9)
+        names = [str(i) for i in range(1, n + 1)]
+        iso = sorted(rng.sample(names, rng.randint(2, n)), key=names.index)
+        arcs = {
+            (u, v, rng.choice(helpers.SIGNS))
+            for v in iso for u in names if rng.random() < 0.3
+        }
+        g = SignedDigraph.from_arcs(arcs, vertices=names)
+        mirrored = {v for v in iso if rng.random() < 0.3}
+        got = synthesis._inward_arc_order(g, frozenset(arcs), mirrored, iso)
+        assert got == helpers.reference_inward_arc_order(g, frozenset(arcs), mirrored, iso)
+        inner = g.spanning(a for a in arcs if a[0] in iso)
+        sccs = _strong_components(inner, iso)
+        cyclic += any(len(c) > 1 for c in sccs)
+        member = {v: k for k, c in enumerate(sccs) for v in c}
+        ranks = [member[a[1]] for a in got]
+        reordered += ranks != sorted(ranks)
+    assert cyclic > 100 and reordered > 100
+
+
 def test_converging_cyclic_mixed_sign_isolated_pair():
     # The two isolated-set vertices feed each other with mixed signs; the
     # negatively-oriented head must receive its arc first.
