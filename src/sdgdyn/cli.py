@@ -235,7 +235,9 @@ def cmd_enumerate(args) -> int:
         )
 
         def sizes_text(sizes):  # json.dumps(sizes, indent=2) at the depth of an entry's sizes
-            return json.dumps(sizes, indent=2).replace("\n", "\n      ")
+            if not sizes:
+                return "[]"
+            return "[\n        " + ",\n        ".join(map(str, sizes)) + "\n      ]"
     else:
         head, lead, sep, tail = f"degree-bounded systems: {count}", "\n", "\n", ""
         null, item, sizes_text = None, "sizes=%s index=%s fixed_points=%s", str

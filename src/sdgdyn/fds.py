@@ -389,10 +389,14 @@ def image_chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nilpotency indices and fixed-point counts of the rows of ``succ``.
 
     Row ``b`` of the int64 ``(B, S)`` array is the successor offset of every
-    state of one system on an ``S``-state domain.  The image chains
-    ``S_1 = f(X)``, ``S_{m+1} = f(S_m)`` of all rows run together on one
-    boolean ``B x S`` mask (flattened): scatter the successors of the live
-    rows' states, then count the marked states per row.  A chain decreases
+    state of one system on an ``S``-state domain.  Only a system with exactly
+    one fixed point can have a constant iterate: if ``f^k = c`` then
+    ``f(c) = f^{k+1}(c) = f^k(f(c)) = c``, and every fixed point ``x`` is
+    ``f^k(x) = c``.  So the other rows read index -1 without a chain step.
+    The image chains ``S_1 = f(X)``, ``S_{m+1} = f(S_m)`` of the remaining
+    rows, packed into one block, run together on one boolean mask over the
+    block's states (flattened): scatter the successors of the live rows'
+    states, then count the marked states per row.  A chain decreases
     strictly until it reaches the eventual image, so a row is done when its
     image shrinks to one state (index ``m``: the least k >= 1 with ``f^k``
     constant) or stops shrinking (no constant iterate, index -1).  Returns
@@ -401,18 +405,20 @@ def image_chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, size = succ.shape
     fixed = np.count_nonzero(succ == np.arange(size), axis=1)
     index = np.full(rows, -1, dtype=np.int64)
-    flat = (succ + np.arange(0, rows * size, size)[:, None]).ravel()
-    count = np.full(rows, size)
+    chained = np.flatnonzero(fixed == 1)
+    block = chained.size
+    flat = (succ[chained] + np.arange(0, block * size, size)[:, None]).ravel()
+    count = np.full(block, size)
     states = flat  # f(X), with repeats
     step = 0
     while states.size:
-        mask = np.zeros(rows * size, dtype=bool)
+        mask = np.zeros(block * size, dtype=bool)
         mask[states] = True
         states = mask.nonzero()[0]
         owner = states // size
-        new = np.bincount(owner, minlength=rows)
+        new = np.bincount(owner, minlength=block)
         step += 1
-        index[new == 1] = step
+        index[chained[new == 1]] = step
         live = (new > 1) & (new < count)
         count = new
         states = flat[states[live[owner]]]

@@ -1012,3 +1012,16 @@ def test_each_command_computes_a_verdict_once(eight_vertex_file, tmp_path, monke
     assert main(["synth-fixed-points", "--graph", str(gpath), "--cycles", "1"]) == 0
     assert "2 fixed points" in capsys.readouterr().out
     assert len(searches) == 2
+
+
+def test_every_enum_families_item_keeps_its_recorded_digest(tmp_path, monkeypatch):
+    # Runs the 392 enumerate items of the benchmark pool in this process and
+    # compares exit codes and output digests with bench/pool.json, which is
+    # only read.
+    import check_pool
+
+    with open(os.path.join(check_pool.ROOT, "bench", "pool.json"), encoding="utf-8") as fh:
+        recorded = json.load(fh)["enum-families"]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("SDG_CAP", raising=False)
+    assert check_pool.differing("enum-families", recorded) == []

@@ -661,6 +661,28 @@ def test_image_chains_match_unique_chains_on_random_systems():
             assert count == len(f.fixed_points())
 
 
+def test_image_chains_match_unique_chains_on_every_self_map_up_to_five_states():
+    # One block per S: all S^S maps of an S-state set into itself, 3,413 rows
+    # for S = 1..5.  The maps with a constant iterate are the rooted labelled
+    # trees on S vertices, S^(S-1) of them by Cayley's formula.
+    rows = 0
+    for size in range(1, 6):
+        dom = IntervalProduct(((0, size - 1),))
+        maps = np.array(list(product(range(size), repeat=size)), dtype=np.int64)
+        index, fixed = fds_mod.image_chains(maps)
+        for row, k, count in zip(maps.tolist(), index.tolist(), fixed.tolist()):
+            f = Fds(dom, [row])
+            want = helpers.unique_chain_index(f)
+            assert (k if k > 0 else None) == want and f.nilpotency_index() == want
+            assert count == sum(row[x] == x for x in range(size))
+        assert np.count_nonzero(index != -1) == size ** (size - 1)
+        rows += len(maps)
+    assert rows == 3_413
+    # One fixed point is not enough: 0 -> 0 with the 2-cycle 1 <-> 2.
+    index, fixed = fds_mod.image_chains(np.array([[0, 2, 1]]))
+    assert index.tolist() == [-1] and fixed.tolist() == [1]
+
+
 def _signed_cycles(max_n):
     for n in range(1, max_n + 1):
         names = [str(i + 1) for i in range(n)]
