@@ -284,35 +284,20 @@ class Fds:
             for j, i in np.argwhere(hits).tolist()
         ]
 
-    def structure_fit(self, g: SignedDigraph) -> tuple[bool, tuple[int, ...]]:
-        """Whether the interaction graph is exactly ``g`` (component ``i``
-        named ``g.vertices[i]``), and the components at which the degree
-        bound fails on the interaction graph (see :meth:`is_degree_bounded`)."""
-        arcs = self.interaction_arcs(g.vertices)
-        # Equal arcs give equal degrees, so only a mismatch needs the system's own graph.
-        _, bad = self.is_degree_bounded(g if arcs == g.arcs else SignedDigraph(g.vertices, arcs))
-        return arcs == g.arcs, bad
-
-    def is_degree_bounded(
-        self, graph: SignedDigraph | None = None
-    ) -> tuple[bool, tuple[int, ...]]:
-        """Check interval sizes against the interaction graph's out-degrees.
-
-        Requires ``|X_i| = 2`` for non-isolated sinks and
-        ``|X_i| <= out-degree + 1`` otherwise (hence 1 for isolated
-        vertices).  Returns the verdict and the offending component indices.
+    def is_degree_bounded(self) -> tuple[bool, tuple[int, ...]]:
+        """Check interval sizes against the degrees of the system's own
+        interaction arcs (parallel arcs count twice): each ``|X_i|`` must lie
+        in :func:`_degree_bound` of component ``i``'s out- and in-degree.
+        Returns the verdict and the offending component indices.
         """
-        g = graph if graph is not None else self.interaction_graph()
-        if g.n != self.n:
-            raise PreconditionError("graph arity differs from system arity")
+        out, into = [0] * self.n, [0] * self.n
+        for j, i, _ in self._interaction_arcs:
+            out[j] += 1
+            into[i] += 1
         bad = tuple(
             i
-            for i, (a, size) in enumerate(zip(g._adjacency.values(), self.domain.shape))
-            if not (
-                size == 2
-                if a.out_degree == 0 and a.in_degree > 0
-                else size <= a.out_degree + 1
-            )
+            for i, size in enumerate(self.domain.shape)
+            if size not in _degree_bound(out[i], into[i])
         )
         return (not bad, bad)
 
@@ -552,14 +537,13 @@ def converges_toward(f: Fds, h: Fds, k: int) -> ConvergenceWitness:
 # ---------------------------------------------------------------------------
 
 
-def _admissible_sizes(g: SignedDigraph, v: str) -> list[int]:
-    dout, din = g.out_degree(v), g.in_degree(v)
-    if dout == 0 and din > 0:
-        return [2]
-    if dout == 0:
-        return [1]
-    # Size 1 cannot realize an out-arc, so it never yields an admissible system.
-    return list(range(2, dout + 2))
+def _degree_bound(out_degree: int, in_degree: int) -> range:
+    """The interval sizes a degree-bounded system allows a component of
+    these degrees: 2 at a sink with inputs, 1 at an isolated vertex, and 2 to
+    out-degree + 1 otherwise (a one-value axis carries no arc)."""
+    if out_degree:
+        return range(2, out_degree + 2)
+    return range(2, 3) if in_degree else range(1, 2)
 
 
 def _sign_pattern(g: SignedDigraph, v: str) -> tuple[tuple[bool, bool], ...]:
@@ -711,9 +695,9 @@ def _cap_error(cap: int) -> ResourceCapError:
 
 
 def _degree_bounded_domains(g: SignedDigraph) -> Iterator[IntervalProduct]:
-    """Every admissible size assignment, intervals starting at 0, in
-    ascending lexicographic order."""
-    size_menu = [_admissible_sizes(g, v) for v in g.vertices]
+    """Every size assignment that :func:`_degree_bound` allows on ``g``,
+    intervals starting at 0, in ascending lexicographic order."""
+    size_menu = [_degree_bound(g.out_degree(v), g.in_degree(v)) for v in g.vertices]
     for sizes in product(*size_menu):
         yield IntervalProduct(tuple((0, s - 1) for s in sizes))
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,6 +95,12 @@ class NilpotencyCertificate:
         }
 
 
+def _by_representative(pairs: Iterable, g: SignedDigraph) -> tuple:
+    """``(component, representative)`` pairs in the vertex order of their
+    representatives: the one order certificates are written and read in."""
+    return tuple(sorted(pairs, key=lambda item: g.index(item[1])))
+
+
 def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertificate:
     """Rebuild a certificate from its JSON form.
 
@@ -102,7 +108,9 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
     pairs, or in the older form of a map from comma-joined components: a
     key that joins an initial strong component names it, and any other key
     is split on commas.  Every vertex name must be a JSON string naming a
-    vertex of ``graph``.
+    vertex of ``graph``, and no component may be empty.  The pairs are
+    sorted as :func:`construct_nilpotent` sorts them, so a written
+    certificate reads back equal.
     """
 
     def name(value) -> str:
@@ -117,12 +125,11 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
         if isinstance(pairs, dict):
             joined = {",".join(c): c for c in component_structure(graph).initial_components}
             pairs = [(joined.get(key) or key.split(","), rep) for key, rep in pairs.items()]
-        reps = tuple(
-            sorted(
-                ((tuple(map(name, comp)), name(rep)) for comp, rep in pairs),
-                key=lambda item: graph.index(item[0][0]),
-            )
+        reps = _by_representative(
+            ((tuple(map(name, comp)), name(rep)) for comp, rep in pairs), graph
         )
+        if not all(comp for comp, _ in reps):
+            raise ValueError("empty component")
         layers = tuple(tuple(map(name, layer)) for layer in data["layers"])
         target = tuple(json_int(x) for x in data["xi"])
         lam = json_int(data["lambda"])
@@ -132,22 +139,26 @@ def certificate_from_dict(data: dict, graph: SignedDigraph) -> NilpotencyCertifi
     return NilpotencyCertificate(lam, beta, reps, layers, target)
 
 
+def _arc_problems(f: Fds, g: SignedDigraph) -> list[str]:
+    """The arcs of ``g`` that ``f`` does not realize, then the arcs ``f``
+    realizes that ``g`` lacks, each named in :meth:`SignedDigraph.sorted_arcs`
+    order and only when there are any.  ``f`` has one component per vertex."""
+    arcs = f.interaction_arcs(g.vertices)
+    return [
+        f"{label} arcs {SignedDigraph(g.vertices, diff).sorted_arcs()}"
+        for label, diff in (("missing", g.arcs - arcs), ("extra", arcs - g.arcs))
+        if diff
+    ]
+
+
 def _structure_problems(f: Fds, g: SignedDigraph) -> list[str]:
-    """Why ``f`` is not a degree-bounded system whose interaction graph is
-    exactly ``g`` (empty when it is): the arcs of ``g`` that ``f`` does not
-    realize, the arcs ``f`` realizes that ``g`` lacks, each in
-    :meth:`SignedDigraph.sorted_arcs` order, and the components at which
-    the degree bound fails.  ``f`` has one component per vertex."""
-    match, bad = f.structure_fit(g)
-    problems = []
-    if not match:
-        arcs = f.interaction_arcs(g.vertices)
-        for label, diff in (("missing", g.arcs - arcs), ("extra", arcs - g.arcs)):
-            if diff:
-                problems.append(f"{label} arcs {SignedDigraph(g.vertices, diff).sorted_arcs()}")
-    if bad:
-        problems.append(f"degree bound violated at components {bad}")
-    return problems
+    """The one verdict on whether ``f`` is a degree-bounded system whose
+    interaction graph is exactly ``g``: its :func:`_arc_problems`, then the
+    components at which :meth:`Fds.is_degree_bounded` fails on ``f``'s own
+    arcs.  Empty when ``f`` is such a system."""
+    problems = _arc_problems(f, g)
+    _, bad = f.is_degree_bounded()
+    return problems + [f"degree bound violated at components {bad}"] * bool(bad)
 
 
 def _self_check(what: str, problems: list[str]) -> None:
@@ -363,9 +374,7 @@ def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
     cert = NilpotencyCertificate(
         lam=cs.lam,
         beta=cs.beta,
-        representatives=tuple(
-            sorted(plan.representatives, key=lambda item: g.index(item[1]))
-        ),
+        representatives=_by_representative(plan.representatives, g),
         layers=tuple(
             tuple(v for v in g.vertices if plan.depth[v] == d)
             for d in range(max(plan.depth.values()) + 1)

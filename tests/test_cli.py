@@ -127,15 +127,32 @@ def test_verify_names_only_the_checks_it_ran(tmp_path, capsys):
 
 
 def test_verify_detects_corruption(eight_vertex_file, tmp_path, capsys):
+    # The flipped entry adds negative arcs into 1: the graph line names
+    # them, and the certificate line only what the structure lines do not.
     out = tmp_path / "f.json"
     main(["synth-nilpotent", "--graph", eight_vertex_file, "--out", str(out)])
     capsys.readouterr()
+    written = load_fds(str(out))
     doc = json.loads(out.read_text())
     doc["tables"][0][0] = 1 - doc["tables"][0][0]  # flip one entry
     out.write_text(json.dumps(doc))
     assert main(["verify", "--graph", eight_vertex_file, "--fds", str(out)]) == 1
-    text = capsys.readouterr().out
-    assert "FAIL" in text
+    extra = [(str(v), "1", "-") for v in (1, 3, 4, 5, 6, 7, 8)]
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        f"FAIL: interaction graph matches (extra arcs {extra})",
+        "PASS: degree bounds hold",
+        "FAIL: certificate verifies (iterates do not collapse to the target within 4 steps)",
+    ]
+
+    # Three more values on top of X_1, which the tables never reach: only
+    # the degree line fails, and the certificate line does not repeat it.
+    save_fds(__import__("test_synthesis")._widened(written, 0, 3), str(out))
+    assert main(["verify", "--graph", eight_vertex_file, "--fds", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "PASS: interaction graph matches",
+        "FAIL: degree bounds hold (violations at [0])",
+        "PASS: certificate verifies",
+    ]
 
 
 def test_synth_converge_cli(tmp_path, capsys):

@@ -392,6 +392,61 @@ def test_degree_bounded_sink_needs_two_levels():
     assert not ok and bad == (1,)
 
 
+def _degree_branch(arcs, v):
+    """Out- and in-degree of ``v`` over ``arcs`` (parallel arcs count twice),
+    and which branch of the degree bound they select."""
+    dout = sum(1 for s, _, _ in arcs if s == v)
+    din = sum(1 for _, t, _ in arcs if t == v)
+    return dout, din, "out-degree > 0" if dout else ("sink" if din else "isolated")
+
+
+def test_degree_bound_matches_its_definition():
+    # Drawn as in test_interaction_graph_matches_brute_force_oracle: random
+    # tables with one-value axes, and systems on graphs with parallel arcs.
+    # The bound as stated: |X_i| = 2 at a sink with in-arcs, otherwise
+    # |X_i| <= out-degree + 1, on the brute-force arcs.
+    rng = random.Random(31)
+    seen = collections.Counter()
+    for trial in range(300):
+        if trial % 2:
+            f = random_fds(rng, [rng.choice((1, 2, 2, 3)) for _ in range(rng.randint(1, 6))])
+        else:
+            f = helpers.random_system_on(rng, helpers.random_connected_sdg(rng, 6))
+        arcs = helpers.brute_force_interaction_arcs(f)
+        bad = []
+        for i, size in enumerate(f.domain.shape):
+            dout, din, branch = _degree_branch(arcs, str(i + 1))
+            if not (size == 2 if branch == "sink" else size <= dout + 1):
+                bad.append(i)
+            seen[branch] += 1
+        assert f.is_degree_bounded() == (not bad, tuple(bad))
+        seen["bounded" if not bad else "unbounded"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_degree_bounded_domains_list_every_size_tuple_the_bound_allows():
+    # Graphs with loops, parallel arcs and lone vertices.  A size allowed
+    # at a vertex is one the bound as stated admits and that realizes its
+    # out-arcs (one value carries none), so at most 2n + 1.
+    rng = random.Random(32)
+    seen = collections.Counter()
+    for _ in range(80):
+        g = helpers.random_connected_sdg(rng, 4)
+        g = SignedDigraph(g.vertices + ("lone",) * rng.randint(0, 1), g.arcs)
+        menus = []
+        for v in g.vertices:
+            dout, din, branch = _degree_branch(g.arcs, v)
+            menus.append([
+                s for s in range(1, 2 * g.n + 2)
+                if (s == 2 if branch == "sink" else s <= dout + 1) and (s > 1 or not dout)
+            ])
+            seen[branch] += 1
+        domains = list(fds_mod._degree_bounded_domains(g))
+        assert [d.shape for d in domains] == sorted(product(*menus)), g
+        assert all(lo == 0 for d in domains for lo, _ in d.intervals)
+    assert min(seen.values()) >= 10, seen
+
+
 # ---------------------------------------------------------------------------
 # nilpotency and fixed points
 # ---------------------------------------------------------------------------

@@ -222,6 +222,35 @@ def test_certificate_json_roundtrip_and_tampering():
     assert check_nilpotency_certificate(g, tampered, cert)
 
 
+def test_certificate_reads_back_equal_to_the_one_written():
+    # The component {1, 4} has the first vertex, but its representative 4
+    # comes after the representative 2 of {2}: both sides order the pairs
+    # by representative.
+    g = SignedDigraph.from_arcs(
+        [("1", "4", "+"), ("4", "1", "+"), ("1", "3", "+"), ("2", "3", "+")],
+        vertices=["1", "2", "3", "4"],
+    )
+    _, cert = construct_nilpotent(g)
+    assert cert.to_dict()["representatives"] == [[["2"], "2"], [["1", "4"], "4"]]
+    assert certificate_from_dict(json.loads(json.dumps(cert.to_dict())), g) == cert
+
+    rng = random.Random(3110)
+    seen = reordered = 0
+    for k in range(200):
+        g = helpers.random_connected_sdg(rng, 7) if k % 2 else helpers.mixed_components_sdg(rng)
+        try:
+            _, cert = construct_nilpotent(g)
+        except PreconditionError:  # a component is a signed cycle
+            continue
+        if len(cert.representatives) < 2:
+            continue
+        assert certificate_from_dict(json.loads(json.dumps(cert.to_dict())), g) == cert
+        by_component = sorted(cert.representatives, key=lambda item: g.index(item[0][0]))
+        seen += 1
+        reordered += by_component != list(cert.representatives)
+    assert seen >= 50 and reordered >= 10, (seen, reordered)
+
+
 def test_certificate_problems_come_in_vertex_order():
     # Sources b and a, listed b first: both targets are off their interval
     # minimum, and the problems name them in vertex order.
@@ -358,20 +387,22 @@ def test_structure_check_matches_a_brute_force_oracle(tmp_path, capsys):
         f, g = drawn
         missing, extra, bad = _oracle_structure(f, g)
         same = not missing and not extra
-        want = [f"missing arcs {missing}"] * bool(missing) + [f"extra arcs {extra}"] * bool(extra)
-        want += [f"degree bound violated at components {bad}"] * bool(bad)
+        arcs = [f"missing arcs {missing}"] * bool(missing) + [f"extra arcs {extra}"] * bool(extra)
+        want = arcs + [f"degree bound violated at components {bad}"] * bool(bad)
         assert _structure_problems(f, g) == want, (case, g, f.domain)
         assert (same, bool(bad)) == (case in ("match", "degree"), case.startswith("degree"))
         if case in ("missing arc", "extra arc", "flipped sign"):
             assert (bool(missing), bool(extra)) == (case != "extra arc", case != "missing arc")
         seen[case] += 1
 
-        # verify prints one PASS/FAIL line per check, in the same terms
+        # verify prints one PASS/FAIL line per check, in the same terms: the
+        # graph line names the arcs, the degree line the components
         gpath.write_text(format_sdg(g))
         save_fds(f, str(fpath))
         code = main(["verify", "--graph", str(gpath), "--fds", str(fpath)])
         lines = [
-            f"{'PASS' if same else 'FAIL'}: interaction graph matches",
+            f"FAIL: interaction graph matches ({'; '.join(arcs)})" if arcs
+            else "PASS: interaction graph matches",
             f"FAIL: degree bounds hold (violations at {list(bad)})" if bad
             else "PASS: degree bounds hold",
         ]
