@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
@@ -34,7 +34,7 @@ from .sdg import (
 
 DEFAULT_STATE_CAP = 10**7
 DEFAULT_TABLE_CAP = 10**7
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 State = tuple[int, ...]
 
@@ -64,44 +64,44 @@ def env_cap(default: int, given: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class IntervalProduct:
-    """An ordered product of finite integer intervals ``[lo, hi]``."""
+    """An ordered product of finite integer intervals ``[lo, hi]``.
+
+    ``shape`` (interval sizes), ``size`` (their product), ``lows`` and the
+    mixed-radix ``weights`` are computed once, on construction."""
 
     intervals: tuple[tuple[int, int], ...]
+    shape: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    size: int = field(init=False, repr=False, compare=False)
+    lows: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    weights: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         norm = tuple((int(lo), int(hi)) for lo, hi in self.intervals)
-        object.__setattr__(self, "intervals", norm)
         for lo, hi in norm:
             if lo > hi:
                 raise PreconditionError(f"empty interval [{lo},{hi}]")
-            if lo < _INT64.min or hi > _INT64.max:
+            if lo < _INT64_MIN or hi > _INT64_MAX:
                 raise PreconditionError(f"interval [{lo},{hi}] leaves the 64-bit integers")
+        shape = tuple(hi - lo + 1 for lo, hi in norm)
+        weights = [1] * len(norm)
+        for i in range(len(norm) - 2, -1, -1):
+            weights[i] = weights[i + 1] * shape[i + 1]
+        size = math.prod(shape)
+        for name, value in (
+            ("intervals", norm),
+            ("shape", shape),
+            ("size", size),
+            ("lows", tuple(lo for lo, _ in norm)),
+            ("weights", tuple(weights)),
+        ):
+            object.__setattr__(self, name, value)
         cap = env_cap(DEFAULT_STATE_CAP)
-        if self.size > cap:
-            raise ResourceCapError(f"state space of size {self.size} exceeds cap {cap}")
+        if size > cap:
+            raise ResourceCapError(f"state space of size {size} exceeds cap {cap}")
 
     @property
     def n(self) -> int:
         return len(self.intervals)
-
-    @cached_property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(hi - lo + 1 for lo, hi in self.intervals)
-
-    @cached_property
-    def size(self) -> int:
-        return math.prod(self.shape)
-
-    @cached_property
-    def lows(self) -> tuple[int, ...]:
-        return tuple(lo for lo, _ in self.intervals)
-
-    @cached_property
-    def weights(self) -> tuple[int, ...]:
-        w = [1] * self.n
-        for i in range(self.n - 2, -1, -1):
-            w[i] = w[i + 1] * self.shape[i + 1]
-        return tuple(w)
 
     def contains(self, state: Sequence[int]) -> bool:
         return len(state) == self.n and all(
@@ -200,7 +200,11 @@ class Fds:
         if arr.shape != (n, size):
             raise PreconditionError(f"need {n} tables of {size} entries each")
         lows, highs, _ = self.domain.columns
-        bad = (arr.min(axis=1) < lows[:, 0]) | (arr.max(axis=1) > highs[:, 0])
+        # The ufunc reduces, not arr.min/arr.max, whose Python-level wrappers
+        # cost more than the reduction on the small tables synthesis builds.
+        bad = (np.minimum.reduce(arr, axis=1) < lows[:, 0]) | (
+            np.maximum.reduce(arr, axis=1) > highs[:, 0]
+        )
         if bad.any():
             i = int(bad.argmax())
             lo, hi = self.domain.intervals[i]
@@ -363,11 +367,12 @@ def unit_step_signs(cubes: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarra
     """For each row of the ``(rows, *shape)`` array ``cubes``: whether a unit
     step along state axis ``axis`` (array axis ``axis + 1``) raises the value
     somewhere, and whether it lowers it somewhere.  An axis of length 1, or
-    a block of no rows, gives two all-False arrays."""
+    a block of no rows, gives two all-False arrays.  Neighbouring slices are
+    compared, not subtracted, so no step wraps in a narrow integer dtype."""
     at = (slice(None),) * (axis + 1)
-    diff = cubes[at + (slice(1, None),)] - cubes[at + (slice(-1),)]
+    hi, lo = cubes[at + (slice(1, None),)], cubes[at + (slice(-1),)]
     rest = tuple(range(1, cubes.ndim))
-    return (diff > 0).any(axis=rest), (diff < 0).any(axis=rest)
+    return np.logical_or.reduce(hi > lo, axis=rest), np.logical_or.reduce(hi < lo, axis=rest)
 
 
 def image_chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -392,6 +397,8 @@ def image_chains(succ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     index = np.full(rows, -1, dtype=np.int64)
     chained = np.flatnonzero(fixed == 1)
     block = chained.size
+    if not block:
+        return index, fixed
     flat = (succ[chained] + np.arange(0, block * size, size)[:, None]).ravel()
     count = np.full(block, size)
     states = flat  # f(X), with repeats

@@ -634,10 +634,11 @@ def extend_all(
 ) -> Fds:
     """Fold :func:`extend_by_arc` over all arcs of ``target`` missing from the base.
 
-    Requires a base system whose interaction graph is exactly
-    ``base_graph``, and the two structural hypotheses of the extension: no
-    target arc from a sink of the base to a source of the base, and no
-    target arc into a vertex isolated in the base.  Arcs are added in
+    Requires a degree-bounded base system whose interaction graph is
+    exactly ``base_graph`` (checked on entry by :func:`_structure_problems`),
+    and the two structural hypotheses of the extension: no target arc from
+    a sink of the base to a source of the base, and no target arc into a
+    vertex isolated in the base.  Arcs are added in
     (source index, target index, ``+`` before ``-``) order unless an
     explicit order is supplied; ``future_arcs`` are arcs that later
     invocations will add, used only to steer interval growth.  A result
@@ -648,9 +649,10 @@ def extend_all(
     """
     if not base_graph.is_spanning_subgraph_of(target):
         raise PreconditionError("base graph is not a spanning subgraph of the target")
-    if base_system.interaction_arcs(base_graph.vertices) != base_graph.arcs:
+    problems = _structure_problems(base_system, base_graph)
+    if problems:
         raise PreconditionError(
-            "base system's interaction graph differs from the base graph"
+            "base system's structure does not fit the base graph: " + "; ".join(problems)
         )
     sources_b, sinks_b, isolated_b = classify_vertices(base_graph)
     missing = [a for a in target.sorted_arcs() if a not in base_graph.arcs]
@@ -719,7 +721,8 @@ class ConvergencePlan:
     whose sources need both orientations.  When ``closed`` is empty the
     direct path runs: a nilpotent system on ``block_graph``, mirrored on the
     block components in ``mirrored``, is glued onto the subsystem at the
-    isolated vertices and extended twice.  An open block component whose sources need both
+    isolated vertices (when ``block_graph`` has arcs; without one the glue
+    is the subsystem itself) and extended twice.  An open block component whose sources need both
     orientations is neither mirrored nor closed; the extension realizes its
     arcs from whichever end each source's constant can step.
     """
@@ -863,9 +866,16 @@ def _pipeline_direct(
     outward = g.spanning(padded.arcs | {a for a in g.arcs if a[1] not in iso_set})
     # h is degree-bounded on the subgraph, so its isolated vertices have
     # one-value intervals; the block's target sits on them, and h reads
-    # each of them at that value.
-    block = _placed_block(plan.block_graph, h.domain.lows, plan.mirrored)
-    tilde_h = _glue(h, block, [g.index(v) for v in plan.isolated])
+    # each of them at that value.  Without a block arc the glue is h
+    # itself, so no block is built: each isolated vertex is then a lone
+    # block vertex whose rule is the constant 0 on (0, 0), mirroring a
+    # one-point interval is the identity, and the translate moves it to the
+    # one value of h's interval there, which h takes everywhere.
+    tilde_h = h
+    if plan.block_graph.arcs:
+        block = _placed_block(plan.block_graph, h.domain.lows, plan.mirrored)
+        tilde_h = _glue(h, block, [g.index(v) for v in plan.isolated])
+        _self_check("glued block", _structure_problems(tilde_h, padded))
     remaining = _inward_arc_order(
         g, g.arcs - outward.arcs, set(plan.mirrored), plan.isolated
     )

@@ -299,6 +299,69 @@ def test_unit_step_signs_match_a_cell_scan(data):
         assert (bool(rise[b]), bool(fall[b])) == (rises, falls)
 
 
+def test_unit_step_signs_match_every_unit_step_in_narrow_dtypes():
+    # Seeded cubes of three integer dtypes, with values over the whole
+    # range of the narrow ones: the int8 step from -100 to 100 would read
+    # as a fall if it were subtracted in int8.  Axes of length 1 and blocks
+    # of no rows are drawn too.
+    rng = random.Random(16)
+    cases = [(np.array([[-100, 100]], dtype=np.int8), 0)]
+    for dtype in (np.int8, np.int16, np.int64):
+        info = np.iinfo(dtype)
+        for _ in range(60):
+            shape = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            rows = rng.randint(0, 4)
+            values = [rng.randint(info.min, info.max) for _ in range(rows * math.prod(shape))]
+            cube = np.array(values, dtype=dtype).reshape((rows,) + shape)
+            cases.append((cube, rng.randrange(len(shape))))
+    lone = empty = 0
+    for cube, axis in cases:
+        rise, fall = fds_mod.unit_step_signs(cube, axis)
+        assert rise.shape == fall.shape == (len(cube),)
+        for b in range(len(cube)):
+            steps = [
+                (int(cube[b][x]), int(cube[b][x[:axis] + (x[axis] + 1,) + x[axis + 1 :]]))
+                for x in product(*map(range, cube.shape[1:]))
+                if x[axis] + 1 < cube.shape[axis + 1]
+            ]
+            want = (any(v < w for v, w in steps), any(v > w for v, w in steps))
+            assert (bool(rise[b]), bool(fall[b])) == want, (cube.dtype, axis, cube[b])
+        lone += cube.shape[axis + 1] == 1
+        empty += not len(cube)
+    assert lone >= 10 and empty >= 10, (lone, empty)
+
+
+def test_interval_product_geometry_matches_its_definitions(monkeypatch):
+    # Seeded domains with negative lows and one-point axes, and one-point
+    # intervals at the ends of the 64-bit integers; the 64-bit gate and the
+    # state cap keep their messages.
+    rng = random.Random(17)
+    top = (1 << 63) - 1
+    domains = [IntervalProduct(((top, top), (-top, -top), (-top - 1, -top - 1), (-2, 0)))]
+    for _ in range(80):
+        lows = [rng.randint(-5, 5) for _ in range(rng.randint(0, 4))]
+        domains.append(IntervalProduct(tuple((lo, lo + rng.randint(0, 3)) for lo in lows)))
+    for dom in domains:
+        assert dom.shape == tuple(hi - lo + 1 for lo, hi in dom.intervals)
+        assert dom.size == math.prod(dom.shape) == len(list(dom.states()))
+        assert dom.lows == tuple(lo for lo, _ in dom.intervals)
+        assert dom.weights == tuple(math.prod(dom.shape[i + 1 :]) for i in range(dom.n))
+        for o, x in enumerate(dom.states()):
+            assert dom.state(o) == x and dom.offset(dom.state(o)) == o
+    assert sum(1 in dom.shape for dom in domains) >= 20
+    assert sum(min(dom.lows, default=0) < 0 for dom in domains) >= 20
+    monkeypatch.setenv("SDG_CAP", "5")
+    gate = "interval [{},{}] leaves the 64-bit integers"
+    for intervals, error, message in (
+        (((top, top + 1),), PreconditionError, gate.format(top, top + 1)),
+        (((-top - 2, 0),), PreconditionError, gate.format(-top - 2, 0)),
+        (((-3, 2),), ResourceCapError, "state space of size 6 exceeds cap 5"),
+    ):
+        with pytest.raises(error) as info:
+            IntervalProduct(intervals)
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("cells", [1, 6, 30])
 def test_interaction_arcs_in_chunks_match_brute_force(monkeypatch, cells):
     # BLOCK_CELLS small: the kernel runs on chunks of one or a few
@@ -732,6 +795,11 @@ def test_image_chains_match_unique_chains_on_every_self_map_up_to_five_states():
             assert count == sum(row[x] == x for x in range(size))
         assert np.count_nonzero(index != -1) == size ** (size - 1)
         rows += len(maps)
+        # A block in which no row passes the one-fixed-point gate.
+        gated = maps[np.count_nonzero(maps == np.arange(size), axis=1) != 1]
+        index, fixed = fds_mod.image_chains(gated)
+        assert index.tolist() == [-1] * len(gated)
+        assert fixed.tolist() == [sum(row[x] == x for x in range(size)) for row in gated.tolist()]
     assert rows == 3_413
     # One fixed point is not enough: 0 -> 0 with the 2-cycle 1 <-> 2.
     index, fixed = fds_mod.image_chains(np.array([[0, 2, 1]]))

@@ -30,6 +30,7 @@ from sdgdyn import (
     extend_all,
     extend_by_arc,
     fds_to_dict,
+    find_disjoint_positive_cycles,
     is_signed_cycle,
     underlying_cycle_order,
 )
@@ -670,7 +671,8 @@ def _with_base_arcs(*arcs):
         ),
         (
             _with_base_arcs(), "constant", {},
-            "base system's interaction graph differs from the base graph",
+            "base system's structure does not fit the base graph: "
+            "missing arcs [('1', '2', '+')]; degree bound violated at components (0, 1)",
         ),
         (
             _with_base_arcs(("2", "1", "+")), None, {},
@@ -685,12 +687,19 @@ def _with_base_arcs(*arcs):
             _with_base_arcs(("1", "3", "+")), None, {"order": []},
             "order must list each missing arc exactly once",
         ),
+        (
+            _with_base_arcs(("1", "3", "+")), "wide", {},
+            "base system's structure does not fit the base graph: "
+            "degree bound violated at components (0,)",
+        ),
     ],
 )
 def test_extend_all_names_each_precondition(target, system, kwargs, expected):
     h = helpers.random_system_on(random.Random(1), EXTEND_BASE)
     if system == "constant":
         h = constant_fds(h.domain, h.domain.lows)
+    elif system == "wide":  # realizes 1 -> 2, but X_1 = {0, 1, 2}: f_2 = [x_1 >= 1]
+        h = Fds(IntervalProduct(((0, 2), (0, 1), (0, 0))), [[0] * 6, [0, 0, 1, 1, 1, 1], [0] * 6])
     with pytest.raises(PreconditionError) as info:
         extend_all(target, EXTEND_BASE, h, **kwargs)
     assert str(info.value) == expected
@@ -802,10 +811,12 @@ def test_construct_converging_names_each_precondition(case, expected):
 
 def test_direct_path_result_is_degree_checked(monkeypatch):
     # Both extension stages of the direct path add no arc here (the block
-    # 3 -> 4 is glued on whole), so extend_all checks nothing, and the
-    # final structure check is the only degree-bound check of the result:
-    # growing vertex 4's interval by a duplicated plane keeps every arc and
-    # must still be refused.
+    # 3 -> 4 is glued on whole), so extend_all checks no result.  Growing
+    # vertex 4's interval by a duplicated plane keeps every arc and must
+    # still be refused: in the glued base by the direct path's own check of
+    # it (an internal error, not a precondition of extend_all), and in the
+    # last extension's result by construct_converging's final structure
+    # check, the only check that sees it there.
     g = SignedDigraph.from_arcs([("1", "2", "+"), ("2", "1", "+"), ("3", "4", "+")])
     cycle = next(c for c in enumerate_cycles(g) if c.vertex_set() == {"1", "2"})
     sub, h = cycle_subsystem(g, [cycle])
@@ -813,17 +824,71 @@ def test_direct_path_result_is_degree_checked(monkeypatch):
     assert plan.isolated == ("3", "4") and not plan.closed
     assert g.spanning(sub.arcs | plan.block_graph.arcs) == g
     assert construct_converging(g, sub, h)[1].valid
-    glue = synthesis._glue
 
-    def widened(base, block, rows):
-        f = glue(base, block, rows)
+    def widen(f):
         return Fds(*synthesis._extended_tables(f.domain, f.tables, g.index("4"), 1))
 
-    monkeypatch.setattr(synthesis, "_glue", widened)
-    with pytest.raises(
-        InternalInvariantError, match=re.escape("degree bound violated at components (3,)")
+    glue, extend = synthesis._glue, synthesis.extend_all
+
+    def last_extension_widened(*args, **kwargs):
+        f = extend(*args, **kwargs)
+        return widen(f) if "order" in kwargs else f  # the second stage only
+
+    for name, faulty, what in (
+        ("_glue", lambda *args: widen(glue(*args)), "glued block"),
+        ("extend_all", last_extension_widened, "converging construction"),
     ):
-        construct_converging(g, sub, h)
+        with monkeypatch.context() as patch:
+            patch.setattr(synthesis, name, faulty)
+            with pytest.raises(InternalInvariantError) as info:
+                construct_converging(g, sub, h)
+        assert str(info.value) == (
+            f"{what} failed self-check: degree bound violated at components (3,)"
+        )
+
+
+def _direct_path_cases(seed):
+    """Seeded ``(g, sub, h)`` triples of ``helpers.random_subsystem_triple``,
+    then the cycle subsystems of seeded fixed-point constructions."""
+    rng = random.Random(seed)
+    for _ in range(150):
+        trip = helpers.random_subsystem_triple(rng, 6)
+        if trip is not None:
+            yield trip
+    for k in range(150):
+        g = helpers.random_connected_sdg(rng, 7)
+        if k % 3:
+            cycles = find_disjoint_positive_cycles(g, k % 3)
+        else:
+            cycles = [c for c in enumerate_cycles(g) if c.sign == NEGATIVE][:1]
+        if cycles:
+            yield g, *cycle_subsystem(g, cycles)
+
+
+def test_an_arc_less_block_is_the_identity(monkeypatch):
+    # On the direct path a block graph without arcs puts a lone vertex,
+    # constant 0 on (0, 0), at each isolated vertex; mirrored and placed at
+    # h's lows, the glue gives h back.  So construct_converging builds no
+    # nilpotent system for such a plan.
+    calls = []
+    nilpotent = synthesis.construct_nilpotent
+    monkeypatch.setattr(
+        synthesis, "construct_nilpotent", lambda q: calls.append(q) or nilpotent(q)
+    )
+    plans = mirrored = 0
+    for g, sub, h in _direct_path_cases(5):
+        plan = synthesis.convergence_plan(g, sub)
+        if plan.closed or not plan.isolated or plan.block_graph.arcs:
+            continue
+        rows = [g.index(v) for v in plan.isolated]
+        block = synthesis._placed_block(plan.block_graph, h.domain.lows, plan.mirrored)
+        assert synthesis._glue(h, block, rows) == h
+        calls.clear()
+        assert construct_converging(g, sub, h)[1].valid
+        assert calls == []
+        plans += 1
+        mirrored += bool(plan.mirrored)
+    assert plans >= 30 and mirrored >= 5, (plans, mirrored)
 
 
 def test_construct_converging_random_triples():
