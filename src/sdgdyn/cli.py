@@ -227,7 +227,7 @@ def cmd_enumerate(args) -> int:
     cap = fds_mod.env_cap(fds_mod.DEFAULT_TABLE_CAP, args.cap)
     # Every cap trips in the count pass, before the first byte is written;
     # then each block is written as soon as it is built: its sizes rendered
-    # once, then one text per distinct (index, fixed) of the block.
+    # once, then one text per distinct (index, fixed) code of the block.
     count, blocks = fds_mod._counted_summaries(g, cap)
     if args.json:  # the bytes of json.dumps(report, indent=2) for the whole report
         head, lead, sep = f'{{\n  "count": {count},\n  "systems": [', "\n    ", ",\n    "
@@ -246,9 +246,10 @@ def cmd_enumerate(args) -> int:
     _write(head, end="")
     for sizes, index, fixed in blocks:
         text = sizes_text(list(sizes))
-        keys = list(zip(index.tolist(), fixed.tolist()))
-        texts = {(k, n): item % (text, k if k > 0 else null, n) for k, n in set(keys)}
-        _write(lead + sep.join(map(texts.__getitem__, keys)), end="")
+        m = int(fixed.max()) + 1  # one code per (index, fixed): index + 1 >= 0, fixed < m
+        codes = ((index + 1) * m + fixed).tolist()
+        texts = {c: item % (text, c // m - 1 if c >= 2 * m else null, c % m) for c in set(codes)}
+        _write(lead + sep.join(map(texts.__getitem__, codes)), end="")
         lead = sep
     _write(tail)
     return EXIT_OK

@@ -288,6 +288,11 @@ class Fds:
             for j, i in np.argwhere(hits).tolist()
         ]
 
+    @cached_property
+    def _verdicts(self) -> dict:
+        """The verdicts of ``synthesis._structure_problems`` on this system, by graph."""
+        return {}
+
     def is_degree_bounded(self) -> tuple[bool, tuple[int, ...]]:
         """Check interval sizes against the degrees of the system's own
         interaction arcs (parallel arcs count twice): each ``|X_i|`` must lie
@@ -590,26 +595,27 @@ def _sign_valid_tables(
     that realizes ``pattern``: along in-neighbor axis ``a`` it rises
     somewhere iff ``pattern[a][0]`` and falls somewhere iff ``pattern[a][1]``.
 
-    Candidate ``r`` fills the cells with the mixed-radix digits of ``r``,
-    first cell most significant, and candidates are checked in blocks of
-    4,096 rows, one sign kernel call per axis and block, which keeps memory
-    bounded whatever the count.
+    Candidate ``r`` fills the cells with the base-``width`` digits of ``r``,
+    first cell most significant, expanded for a whole block of 4,096 rows
+    at once (``r // width**k % width``).  Each block takes one sign
+    kernel call per axis, whose flags (or their negations, as the pattern
+    asks) are the verdict, so memory stays bounded whatever the count.
     """
     cells = math.prod(local_shape)
     count = width**cells
+    powers = width ** np.arange(cells - 1, -1, -1)
     valid: list[np.ndarray] = []
     for start in range(0, count, 4096):
-        rest = np.arange(start, min(start + 4096, count))
-        local = np.empty((len(rest), cells), dtype=np.int64)
-        for cell in reversed(range(cells)):
-            rest, local[:, cell] = np.divmod(rest, width)
+        local = np.arange(start, min(start + 4096, count))[:, None] // powers
+        local %= width  # in place: one (rows, cells) array per block
         cube = local.reshape((len(local),) + local_shape)
-        ok = np.ones(len(local), dtype=bool)
+        ok = slice(None)  # no in-neighbour: every table
         for a, (pos, neg) in enumerate(pattern):
             rise, fall = unit_step_signs(cube, a)
-            ok &= (rise == pos) & (fall == neg)
+            hit = (rise if pos else ~rise) & (fall if neg else ~fall)
+            ok = hit if a == 0 else ok & hit
         valid.append(local[ok])
-    return np.concatenate(valid)
+    return valid[0] if len(valid) == 1 else np.concatenate(valid)
 
 
 def _scanned_domains(

@@ -155,10 +155,13 @@ def _structure_problems(f: Fds, g: SignedDigraph) -> list[str]:
     """The one verdict on whether ``f`` is a degree-bounded system whose
     interaction graph is exactly ``g``: its :func:`_arc_problems`, then the
     components at which :meth:`Fds.is_degree_bounded` fails on ``f``'s own
-    arcs.  Empty when ``f`` is such a system."""
-    problems = _arc_problems(f, g)
-    _, bad = f.is_degree_bounded()
-    return problems + [f"degree bound violated at components {bad}"] * bool(bad)
+    arcs.  Empty when ``f`` is such a system.  Kept on ``f``, keyed on ``g``
+    (its vertices and arcs), so each pair is judged once; a new list per call."""
+    if g not in f._verdicts:
+        problems = _arc_problems(f, g)
+        _, bad = f.is_degree_bounded()
+        f._verdicts[g] = problems + [f"degree bound violated at components {bad}"] * bool(bad)
+    return list(f._verdicts[g])
 
 
 def _self_check(what: str, problems: list[str]) -> None:

@@ -2,15 +2,17 @@
 
 Run from anywhere, with the checkout's own ``src`` taking precedence::
 
-    python3 tests/check_pool.py
+    python3 tests/check_pool.py [WORKLOAD ...]
 
-It runs every item of the synth-sweep and enum-families pools in this
-process, on the working tree's ``sdgdyn``, in a temporary directory.  Items
-are built by ``bench/inputs.py`` and run by ``bench/worker.py``'s job runner,
-so a job's exit code and digest mean what they mean in ``bench/pool.json``;
-neither file nor the pool is written.  Each item whose inputs, exit code or
-digest differ from the pool is printed, none exempted, and the exit status
-is 1 when any differs.  The name keeps pytest from collecting it.
+It runs every item of the named pools (``synth-sweep``, ``enum-families``;
+both when none is named) in this process, on the working tree's
+``sdgdyn``, in a temporary directory.  Items are built by
+``bench/inputs.py`` and run by ``bench/worker.py``'s job runner, so a job's
+exit code and digest mean what they mean in ``bench/pool.json``; neither
+file nor the pool is written.  Each item whose inputs, exit code or digest
+differ from the pool is printed, none exempted, and the exit status is 1
+when any differs (2 for an unknown workload name).  The name keeps pytest
+from collecting it.
 """
 
 from __future__ import annotations
@@ -59,7 +61,12 @@ def differing(workload: str, recorded: dict) -> list[str]:
     return lines
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    unknown = [name for name in names if name not in WORKLOADS]
+    if unknown:
+        print(f"unknown workload {unknown[0]!r}; choose from {', '.join(WORKLOADS)}",
+              file=sys.stderr)
+        return 2
     with open(os.path.join(ROOT, "bench", "pool.json"), encoding="utf-8") as fh:
         pool = json.load(fh)
     here = os.getcwd()
@@ -67,7 +74,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="sdgdyn-pool-") as work:
         os.chdir(work)
         try:
-            for workload in WORKLOADS:
+            for workload in names or WORKLOADS:
                 lines = differing(workload, pool[workload])
                 print("\n".join(lines + [f"{workload}: {len(lines)} of "
                                          f"{len(pool[workload])} items differ"]))
@@ -78,4 +85,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -1,4 +1,6 @@
 import functools
+import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -485,6 +487,17 @@ def _expected_reports(g):
     return json.dumps(report, indent=2) + "\n", "\n".join(lines) + "\n"
 
 
+def _assert_same_text(out, want, *context):
+    """``out == want``; on a difference, name the first differing line
+    (pytest's own diff of two long texts takes minutes)."""
+    if out != want:
+        got, exp = out.splitlines(), want.splitlines()
+        i = next((i for i, pair in enumerate(zip(got, exp)) if pair[0] != pair[1]),
+                 min(len(got), len(exp)))
+        pytest.fail(f"{context} line {i} differs: {got[i:i + 1]} != {exp[i:i + 1]} "
+                    f"({len(got)} vs {len(exp)} lines)")
+
+
 def test_enumerate_writes_nothing_past_a_cap_and_the_whole_report_under_it(tmp_path, capsys):
     from sdgdyn import enumerate_system_summaries
     from sdgdyn.fds import DEFAULT_TABLE_CAP
@@ -511,8 +524,66 @@ def test_enumerate_writes_nothing_past_a_cap_and_the_whole_report_under_it(tmp_p
                 if tripped:
                     assert out == "" and f"exceeds cap of {cap} " in err
                 else:
-                    assert out == want and err == ""
+                    assert err == ""
+                    _assert_same_text(out, want, g, cap, form)
     assert exits == {0, 4}
+
+
+# Blocks that mix systems with no constant iterate (index None) with
+# two-digit nilpotency indices (up to 10, on sizes (3, 2, 2, 2)) and with
+# two-digit fixed-point counts (up to 11, on sizes (2, 3, 3)): a summary code
+# that let two (index, fixed) pairs of a block collide, or that was read back
+# in the wrong radix, would show in the rendered entries.
+MIXED_SUMMARY_GRAPHS = [
+    sdgdyn.SignedDigraph.from_arcs(
+        [("1", "1", "+"), ("1", "2", "-"), ("2", "3", "-"), ("3", "4", "-"), ("4", "1", "+")]
+    ),
+    sdgdyn.SignedDigraph.from_arcs(
+        [("1", "1", "+"), ("2", "1", "+"), ("2", "2", "+"), ("3", "2", "+"), ("3", "3", "+")]
+    ),
+]
+
+
+def test_enumerate_renders_each_summary_code_as_its_pair(tmp_path, capsys):
+    from sdgdyn import enumerate_system_summaries
+
+    mixed = set()
+    for g in MIXED_SUMMARY_GRAPHS:
+        for sizes, index, fixed in enumerate_system_summaries(g):
+            if (index < 0).any():
+                mixed |= {(sizes, "index")} if index.max() >= 10 else set()
+                mixed |= {(sizes, "fixed")} if fixed.max() >= 10 else set()
+        gpath = tmp_path / "g.sdg"
+        gpath.write_text(format_sdg(g))
+        want_json, want_text = _expected_reports(g)
+        for form, want in (([], want_text), (["--json"], want_json)):
+            assert main(["enumerate", "--graph", str(gpath), *form]) == 0
+            _assert_same_text(capsys.readouterr().out, want, g, form)
+    assert mixed == {((3, 2, 2, 2), "index"), ((2, 3, 3), "fixed")}
+
+
+def _bench_inputs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_enumerate_text_on_every_family_graph_is_pinned(tmp_path, capsys):
+    # bench/pool.json pins the --json form of enumerate on the 392 graphs of
+    # the criterion-8b (looped) and 8c (two-cycle) families; this pins the
+    # text form, by one digest of every report in pool order.
+    inputs = _bench_inputs()
+    graphs = inputs.looped_family() + inputs.two_cycle_family()
+    gpath = tmp_path / "g.sdg"
+    digest = hashlib.sha256()
+    for names, arcs in graphs:
+        gpath.write_text(inputs.sdg_text(names, arcs))
+        assert main(["enumerate", "--graph", str(gpath)]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert len(graphs) == 392
+    assert digest.hexdigest() == "769f33bc53f6778a3178f9486ce85d66586e3b5df40019b1f424ca1fa745783c"
 
 
 @pytest.mark.parametrize("form", [[], ["--json"]])
@@ -792,9 +863,9 @@ def test_enumerate_report_bytes_match_the_per_system_summaries(graph, tmp_path, 
     ]
     want_json, want_text = _expected_reports(g)
     assert main(["enumerate", "--graph", str(gpath), "--json"]) == 0
-    assert capsys.readouterr().out == want_json
+    _assert_same_text(capsys.readouterr().out, want_json, "--json")
     assert main(["enumerate", "--graph", str(gpath)]) == 0
-    assert capsys.readouterr().out == want_text
+    _assert_same_text(capsys.readouterr().out, want_text, "text")
 
 
 def test_synth_nilpotent_json_in_a_fresh_process(tmp_path):

@@ -1027,6 +1027,25 @@ def test_sign_valid_tables_match_the_pure_python_filter():
     assert nonempty >= 20 and seen_widths == {2, 3, 4} and seen_lengths == {1, 2, 3}
 
 
+def test_sign_valid_tables_across_row_blocks():
+    # Width 3 on in-neighbor axes of lengths (3, 3): 3^9 = 19,683
+    # candidates, checked in five blocks of 4,096 rows whose digits are
+    # expanded in one step per block.  Survivors of each pattern come from
+    # every block, so a digit or a verdict wrong at a block start would
+    # show against the pure-Python filter.
+    width, shape = 3, (3, 3)
+    cells = list(product(range(3), repeat=2))
+    for pattern in (((True, False), (False, True)), ((True, True), (True, False))):
+        arcs = [(f"u{a}", "v", sg) for a, (pos, neg) in enumerate(pattern)
+                for sg, on in (("+", pos), ("-", neg)) if on]
+        g = SignedDigraph.from_arcs(arcs, vertices=["v", "u0", "u1"])
+        want = helpers.reference_local_tables(g, "v", cells, 0, width - 1)
+        got = fds_mod._sign_valid_tables(width, shape, pattern)
+        assert got.tolist() == want.tolist(), pattern
+        numbers = got @ width ** np.arange(len(cells) - 1, -1, -1)
+        assert set((numbers // 4096).tolist()) == set(range(5)), pattern
+
+
 def test_offset_blocks_follow_itertools_product(monkeypatch):
     # Row sums of one row per part, in lexicographic order of the choices,
     # last component fastest, in blocks of at most BLOCK_CELLS cells (or

@@ -413,6 +413,30 @@ def test_structure_check_matches_a_brute_force_oracle(tmp_path, capsys):
     assert min(seen.values()) >= 10 and sum(seen.values()) >= 300, seen
 
 
+def test_structure_verdict_is_judged_once_per_system_and_graph(monkeypatch):
+    # The verdict is kept on the system, keyed on the graph's vertices and
+    # arcs: an equal graph built anew reuses it, another graph is judged
+    # afresh, and every call returns a new list (extend_all appends to it).
+    judged = []
+    arc_problems = synthesis._arc_problems
+    monkeypatch.setattr(
+        synthesis, "_arc_problems", lambda f, g: judged.append(g) or arc_problems(f, g)
+    )
+    g = helpers.eight_vertex_example()
+    built, _ = construct_nilpotent(g)
+    f = Fds(built.domain, built.tables)  # a new system: no verdict kept yet
+    judged.clear()
+    first = _structure_problems(f, g)
+    first.append("appended by a caller")
+    assert _structure_problems(f, SignedDigraph(g.vertices, frozenset(g.arcs))) == []
+    assert len(judged) == 1
+    arc = g.sorted_arcs()[0]
+    fewer = SignedDigraph(g.vertices, g.arcs - {arc})
+    want = [f"extra arcs {[arc]}"]
+    assert _structure_problems(f, fewer) == want and _structure_problems(f, fewer) == want
+    assert len(judged) == 2 and _structure_problems(built, fewer) == want
+
+
 def test_graph_structure_is_derived_once_per_graph(monkeypatch):
     from sdgdyn import sdg, synthesis
 
