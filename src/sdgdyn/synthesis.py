@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -393,14 +394,34 @@ def construct_nilpotent(g: SignedDigraph) -> tuple[Fds, NilpotencyCertificate]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionState:
-    """Rolling state of :func:`extend_all`: the graph built so far, the
-    system on it, and the anchor state of the base domain."""
+    """Rolling state of :func:`extend_all`: base graph, domain, tables, added arcs, in- and
+    out-degrees (in vertex order) and anchor; :attr:`graph` and :attr:`system` are built on read."""
 
-    graph: SignedDigraph
-    system: Fds
+    base: SignedDigraph
+    domain: IntervalProduct
+    tables: np.ndarray
+    added: frozenset[Arc]
+    in_degrees: tuple[int, ...]
+    out_degrees: tuple[int, ...]
     anchor: tuple[int, ...]
+
+    @classmethod
+    def start(cls, graph: SignedDigraph, system: Fds, anchor: Sequence[int]) -> ExtensionState:
+        """``system`` on ``graph`` with no arc added; ``graph`` and ``system`` are its own."""
+        degrees = [tuple(map(d, graph.vertices)) for d in (graph.in_degree, graph.out_degree)]
+        state = cls(graph, system.domain, system.tables, frozenset(), *degrees, tuple(anchor))
+        state.__dict__.update(graph=graph, system=system)  # the cached properties
+        return state
+
+    @cached_property
+    def graph(self) -> SignedDigraph:
+        return SignedDigraph(self.base.vertices, self.base.arcs | self.added)
+
+    @cached_property
+    def system(self) -> Fds:
+        return Fds(self.domain, self.tables)
 
 
 def _ab_sets(
@@ -482,15 +503,15 @@ def _growth_direction(
 ) -> int:
     """The preferred growth of the tail interval: +1 upward, -1 downward.
 
-    While ``j`` is still a source its update stays constant, and the first
-    future arc into ``j`` would rather find that constant at one end of the
-    interval: the top for a negative arc, the bottom for a positive one.
+    While ``j`` is still a source (of in-degree 0 in ``state``) its update stays
+    constant, and the first future arc into ``j`` would rather find that constant
+    at one end of the interval: the top for a negative arc, the bottom for a positive one.
     Without a future arc into ``j`` the caller's preference (or upward)
     wins.  The result is a preference: :func:`extend_by_arc` takes its own
     direction instead when the head of the arc is a source whose constant
     cannot step the preferred way.
     """
-    if state.graph.in_degree(j) == 0:
+    if state.in_degrees[state.base.index(j)] == 0:
         for src, dst, sign in upcoming:
             if dst == j:
                 return -1 if sign == NEGATIVE else 1
@@ -544,19 +565,19 @@ def extend_by_arc(
     ``upcoming`` lists the arcs that will be added later, which steers the
     direction in which tail intervals grow; where the head is a source
     whose constant cannot step the way ``upcoming`` asks for, the tail
-    grows the way it can.  The step checks nothing of its result:
-    :func:`extend_all` checks the system it returns.  Raises
+    grows the way it can.  The step builds no graph and no system:
+    :func:`extend_all` checks its last state's system.  Raises
     :class:`InternalInvariantError` when no sound treatment of the arc
     exists.
     """
     j, i, sign = arc
-    cur, dom, tables = state.graph, state.system.domain, state.system.tables
-    if arc in cur.arcs:
+    dom, tables = state.domain, state.tables
+    if arc in state.base.arcs or arc in state.added:
         raise PreconditionError(f"arc {arc} already present")
-    ji, ii = cur.index(j), cur.index(i)
-    j_sink, width = cur.out_degree(j) == 0, dom.shape[ji]
+    ji, ii = state.base.index(j), state.base.index(i)
+    j_sink, width = state.out_degrees[ji] == 0, dom.shape[ji]
     grow = True
-    if cur.in_degree(i) > 0:
+    if state.in_degrees[ii] > 0:
         # The head already varies: its range is the extremes of its image.
         low, high = int(tables[ii].min()), int(tables[ii].max())
         if low == high:
@@ -570,7 +591,7 @@ def extend_by_arc(
             direction = 1 if state.anchor[ji] == dom.intervals[ji][0] else -1
         else:
             direction = _growth_direction(state, j, upcoming, None)
-    elif cur.out_degree(i) > 0:
+    elif state.out_degrees[ii] > 0:
         if j_sink:
             raise InternalInvariantError(
                 f"arc {arc} runs from a current sink to a current source"
@@ -622,9 +643,9 @@ def extend_by_arc(
         # yet, so every table, its own included, is duplicated along it.
         dom, tables = _extended_tables(dom, tables, ii, value - lo)
     dom, tables = _extended_tables(dom, tables, ji, direction, grow, ii, value)
-
-    graph = SignedDigraph(cur.vertices, cur.arcs | {arc})
-    return ExtensionState(graph, Fds(dom, tables), state.anchor)
+    added, ins, outs = state.added | {arc}, list(state.in_degrees), list(state.out_degrees)
+    ins[ii], outs[ji] = ins[ii] + 1, outs[ji] + 1
+    return ExtensionState(state.base, dom, tables, added, tuple(ins), tuple(outs), state.anchor)
 
 
 def extend_all(
@@ -644,11 +665,11 @@ def extend_all(
     vertex isolated in the base.  Arcs are added in
     (source index, target index, ``+`` before ``-``) order unless an
     explicit order is supplied; ``future_arcs`` are arcs that later
-    invocations will add, used only to steer interval growth.  A result
-    that adds an arc is checked once, by :func:`_structure_problems`
-    against ``target`` and the four guarantees of
-    :func:`check_extension_postconditions`; a failure raises
-    :class:`InternalInvariantError` naming every problem.
+    invocations will add, used only to steer interval growth.  The result is
+    the last state's system, the one :class:`Fds` the fold builds; when it adds
+    an arc it is checked once, by :func:`_structure_problems` against ``target``
+    and the four guarantees of :func:`check_extension_postconditions`; a failure
+    raises :class:`InternalInvariantError` naming every problem.
     """
     if not base_graph.is_spanning_subgraph_of(target):
         raise PreconditionError("base graph is not a spanning subgraph of the target")
@@ -681,7 +702,7 @@ def extend_all(
     if sorted(seq) != sorted(missing):
         raise PreconditionError("order must list each missing arc exactly once")
 
-    state = ExtensionState(base_graph, base_system, anchor)
+    state = ExtensionState.start(base_graph, base_system, anchor)
     pending = list(seq) + list(future_arcs)
     for pos, arc in enumerate(seq):
         state = extend_by_arc(state, arc, base_system, upcoming=pending[pos + 1 :])

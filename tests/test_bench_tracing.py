@@ -5,6 +5,8 @@ those breaks every run."""
 
 import importlib.util
 import os
+import subprocess
+import sys
 
 import sdgdyn
 from sdgdyn import cli, fds, sdg, synthesis
@@ -44,3 +46,27 @@ def test_bench_worker_names_exist():
     assert h.interaction_graph(g.vertices) == sub
     assert sdgdyn.convergence_plan(g, sub).closed == ("3",)  # no arc leaves vertex 3
     assert callable(sdgdyn.load_fds) and callable(sdgdyn.load_sdg)
+
+
+def test_bench_tracer_counts_every_extension_step():
+    # The tracer counts synthesis.extension_steps through the name
+    # extend_by_arc, so extend_all must call it once per added arc.  The
+    # tracer rebinds module names for good, so it runs in a child process.
+    script = """
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+from sdgdyn import SignedDigraph, synthesis
+import test_synthesis as t
+base, h = t._two_step_base()
+synthesis.extend_all(SignedDigraph(base.vertices, base.arcs | t.THREE_ARCS), base, h)
+print(tracer.metrics()["synthesis.extension_steps"])
+"""
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sdgdyn.__file__)))
+    path = os.pathsep.join([src, here, os.path.join(here, os.pardir, "bench")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        check=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.split() == ["3"], proc.stdout

@@ -525,7 +525,7 @@ def test_extend_all_postconditions_on_eight_vertex_example():
     ok, _ = f.is_degree_bounded()
     assert ok
     # final-state postconditions against (base, h, anchor)
-    state = ExtensionState(g, f, tuple(anchor))
+    state = ExtensionState.start(g, f, anchor)
     assert not check_extension_postconditions(state, base, h)
 
 
@@ -545,7 +545,7 @@ def _tampered_extension_state(edits) -> list[str]:
     tables = [[x1 for x1, _ in X.states()], [0] * X.size]
     for (k, s), value in edits.items():
         tables[k][X.offset(s)] = value
-    state = ExtensionState(graph, Fds(X, tuple(tables)), (0, 0))
+    state = ExtensionState.start(graph, Fds(X, tuple(tables)), (0, 0))
     assert _ab_sets(base, graph) == (frozenset(), {"2"})
     return check_extension_postconditions(state, base, h)
 
@@ -597,7 +597,7 @@ def test_extension_postconditions_require_the_base_domain_inside():
     h = Fds(IntervalProduct(((0, 1), (0, 1))), ([0, 0, 1, 1], [0, 0, 0, 0]))
     X = IntervalProduct(((0, 1), (1, 2)))
     f = Fds(X, ([x1 for x1, _ in X.states()], [1] * X.size))
-    state = ExtensionState(base, f, (0, 0))
+    state = ExtensionState.start(base, f, (0, 0))
     with pytest.raises(PreconditionError, match="^domain is not contained in the target domain$"):
         check_extension_postconditions(state, base, h)
 
@@ -632,7 +632,7 @@ def test_extend_by_arc_state_bookkeeping():
         [("1", "2", "+"), ("1", "3", "+")], vertices=["1", "2", "3"]
     )
     h = helpers.random_system_on(random.Random(3), base)
-    state = ExtensionState(base, h, (0, 0, 0))
+    state = ExtensionState.start(base, h, (0, 0, 0))
     arc = ("2", "3", "-")  # tail 2 was a sink of the base
     new = extend_by_arc(state, arc, h)
     assert arc in new.graph.arcs
@@ -1017,6 +1017,8 @@ def test_each_step_check_agrees_with_the_full_checks(monkeypatch):
         new = step(state, arc, base_system, *args, **kwargs)
         base_graph = base_system.interaction_graph(new.graph.vertices)
         assert _structure_problems(new.system, new.graph) == [], (kind, arc)
+        assert new.in_degrees == tuple(map(new.graph.in_degree, new.graph.vertices))
+        assert new.out_degrees == tuple(map(new.graph.out_degree, new.graph.vertices))
         assert check_extension_postconditions(new, base_graph, base_system) == [], (kind, arc)
         kinds[kind] += 1
         return new
@@ -1044,6 +1046,10 @@ def _two_step_base():
     Y = IntervalProduct(((0, 1),) * 3)
     h = Fds(Y, [[0] * 8, [s[0] for s in Y.states()], [s[0] for s in Y.states()]])
     return base, h
+
+
+# Three arcs that extend_all adds to the base of _two_step_base, one step each.
+THREE_ARCS = frozenset({("1", "3", "-"), ("2", "3", "-"), ("3", "3", "+")})
 
 
 _EXTENDED_TABLES = synthesis._extended_tables
@@ -1125,9 +1131,7 @@ def test_extend_all_checks_the_whole_system_once(monkeypatch):
     # postcondition check: the kernel runs for the base and for the final
     # result only, and the postconditions are checked in full once.
     base, h = _two_step_base()
-    target = SignedDigraph(
-        base.vertices, base.arcs | {("1", "3", "-"), ("2", "3", "-"), ("3", "3", "+")}
-    )
+    target = SignedDigraph(base.vertices, base.arcs | THREE_ARCS)
     runs = helpers.count_kernel_runs(monkeypatch)
     full = []
     check = synthesis.check_extension_postconditions
@@ -1143,6 +1147,25 @@ def test_extend_all_checks_the_whole_system_once(monkeypatch):
     assert len(steps) == 3
     assert len(full) == 1 and full[0][0].system is f
     assert len(runs) == 2 and runs[0] is h and runs[1] is f
+
+
+def test_extend_all_builds_one_system_and_one_graph(monkeypatch):
+    # A step builds neither an Fds nor a SignedDigraph: extend_all builds
+    # the result and its graph once, from the last step's state.
+    base, h = _two_step_base()
+    target = SignedDigraph(base.vertices, base.arcs | THREE_ARCS)
+    built = collections.Counter()
+    for cls in (Fds, SignedDigraph):
+        post_init = cls.__post_init__
+
+        def counting(self, post_init=post_init):
+            built[type(self).__name__] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    f = extend_all(target, base, h)
+    assert built == {"Fds": 1, "SignedDigraph": 1}
+    assert _structure_problems(f, target) == []
 
 
 def test_every_extension_result_runs_the_kernel_once(monkeypatch):
